@@ -4,14 +4,16 @@ from .channels import (
     LocalChannel,
     apply_local_channel,
     correlation_multipliers,
-    evolve_bitflip_phaseflip,
+    scale_coefficients,
 )
 from .correlations import (
+    CorrelationLedger,
     CorrelationReport,
     classical_correlation,
     classical_correlation_bruteforce,
     closest_classical_state,
     conditional_entropy,
+    correlation_ledger,
     discord,
     mutual_information,
     relative_entropy_discord,
@@ -35,11 +37,13 @@ from .kernel import (
     solve_decay_time,
 )
 from .scenarios import (
+    Evolution,
     InitialFamily,
     TrajectoryPoint,
     characteristic_time,
     closed_form_characteristic_time,
     detect_kink,
+    evolve,
     figure_data,
     make_family_state,
     trajectory,

@@ -36,10 +36,12 @@ def _require_axis(axis: str) -> str:
     return axis
 
 
-def _require_retention(p: float) -> float:
-    if abs(p) > 1 + 1e-12:
-        raise NonCPTPError(f"retention parameter |p| <= 1 required, got {p}")
-    return float(p)
+def _require_retention(p):
+    """p, a float or an array of retention parameters, once every |p| <= 1."""
+    worst = float(np.max(np.abs(p), initial=0.0))
+    if worst > 1 + 1e-12:
+        raise NonCPTPError(f"retention parameter |p| <= 1 required, got |p| = {worst}")
+    return p if np.ndim(p) else float(p)
 
 
 def apply_local_channel(rho: np.ndarray, qubit: str, channel: LocalChannel) -> np.ndarray:
@@ -56,21 +58,14 @@ def apply_local_channel(rho: np.ndarray, qubit: str, channel: LocalChannel) -> n
     return ((1 + p) / 2) * rho + ((1 - p) / 2) * (op @ rho @ op)
 
 
-def evolve_bitflip_phaseflip(c0, p: float) -> BellCoefficients:
-    """Coefficient map of bit flip on A with phase flip on B: (p cx, p^2 cy, p cz)."""
-    cx, cy, cz = as_bell(c0)
-    p = _require_retention(p)
-    return BellCoefficients(p * cx, p * p * cy, p * cz)
-
-
-def correlation_multipliers(
-    axis_a: str, axis_b: str, p: float, p_b: float | None = None
-) -> tuple[float, float, float]:
+def correlation_multipliers(axis_a: str, axis_b: str, p, p_b=None) -> tuple:
     """Per-axis multipliers (mx, my, mz) with c_alpha(t) = m_alpha * c_alpha.
 
     Each local channel leaves its own axis fixed and scales the other two by
     its retention parameter; the correlation multiplier is the product of the
-    per-qubit factors. p_b defaults to p (one shared environment).
+    per-qubit factors. p_b defaults to p (one shared environment). For arrays
+    of retention parameters, a multiplier that depends on them is an array;
+    one that does not stays 1.0.
     """
     _require_axis(axis_a)
     _require_axis(axis_b)

@@ -24,7 +24,6 @@ from .channels import (
     LocalChannel,
     apply_local_channel,
     correlation_multipliers,
-    evolve_bitflip_phaseflip,
     scale_coefficients,
 )
 from .correlations import (
@@ -45,16 +44,15 @@ from .kernel import (
     decay_factor,
     decay_factor_convolution,
     decay_factor_ode,
-    markovian_decay_factor,
     solve_decay_time,
 )
 from .scenarios import (
     InitialFamily,
     characteristic_time,
     closed_form_characteristic_time,
+    evolve,
     figure_data,
     make_family_state,
-    trajectory,
 )
 from .states import (
     BellCoefficients,
@@ -277,20 +275,11 @@ def _fmt(x: float) -> str:
     return f"{float(x) + 0.0:.9g}"
 
 
-def _params_comment(command: str, cfg: RunConfig, extra: dict | None = None) -> str:
-    parts = [
-        f"a={_fmt(cfg.a)}",
-        f"A={_fmt(cfg.A)}",
-        f"gamma={_fmt(cfg.gamma)}",
-        f"channel_a={cfg.channel_a}",
-        f"channel_b={cfg.channel_b}",
-        f"t_max={_fmt(cfg.t_max)}",
-        f"t_steps={cfg.t_steps}",
-        f"markovian={int(cfg.markovian)}",
-    ]
-    if extra:
-        parts.extend(f"{k}={v}" for k, v in extra.items())
-    return f"# belldyn {command} " + " ".join(parts)
+def _show(value) -> str:
+    """A parameter as the CSV comment line prints it: %.9g floats, 0/1 flags."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -301,37 +290,34 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
+_TABLE_META = ("a", "A", "gamma", "channel_a", "channel_b", "t_max", "t_steps",
+               "markovian")
+
+
 def _table_text(cfg, command, columns, rows, extra=None) -> str:
+    meta = {key: getattr(cfg, key) for key in _TABLE_META}
+    meta.update(extra or {})
+    # one %.9g template per row prints what _fmt prints for each value;
+    # adding 0.0 turns -0.0 into 0.0 as _fmt does
+    template = ",".join(["%.9g"] * len(columns))
+    lines = [template % tuple(row) for row in (np.asarray(rows) + 0.0).tolist()]
     if cfg.format == "json":
-        meta = {
-            "a": cfg.a, "A": cfg.A, "gamma": cfg.gamma,
-            "channel_a": cfg.channel_a, "channel_b": cfg.channel_b,
-            "t_max": cfg.t_max, "t_steps": cfg.t_steps,
-            "markovian": cfg.markovian,
-        }
-        if extra:
-            meta.update(extra)
         payload = {
             "meta": meta,
             "columns": list(columns),
-            "rows": [[float(_fmt(v)) for v in row] for row in rows],
+            "rows": [[float(v) for v in line.split(",")] for line in lines],
         }
         return json.dumps(payload, indent=1) + "\n"
-    lines = [_params_comment(command, cfg, extra), ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    shown = " ".join(f"{key}={_show(value)}" for key, value in meta.items())
+    lines[:0] = [f"# belldyn {command} {shown}", ",".join(columns)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
     c0 = cfg.initial_state()
-    k = cfg.kernel()
-    axis_a, axis_b = cfg.axes()
-    rows = []
-    for t in cfg.time_grid():
-        p = markovian_decay_factor(k.a, t) if cfg.markovian else decay_factor(k, t)
-        c_t = scale_coefficients(c0, correlation_multipliers(axis_a, axis_b, p))
-        lam = bell_eigenvalues(c_t)
-        rows.append((k.a * t, p, *c_t, *lam))
+    run = evolve(c0, cfg.kernel(), cfg.time_grid(), *cfg.axes(),
+                 markovian=cfg.markovian)
+    rows = np.column_stack([cfg.a * run.t, run.p, run.c, run.spectrum])
     columns = ("a_t", "p", "c_x", "c_y", "c_z",
                "lambda_psi_plus", "lambda_phi_plus",
                "lambda_phi_minus", "lambda_psi_minus")
@@ -342,14 +328,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 def cmd_trajectory(cfg: RunConfig) -> int:
     c0 = cfg.initial_state()
-    k = cfg.kernel()
-    axis_a, axis_b = cfg.axes()
-    points = trajectory(c0, k, cfg.time_grid(), axis_a, axis_b)
-    rows = [
-        (k.a * pt.t, pt.p, *pt.c, pt.report.I, pt.report.C, pt.report.D,
-         pt.report.lambda_max, pt.markov.C, pt.markov.D)
-        for pt in points
-    ]
+    k, grid, axes = cfg.kernel(), cfg.time_grid(), cfg.axes()
+    run = evolve(c0, k, grid, *axes, markovian=cfg.markovian)
+    twin = evolve(c0, k, grid, *axes, markovian=True)
+    rows = np.column_stack([cfg.a * run.t, run.p, run.c, run.I, run.C, run.D,
+                            run.lambda_max, twin.C, twin.D])
     columns = ("a_t", "p", "c_x", "c_y", "c_z", "I", "C", "D",
                "lambda_max", "C_markov", "D_markov")
     _write_text(cfg.out, _table_text(cfg, "trajectory", columns, rows,
@@ -440,6 +423,18 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each panel fixes its own kernel shape, grid, channels and initial state
+_FIGURE_FIXED = ("A", "gamma", "t_max", "t_steps", "channel_a", "channel_b", "c",
+                 "family", "family_param", "family_sign", "state_file", "markovian")
+
+
+def _reject_figure_flags(args: argparse.Namespace) -> None:
+    given = [key for key in _FIGURE_FIXED if getattr(args, key) is not None]
+    if given:
+        flags = ", ".join("--" + key.replace("_", "-") for key in given)
+        raise ValueError(f"figure panels fix their own parameters; drop {flags}")
+
+
 def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     table = figure_data(figure, panel, cfg.a)
     overrides = {"A": table.params["A"], "gamma": table.params["gamma"]}
@@ -503,7 +498,7 @@ def _verify_checks(cfg: RunConfig):
             rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
             rho = apply_local_channel(rho, "B", LocalChannel("z", p))
             via_kraus, residual = density_to_bell(rho)
-            direct = evolve_bitflip_phaseflip(c0, p)
+            direct = scale_coefficients(c0, correlation_multipliers("x", "z", p))
             dev = max(abs(u - v) for u, v in zip(via_kraus, direct))
             min_eig = float(np.min(bell_eigenvalues(direct)))
             return max(dev, residual, -min_eig - 1e-12 if min_eig < -1e-12 else 0.0)
@@ -595,6 +590,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_values(list(argv)))
     try:
+        if args.command == "figure":
+            _reject_figure_flags(args)
         cfg = resolve_config(args)
         if args.dump_config:
             dump_config_file(cfg, args.dump_config)

@@ -23,6 +23,7 @@ from .states import (
     relative_entropy,
     require_physical,
     require_valid_state,
+    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -46,6 +47,16 @@ class CorrelationReport(NamedTuple):
     axis: str
 
 
+class CorrelationLedger(NamedTuple):
+    """Struct of arrays: the CorrelationReport fields of a batch, row by row."""
+
+    I: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    lambda_max: np.ndarray
+    axis: np.ndarray  # index into AXES
+
+
 class ClassicalCorrelation(NamedTuple):
     value: float
     lambda_max: float
@@ -63,13 +74,7 @@ class RelativeEntropyDiscord(NamedTuple):
 
 
 def report_to_json(report: CorrelationReport) -> dict:
-    return {
-        "I": report.I,
-        "C": report.C,
-        "D": report.D,
-        "lambda_max": report.lambda_max,
-        "axis": report.axis,
-    }
+    return report._asdict()
 
 
 def dominant_axis(c) -> tuple[float, str]:
@@ -79,40 +84,63 @@ def dominant_axis(c) -> tuple[float, str]:
     return float(mags[idx]), AXES[idx]
 
 
-def binary_information(u: float) -> float:
-    """1 - H2((1+u)/2) in bits: information carried by a bit of bias u."""
-    u = min(abs(float(u)), 1.0)
+def binary_information(u):
+    """1 - H2((1+u)/2) in bits: information carried by a bit of bias u.
+
+    Elementwise over an array of biases.
+    """
+    u = np.minimum(np.abs(u), 1.0)
     total = 0.0
     for v in (1.0 + u, 1.0 - u):
-        if v > 1e-15:
-            total += (v / 2) * np.log2(v)
-    return total
+        live = v > 1e-15
+        total = total + np.where(live, (v / 2) * np.log2(np.where(live, v, 1.0)), 0.0)
+    return total if np.ndim(total) else float(total)
+
+
+def correlation_ledger(c) -> CorrelationLedger:
+    """Closed-form I, C and D of an (N, 3) batch of coefficient triples.
+
+    I = 2 + sum_i lambda_i log2 lambda_i over the Bell spectrum; measurement
+    along the dominant axis is optimal, so C is the binary information of
+    lambda_max = max |c_alpha| (Luo, PRA 77, 042303, 2008). Every row is
+    computed elementwise, so a row's result does not depend on the batch.
+    Raises InvalidStateError when a Bell eigenvalue is below -1e-10.
+    """
+    c = np.asarray(c, dtype=float)
+    total = 2.0 - shannon_entropy(bell_eigenvalues(c))
+    mags = np.abs(c)
+    lam_max = np.max(mags, axis=1)
+    classical = binary_information(lam_max)
+    return CorrelationLedger(
+        total, classical, total - classical, lam_max, np.argmax(mags, axis=1)
+    )
+
+
+def ledger_reports(ledger) -> list[CorrelationReport]:
+    """Row view of a ledger (or of anything carrying its five fields)."""
+    return [
+        CorrelationReport(i, c, d, lam, AXES[axis])
+        for i, c, d, lam, axis in zip(
+            ledger.I.tolist(), ledger.C.tolist(), ledger.D.tolist(),
+            ledger.lambda_max.tolist(), ledger.axis.tolist(),
+        )
+    ]
 
 
 def mutual_information(c) -> float:
     """2 + sum_i lambda_i log2 lambda_i over the Bell spectrum."""
-    c = require_physical(c)
-    return 2.0 - von_neumann_entropy(bell_eigenvalues(c))
+    return discord(c).I
 
 
 def classical_correlation(c) -> ClassicalCorrelation:
     """Closed form: measurement along the dominant axis is optimal."""
-    c = require_physical(c)
-    lam, axis = dominant_axis(c)
-    return ClassicalCorrelation(binary_information(lam), lam, axis)
+    report = discord(c)
+    return ClassicalCorrelation(report.C, report.lambda_max, report.axis)
 
 
 def discord(c) -> CorrelationReport:
-    c = require_physical(c)
-    total = mutual_information(c)
-    classical = classical_correlation(c)
-    return CorrelationReport(
-        I=total,
-        C=classical.value,
-        D=total - classical.value,
-        lambda_max=classical.lambda_max,
-        axis=classical.axis,
-    )
+    """One-row correlation_ledger."""
+    return ledger_reports(correlation_ledger([as_bell(c)]))[0]
 
 
 def _kets_from_angles(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -6,11 +6,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import correlation_multipliers, scale_coefficients
-from .correlations import CorrelationReport, discord
+from .channels import correlation_multipliers
+from .correlations import CorrelationReport, correlation_ledger, ledger_reports
 from .errors import AccuracyError
 from .kernel import KernelParams, decay_factor, markovian_decay_factor, solve_decay_time
-from .states import BellCoefficients, require_physical
+from .states import BellCoefficients, bell_eigenvalues, require_physical
 
 FAMILY_TAGS = ("synchronized", "proportional", "sudden_change")
 
@@ -24,6 +24,20 @@ class InitialFamily(NamedTuple):
     tag: str
     params: tuple
     sign: int = 1
+
+
+class Evolution(NamedTuple):
+    """Struct of arrays over a time grid; row i is the state at t[i]."""
+
+    t: np.ndarray  # (N,)
+    p: np.ndarray  # (N,) decay factor
+    c: np.ndarray  # (N, 3) coefficient triples
+    spectrum: np.ndarray  # (N, 4) Bell eigenvalues, in bell_eigenvalues order
+    I: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    lambda_max: np.ndarray
+    axis: np.ndarray  # index into correlations.AXES
 
 
 class TrajectoryPoint(NamedTuple):
@@ -58,6 +72,31 @@ def make_family_state(family: InitialFamily) -> BellCoefficients:
     return require_physical(c)
 
 
+def evolve(
+    c0,
+    k: KernelParams,
+    t_grid,
+    axis_a: str = "x",
+    axis_b: str = "z",
+    markovian: bool = False,
+) -> Evolution:
+    """Evolve c0 over the whole grid at once, with its correlation ledger.
+
+    p(t) is the memory-kernel decay factor, or exp(-2at) when `markovian`.
+    Each c_alpha(t) is c_alpha times the product of the two local channels'
+    factors (1 or p) from correlation_multipliers. c0 is checked once; |p| <= 1
+    and the evolved Bell spectrum are checked once over the grid.
+    """
+    c0 = np.array(require_physical(c0))
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("time grid must be a 1-D array")
+    p = markovian_decay_factor(k.a, t) if markovian else decay_factor(k, t)
+    multipliers = np.broadcast_arrays(*correlation_multipliers(axis_a, axis_b, p))
+    c = np.stack(multipliers, axis=-1) * c0
+    return Evolution(t, p, c, bell_eigenvalues(c), *correlation_ledger(c))
+
+
 def trajectory(
     c0,
     k: KernelParams,
@@ -65,18 +104,13 @@ def trajectory(
     axis_a: str = "x",
     axis_b: str = "z",
 ) -> list[TrajectoryPoint]:
-    """Evolve c0 over the grid; each point carries the Markovian twin report."""
-    c0 = require_physical(c0)
-    points = []
-    for t in np.asarray(t_grid, dtype=float):
-        p = decay_factor(k, float(t))
-        c_t = scale_coefficients(c0, correlation_multipliers(axis_a, axis_b, p))
-        pm = markovian_decay_factor(k.a, float(t))
-        c_m = scale_coefficients(c0, correlation_multipliers(axis_a, axis_b, pm))
-        points.append(
-            TrajectoryPoint(float(t), p, c_t, discord(c_t), discord(c_m))
-        )
-    return points
+    """Row view over `evolve`: one point per grid time, each carrying the
+    report of the Markovian twin (same c0 under exp(-2at))."""
+    run = evolve(c0, k, t_grid, axis_a, axis_b)
+    twin = evolve(c0, k, t_grid, axis_a, axis_b, markovian=True)
+    rows = zip(run.t.tolist(), run.p.tolist(), map(BellCoefficients._make, run.c.tolist()),
+               ledger_reports(run), ledger_reports(twin))
+    return [TrajectoryPoint(*row) for row in rows]
 
 
 def closed_form_characteristic_time(ratio: float, a: float = 1.0) -> float:
@@ -126,12 +160,7 @@ def detect_kink(points: list[TrajectoryPoint], threshold: float = KINK_THRESHOLD
     """
     if len(points) < MIN_KINK_POINTS:
         raise ValueError(f"need at least {MIN_KINK_POINTS} trajectory points")
-    t = np.array([pt.t for pt in points])
     c_vals = np.array([pt.report.C for pt in points])
-    return _detect_kink_arrays(t, c_vals, threshold)
-
-
-def _detect_kink_arrays(t: np.ndarray, c_vals: np.ndarray, threshold: float):
     d2 = np.abs(c_vals[2:] - 2 * c_vals[1:-1] + c_vals[:-2])
     n = d2.size
     global_median = float(np.median(d2))
@@ -156,7 +185,7 @@ def _detect_kink_arrays(t: np.ndarray, c_vals: np.ndarray, threshold: float):
         else:
             break
     peak = max(cluster, key=lambda i: d2[i])
-    return float(t[peak + 1])
+    return points[peak + 1].t
 
 
 class FigureTable(NamedTuple):
@@ -194,12 +223,10 @@ def figure_data(figure: int, panel: str, a: float = 1.0) -> FigureTable:
         k = _PANEL_KERNELS["a"](a)
         cx = 0.1
         cy_grid = np.linspace(0.105, 1.0, 180)
-        rows = np.empty((cy_grid.size, 2))
-        for i, cy in enumerate(cy_grid):
-            # cz = -cx branch: physical over all cy <= 1, and t_c only
-            # depends on |cx|/|cy|
-            t_c = characteristic_time(BellCoefficients(cx, float(cy), -cx), k)
-            rows[i] = (cy, a * t_c)
+        # cz = -cx branch: physical over all cy <= 1, and t_c only depends
+        # on |cx|/|cy|
+        t_c = [characteristic_time((cx, cy, -cx), k) for cy in cy_grid.tolist()]
+        rows = np.column_stack([cy_grid, a * np.array(t_c)])
         params = {
             "figure": figure,
             "panel": panel,
@@ -216,14 +243,9 @@ def figure_data(figure: int, panel: str, a: float = 1.0) -> FigureTable:
     k = _PANEL_KERNELS[panel](a)
     span = _PANEL_SPANS[panel]
     t_grid = np.linspace(0.0, span / a, GRID_POINTS)
-    points = trajectory(c0, k, t_grid)
-    rows = np.array(
-        [
-            (a * pt.t, pt.p, pt.report.I, pt.report.C, pt.report.D,
-             pt.markov.C, pt.markov.D)
-            for pt in points
-        ]
-    )
+    run = evolve(c0, k, t_grid)
+    twin = evolve(c0, k, t_grid, markovian=True)
+    rows = np.column_stack([a * run.t, run.p, run.I, run.C, run.D, twin.C, twin.D])
     params = {
         "figure": figure,
         "panel": panel,

@@ -54,8 +54,11 @@ def as_bell(c) -> BellCoefficients:
 
 
 def bell_eigenvalues(c) -> np.ndarray:
-    """Spectrum of the Bell-diagonal state, ordered (Psi+, Phi+, Phi-, Psi-)."""
-    cx, cy, cz = as_bell(c)
+    """Spectrum of the Bell-diagonal state, ordered (Psi+, Phi+, Phi-, Psi-).
+
+    An (N, 3) array of triples gives the (N, 4) array of their spectra.
+    """
+    cx, cy, cz = np.asarray(c, dtype=float).T
     return 0.25 * np.array(
         [
             1 + cx + cy - cz,
@@ -63,7 +66,7 @@ def bell_eigenvalues(c) -> np.ndarray:
             1 - cx + cy + cz,
             1 - cx - cy - cz,
         ]
-    )
+    ).T
 
 
 def is_physical(c, tol: float = -EIGENVALUE_FLOOR) -> bool:
@@ -150,20 +153,27 @@ def spectral_decomposition(rho: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals[order], vecs[:, order])
 
 
-def _entropy_of_probabilities(p: np.ndarray) -> float:
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the probability vectors along the last axis of p."""
     if np.min(p) < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, 1.0)
-    p = p[p > 1e-15]
-    return float(-np.sum(p * np.log2(p)))
+    live = p > 1e-15
+    terms = np.where(live, p * np.log2(np.where(live, p, 1.0)), 0.0)
+    # left to right, as np.sum adds one short vector, so a vector's entropy
+    # does not depend on the batch it comes in
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return -total
 
 
 def von_neumann_entropy(state) -> float:
     """Entropy in bits of a density matrix or a probability vector."""
     arr = np.asarray(state)
     if arr.ndim == 1:
-        return _entropy_of_probabilities(arr.astype(float))
-    return _entropy_of_probabilities(np.linalg.eigvalsh(arr.astype(complex)))
+        return float(shannon_entropy(arr.astype(float)))
+    return float(shannon_entropy(np.linalg.eigvalsh(arr.astype(complex))))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -11,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from belldyn.channels import LocalChannel, apply_local_channel, evolve_bitflip_phaseflip
+from belldyn.channels import (
+    LocalChannel,
+    apply_local_channel,
+    correlation_multipliers,
+    scale_coefficients,
+)
 from belldyn.correlations import (
     classical_correlation,
     classical_correlation_bruteforce,
@@ -46,6 +51,11 @@ EQUAL = KernelParams(A, A, A)
 WIDE = KernelParams(A, 10 * A, A / 100)
 CRITICAL = KernelParams(A, A / 2, 0.0)
 GRID = np.linspace(0.0, 10.0, 4001)  # h = 0.0025 <= both oracle preconditions
+
+
+def bitflip_phaseflip(c0, p):
+    """The paper's channel: bit flip on A, phase flip on B, one shared p."""
+    return scale_coefficients(c0, correlation_multipliers("x", "z", p))
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -91,7 +101,7 @@ def test_criterion_3_channel_path_equivalence():
         rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
         rho = apply_local_channel(rho, "B", LocalChannel("z", p))
         via_kraus, residual = density_to_bell(rho)
-        direct = evolve_bitflip_phaseflip(c0, p)
+        direct = bitflip_phaseflip(c0, p)
         worst = max(worst, max(abs(u - v) for u, v in zip(via_kraus, direct)), residual)
         min_eig = min(min_eig, float(np.min(bell_eigenvalues(direct))))
         all_valid = all_valid and validate_state(bell_to_density(direct)).ok
@@ -221,7 +231,7 @@ def test_criterion_9_post_sudden_change_ordering():
     window = np.linspace(t_c + 1e-6, t_c + 0.2, 400)
     margin = np.inf
     for t in window:
-        rep = discord(evolve_bitflip_phaseflip((0.1, 0.16, 0.1), decay_factor(EQUAL, t)))
+        rep = discord(bitflip_phaseflip((0.1, 0.16, 0.1), decay_factor(EQUAL, t)))
         margin = min(margin, rep.D - rep.C)
     passed = margin > 0.0
     report(9, "post-sudden-change-ordering", passed,

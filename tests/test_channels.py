@@ -5,7 +5,6 @@ from belldyn.channels import (
     LocalChannel,
     apply_local_channel,
     correlation_multipliers,
-    evolve_bitflip_phaseflip,
     scale_coefficients,
 )
 from belldyn.errors import InvalidStateError, NonCPTPError
@@ -22,6 +21,11 @@ from belldyn.states import (
 )
 
 P = 0.37
+
+
+def bitflip_phaseflip(c0, p):
+    """The paper's channel: bit flip on A, phase flip on B, one shared p."""
+    return scale_coefficients(c0, correlation_multipliers("x", "z", p))
 
 
 def single_qubit_image(channel: LocalChannel, op: np.ndarray) -> np.ndarray:
@@ -143,15 +147,15 @@ class TestApplyLocalChannel:
 class TestEvolve:
     def test_identity_at_unit_retention(self):
         c = (0.6, 0.36, -0.6)
-        assert evolve_bitflip_phaseflip(c, 1.0) == pytest.approx(c)
+        assert bitflip_phaseflip(c, 1.0) == pytest.approx(c)
 
     def test_full_decoherence(self):
-        assert evolve_bitflip_phaseflip((0.6, 0.6, -1.0), 0.0) == pytest.approx(
+        assert bitflip_phaseflip((0.6, 0.6, -1.0), 0.0) == pytest.approx(
             (0.0, 0.0, 0.0)
         )
 
     def test_half_retention(self):
-        out = evolve_bitflip_phaseflip((0.6, 0.36, -0.6), 0.5)
+        out = bitflip_phaseflip((0.6, 0.36, -0.6), 0.5)
         assert out == pytest.approx((0.3, 0.09, -0.3), abs=1e-15)
 
     def test_matches_kraus_path(self):
@@ -163,7 +167,7 @@ class TestEvolve:
             rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
             rho = apply_local_channel(rho, "B", LocalChannel("z", p))
             via_kraus, residual = density_to_bell(rho)
-            direct = evolve_bitflip_phaseflip(c0, p)
+            direct = bitflip_phaseflip(c0, p)
             worst = max(worst, max(abs(u - v) for u, v in zip(via_kraus, direct)))
             worst = max(worst, residual)
         assert worst <= 1e-12
@@ -171,8 +175,8 @@ class TestEvolve:
     def test_composition(self):
         c0 = (0.2, -0.5, 0.3)
         p1, p2 = 0.7, -0.4
-        twice = evolve_bitflip_phaseflip(evolve_bitflip_phaseflip(c0, p1), p2)
-        once = evolve_bitflip_phaseflip(c0, p1 * p2)
+        twice = bitflip_phaseflip(bitflip_phaseflip(c0, p1), p2)
+        once = bitflip_phaseflip(c0, p1 * p2)
         assert twice == pytest.approx(once, abs=1e-15)
 
     def test_stays_physical_for_negative_retention(self):
@@ -180,7 +184,7 @@ class TestEvolve:
         for _ in range(300):
             c0 = random_bell_coefficients(rng)
             p = rng.uniform(-1, 1)
-            lam = bell_eigenvalues(evolve_bitflip_phaseflip(c0, p))
+            lam = bell_eigenvalues(bitflip_phaseflip(c0, p))
             assert np.min(lam) >= -1e-12
 
 

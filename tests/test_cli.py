@@ -118,6 +118,18 @@ class TestTrajectoryCommand:
                           "lambda_max", "C_markov", "D_markov"]
         np.testing.assert_allclose(rows[:, 6], rows[:, 7], atol=1e-9)  # C = D
 
+    def test_markovian_flag(self, tmp_path):
+        path = tmp_path / "markov.csv"
+        assert main(["trajectory", "--markovian", "--a", "1.5", "--A", "15",
+                     "--gamma", "0.015", "--t-max", "4", "--t-steps", "81",
+                     "--out", str(path)]) == 0
+        header, rows = read_csv(path)
+        col = {name: i for i, name in enumerate(header)}
+        np.testing.assert_allclose(rows[:, col["p"]], np.exp(-2 * rows[:, col["a_t"]]),
+                                   atol=1e-9)
+        np.testing.assert_array_equal(rows[:, col["C"]], rows[:, col["C_markov"]])
+        np.testing.assert_array_equal(rows[:, col["D"]], rows[:, col["D_markov"]])
+
     def test_json_format(self, tmp_path):
         path = tmp_path / "traj.json"
         main(["trajectory", "--t-steps", "20", "--format", "json",
@@ -153,6 +165,29 @@ class TestFigureCommand:
         main(["figure", "2", "b", "--out", str(path)])
         script = (tmp_path / "f2b.gp").read_text()
         assert "plot" in script and "f2b.csv" in script
+
+    @pytest.mark.parametrize("flag", [
+        ("--A", "2"), ("--gamma", "0.5"), ("--t-max", "3"), ("--t-steps", "100"),
+        ("--channel-a", "bitphase"), ("--channel-b", "bitflip"), ("--c", "0.1,0.2,0.1"),
+        ("--family", "proportional"), ("--family-param", "0.5"), ("--family-sign", "-1"),
+        ("--state-file", "state.json"), ("--markovian",),
+    ], ids=lambda flag: flag[0])
+    def test_fixed_parameter_flags_exit_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "f3a.csv"
+        assert main(["figure", "3", "a", *flag, "--out", str(path)]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_output_and_rate_flags_still_apply(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[output]\nformat = json\n")
+        path = tmp_path / "f1a.json"
+        assert main(["figure", "1", "a", "--a", "2", "--config", str(cfg),
+                     "--dump-config", str(tmp_path / "dump.ini"),
+                     "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["meta"]["a"] == 2.0 and payload["meta"]["A"] == 2.0
+        assert (tmp_path / "dump.ini").exists()
 
     def test_invalid_panel_exits_2(self):
         assert run_cli("figure", "1", "c").returncode == 2

@@ -1,21 +1,39 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from belldyn.correlations import binary_information, discord
+from belldyn.channels import correlation_multipliers, scale_coefficients
+from belldyn.correlations import AXES, binary_information, discord
 from belldyn.errors import InvalidStateError
-from belldyn.kernel import KernelParams, decay_factor, solve_decay_time
+from belldyn.kernel import (
+    KernelParams,
+    decay_factor,
+    markovian_decay_factor,
+    solve_decay_time,
+)
 from belldyn.scenarios import (
     InitialFamily,
     characteristic_time,
     closed_form_characteristic_time,
     detect_kink,
+    evolve,
     figure_data,
     make_family_state,
     trajectory,
 )
+from belldyn.states import bell_eigenvalues
 
 EQUAL = KernelParams(1.0, 1.0, 1.0)
 WIDE = KernelParams(1.0, 10.0, 0.01)
+
+# one kernel per decay_factor branch
+BRANCHES = {
+    "oscillatory": KernelParams(1.3, 13.0, 0.013),
+    "overdamped": KernelParams(0.7, 0.7, 0.7),
+    "critical": KernelParams(1.1, 0.55, 0.0),
+    "near_critical": KernelParams(0.9, 0.45 * (1 - 1e-8), 0.0),
+}
 
 T_C = 0.9477102861581741  # -ln(1 - sqrt(0.375)), independently verified
 T_CROSS_WIDE = 0.21563509959783556  # first |p| = 0.625 crossing, wide kernel
@@ -125,6 +143,35 @@ class TestTrajectory:
         pt = points[-1]
         assert pt.c.cz == pytest.approx(0.3)  # z component untouched by z channels
         assert pt.c.cx == pytest.approx(0.3 * pt.p * pt.p)
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("markovian", [False, True])
+    @pytest.mark.parametrize("axis_a,axis_b", list(itertools.product(AXES, AXES)))
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_rows_equal_the_scalar_path(self, branch, axis_a, axis_b, markovian):
+        k = BRANCHES[branch]
+        grid = np.linspace(0.0, 10.0 / k.a, 150)
+        # the proportional family has zero Bell eigenvalues, whose printed
+        # sign shows a one-ulp change in a multiplier
+        for c0 in ((0.6, 0.6, -1.0), (0.31, -0.22, 0.27)):
+            run = evolve(c0, k, grid, axis_a, axis_b, markovian=markovian)
+            for i, t in enumerate(grid):
+                if markovian:
+                    p = markovian_decay_factor(k.a, float(t))
+                else:
+                    p = decay_factor(k, float(t))
+                c = scale_coefficients(c0, correlation_multipliers(axis_a, axis_b, p))
+                report = discord(c)
+                assert run.t[i] == t and run.p[i] == p
+                assert tuple(run.c[i]) == c
+                assert tuple(run.spectrum[i]) == tuple(bell_eigenvalues(c))
+                assert (run.I[i], run.C[i], run.D[i], run.lambda_max[i]) == report[:4]
+                assert AXES[run.axis[i]] == report.axis
+
+    def test_rejects_unphysical_initial_state(self):
+        with pytest.raises(InvalidStateError):
+            evolve((1.0, 1.0, 1.0), EQUAL, np.linspace(0, 1, 11))
 
 
 class TestCharacteristicTime:
