@@ -15,7 +15,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,8 @@ from .channels import (
     scale_coefficients,
 )
 from .correlations import (
-    classical_correlation,
     classical_correlation_bruteforce,
+    correlation_ledger,
     discord,
     relative_entropy_discord,
     report_to_json,
@@ -48,6 +47,7 @@ from .kernel import (
 )
 from .scenarios import (
     InitialFamily,
+    _is_equal_kernel,
     characteristic_time,
     closed_form_characteristic_time,
     evolve,
@@ -83,7 +83,6 @@ _DEFAULTS = {
     "oracle": False,
     "out": None,
     "format": "csv",
-    "threads": None,
     "state_file": None,
 }
 # verify needs a grid fine enough for the convolution oracle precondition
@@ -107,7 +106,6 @@ class RunConfig:
     oracle: bool
     out: str | None
     format: str
-    threads: int | None
     state_file: str | None
 
     def kernel(self) -> KernelParams:
@@ -172,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add brute-force cross-checks where available")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--threads", type=int, help="parallelism for sweeps")
 
     parser = argparse.ArgumentParser(
         prog="belldyn",
@@ -202,10 +199,10 @@ _CONFIG_LAYOUT = {
     "channels": ("channel_a", "channel_b"),
     "state": ("c", "family", "family_param", "family_sign", "state_file"),
     "grid": ("t_max", "t_steps"),
-    "output": ("out", "format", "markovian", "oracle", "threads"),
+    "output": ("out", "format", "markovian", "oracle"),
 }
 _FLOAT_KEYS = {"a", "A", "gamma", "t_max"}
-_INT_KEYS = {"t_steps", "family_sign", "threads"}
+_INT_KEYS = {"t_steps", "family_sign"}
 _BOOL_KEYS = {"markovian", "oracle"}
 _TUPLE_KEYS = {"c", "family_param"}
 
@@ -215,13 +212,15 @@ def load_config_file(path: str) -> dict:
     cp.optionxform = str  # kernel.a and kernel.A must stay distinct
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
+    if cp.defaults():
+        raise ValueError(f"{path}: unknown config section [{cp.default_section}]")
     out = {}
-    for section, keys in _CONFIG_LAYOUT.items():
-        if not cp.has_section(section):
-            continue
-        for key in keys:
-            if not cp.has_option(section, key):
-                continue
+    for section in cp.sections():
+        if section not in _CONFIG_LAYOUT:
+            raise ValueError(f"{path}: unknown config section [{section}]")
+        for key in cp.options(section):
+            if key not in _CONFIG_LAYOUT[section]:
+                raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
             raw = cp.get(section, key)
             if key in _FLOAT_KEYS:
                 out[key] = float(raw)
@@ -266,8 +265,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged["c"] = _parse_floats(merged["c"], 3)
     if isinstance(merged["family_param"], str):
         merged["family_param"] = _parse_floats(merged["family_param"])
-    if merged["threads"] is None:
-        merged["threads"] = os.cpu_count() or 1
     return RunConfig(**merged)
 
 
@@ -369,7 +366,7 @@ def cmd_tc(cfg: RunConfig) -> int:
     k = cfg.kernel()
     t_c = characteristic_time(c, k, markovian=cfg.markovian)
     closed = None
-    if t_c is not None and not cfg.markovian and k.A == k.a and k.gamma == k.a:
+    if t_c is not None and not cfg.markovian and _is_equal_kernel(k):
         ratio = max(abs(c.cx), abs(c.cz)) / abs(c.cy)
         closed = k.a * closed_form_characteristic_time(ratio, k.a)
     if cfg.format == "json":
@@ -423,18 +420,6 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# each panel fixes its own kernel shape, grid, channels and initial state
-_FIGURE_FIXED = ("A", "gamma", "t_max", "t_steps", "channel_a", "channel_b", "c",
-                 "family", "family_param", "family_sign", "state_file", "markovian")
-
-
-def _reject_figure_flags(args: argparse.Namespace) -> None:
-    given = [key for key in _FIGURE_FIXED if getattr(args, key) is not None]
-    if given:
-        flags = ", ".join("--" + key.replace("_", "-") for key in given)
-        raise ValueError(f"figure panels fix their own parameters; drop {flags}")
-
-
 def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     table = figure_data(figure, panel, cfg.a)
     overrides = {"A": table.params["A"], "gamma": table.params["gamma"]}
@@ -458,13 +443,6 @@ def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     return 0
 
 
-def _thread_map(fn, items, threads):
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _verify_checks(cfg: RunConfig):
     a = cfg.a
     kernels = [
@@ -475,58 +453,41 @@ def _verify_checks(cfg: RunConfig):
     grid = cfg.time_grid()
     rng = np.random.default_rng(VERIFY_SEED)
 
-    def decay_ode():
-        dev = 0.0
-        for _, k in kernels:
-            dev = max(dev, float(np.max(np.abs(
-                decay_factor_ode(k, grid) - decay_factor(k, grid)))))
-        return dev
-
-    def decay_convolution():
-        dev = 0.0
-        for _, k in kernels:
-            dev = max(dev, float(np.max(np.abs(
-                decay_factor_convolution(k, grid) - decay_factor(k, grid)))))
-        return dev
+    def decay_vs(oracle):
+        return max(float(np.max(np.abs(oracle(k, grid) - decay_factor(k, grid))))
+                   for _, k in kernels)
 
     def kraus_vs_coefficients():
-        cases = [(random_bell_coefficients(rng), rng.uniform(-1, 1))
-                 for _ in range(1000)]
-
-        def one(case):
-            c0, p = case
+        worst = 0.0
+        for _ in range(1000):
+            c0, p = random_bell_coefficients(rng), rng.uniform(-1, 1)
             rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
             rho = apply_local_channel(rho, "B", LocalChannel("z", p))
             via_kraus, residual = density_to_bell(rho)
             direct = scale_coefficients(c0, correlation_multipliers("x", "z", p))
             dev = max(abs(u - v) for u, v in zip(via_kraus, direct))
             min_eig = float(np.min(bell_eigenvalues(direct)))
-            return max(dev, residual, -min_eig - 1e-12 if min_eig < -1e-12 else 0.0)
-
-        return max(_thread_map(one, cases, cfg.threads))
+            worst = max(worst, dev, residual,
+                        -min_eig - 1e-12 if min_eig < -1e-12 else 0.0)
+        return worst
 
     def bruteforce_vs_analytic():
-        states = [random_bell_coefficients(rng) for _ in range(500)]
-
-        def one(c0):
-            brute = classical_correlation_bruteforce(bell_to_density(c0))
-            return abs(brute.value - classical_correlation(c0).value)
-
-        return max(_thread_map(one, states, cfg.threads))
+        states = np.array([random_bell_coefficients(rng) for _ in range(500)])
+        brute = classical_correlation_bruteforce(
+            np.stack([bell_to_density(c0) for c0 in states]))
+        return float(np.max(np.abs(brute.value - correlation_ledger(states).C)))
 
     def relative_entropy_identity():
         states = [random_bell_coefficients(rng) for _ in range(500)]
-
-        def one(c0):
+        worst = 0.0
+        for c0 in states:
             red = relative_entropy_discord(c0)
             report = discord(c0)
-            dev = abs(red.value - report.D)
+            worst = max(worst, abs(red.value - report.D))
             mags = sorted(abs(v) for v in c0)
             if mags[2] - mags[1] >= 1e-3 and red.axis != report.axis:
-                dev = max(dev, 1.0)  # axis mismatch where the max is strict
-            return dev
-
-        return max(_thread_map(one, states, cfg.threads))
+                worst = max(worst, 1.0)  # axis mismatch where the max is strict
+        return worst
 
     def tc_root_vs_closed():
         k = KernelParams(a, a, a)
@@ -535,8 +496,8 @@ def _verify_checks(cfg: RunConfig):
         return abs(root - closed_form_characteristic_time(ratio, a))
 
     return [
-        ("decay-ode", 1e-6, decay_ode),
-        ("decay-convolution", 1e-4, decay_convolution),
+        ("decay-ode", 1e-6, lambda: decay_vs(decay_factor_ode)),
+        ("decay-convolution", 1e-4, lambda: decay_vs(decay_factor_convolution)),
         ("kraus-vs-coefficients", 1e-12, kraus_vs_coefficients),
         ("bruteforce-vs-analytic", 1e-5, bruteforce_vs_analytic),
         ("relative-entropy-identity", 1e-8, relative_entropy_identity),
@@ -566,6 +527,33 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
+_CHANNEL_FLAGS = ("channel_a", "channel_b")
+_GRID_FLAGS = ("t_max", "t_steps")
+_STATE_FLAGS = ("c", "family", "family_param", "family_sign", "state_file")
+# the common flags each command does not read; giving one on the command
+# line exits 2 rather than being silently ignored
+_UNREAD_FLAGS = {
+    "evolve": ("oracle",),
+    "trajectory": ("oracle",),
+    "correlations": ("a", "A", "gamma", *_CHANNEL_FLAGS, *_GRID_FLAGS, "markovian"),
+    # each panel fixes its own kernel shape, grid, channels and initial state
+    "figure": ("A", "gamma", *_GRID_FLAGS, *_CHANNEL_FLAGS, *_STATE_FLAGS,
+               "markovian", "oracle"),
+    # characteristic_time assumes the bit-flip(A)/phase-flip(B) channel pair
+    "tc": (*_CHANNEL_FLAGS, *_GRID_FLAGS, "oracle"),
+    "verify": ("A", "gamma", *_CHANNEL_FLAGS, *_STATE_FLAGS, "markovian", "oracle",
+               "format"),
+}
+
+
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    given = [key for key in _UNREAD_FLAGS[args.command]
+             if getattr(args, key) is not None]
+    if given:
+        flags = ", ".join("--" + key.replace("_", "-") for key in given)
+        raise ValueError(f"{args.command} does not read {flags}")
+
+
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join '--c -1,-1,-1' into '--c=-1,-1,-1' so argparse keeps the value."""
     out = []
@@ -590,8 +578,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_negative_values(list(argv)))
     try:
-        if args.command == "figure":
-            _reject_figure_flags(args)
+        _reject_unread_flags(args)
         cfg = resolve_config(args)
         if args.dump_config:
             dump_config_file(cfg, args.dump_config)

@@ -19,12 +19,10 @@ from .states import (
     as_bell,
     bell_eigenvalues,
     bell_to_density,
-    partial_trace,
     relative_entropy,
     require_physical,
     require_valid_state,
     shannon_entropy,
-    von_neumann_entropy,
 )
 
 AXES = ("x", "y", "z")
@@ -64,8 +62,8 @@ class ClassicalCorrelation(NamedTuple):
 
 
 class BruteForceClassical(NamedTuple):
-    value: float
-    basis: np.ndarray  # Bloch vector of the minimizing measurement
+    value: float | np.ndarray  # (N,) for a stack of states
+    basis: np.ndarray  # Bloch vector of the minimizing measurement; (N, 3) for a stack
 
 
 class RelativeEntropyDiscord(NamedTuple):
@@ -143,42 +141,41 @@ def discord(c) -> CorrelationReport:
     return ledger_reports(correlation_ledger([as_bell(c)]))[0]
 
 
-def _kets_from_angles(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Measurement kets |n> for Bloch angles; shape (N, 2)."""
-    return np.stack(
-        [np.cos(theta / 2) + 0j, np.sin(theta / 2) * np.exp(1j * phi)], axis=-1
-    )
+def _projectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Rows conj(k_b) k_d, flattened over (b, d), of the measurement kets
+    |k> = (cos(theta/2), sin(theta/2) e^{i phi}); shape theta.shape + (4,)."""
+    k0 = np.cos(theta / 2)
+    k1 = np.sin(theta / 2) * np.exp(1j * phi)
+    cross = k0 * k1
+    return np.stack([k0 * k0, cross, cross.conj(), k1.conj() * k1], axis=-1)
 
 
-def _bloch_from_angles(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
+def _search_operands(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 4, 4) states as the kernel takes them: rho[a b, c d] rearranged to
+    rows (b d) and columns (a c), and rho_A = Tr_B rho as an (N, 1, 4) row."""
+    n = len(rho)
+    rho_bd = rho.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
+    return rho_bd, rho_bd[:, 0:1] + rho_bd[:, 3:4]
 
 
-def _entropy_terms(m00, m11, m01):
-    """Weighted post-measurement entropy w * S(M/w) for 2x2 blocks, batched."""
-    w = np.real(m00 + m11)
-    disc = np.sqrt(np.maximum(np.real(m00 - m11) ** 2 + 4 * np.abs(m01) ** 2, 0.0))
-    e_hi = np.clip((w + disc) / 2, 0.0, None)
-    e_lo = np.clip((w - disc) / 2, 0.0, None)
-    out = np.zeros_like(w)
-    live = w > ZERO_PROBABILITY
-    for e in (e_hi, e_lo):
-        q = np.zeros_like(w)
-        np.divide(e, w, out=q, where=live)
-        mask = live & (q > 1e-15)
-        out[mask] -= e[mask] * np.log2(q[mask])
-    return out
+def _conditional_entropies(rho_bd, rho_a, proj) -> np.ndarray:
+    """Conditional entropies for projective bases on B, batched.
 
-
-def _conditional_entropy_batch(rho4, rho_a, kets: np.ndarray) -> np.ndarray:
-    """Conditional entropies for a batch of projective bases on B."""
-    m_plus = np.einsum("abcd,nb,nd->nac", rho4, kets.conj(), kets)
-    m_minus = rho_a[None, :, :] - m_plus
-    total = _entropy_terms(m_plus[:, 0, 0], m_plus[:, 1, 1], m_plus[:, 0, 1])
-    total += _entropy_terms(m_minus[:, 0, 0], m_minus[:, 1, 1], m_minus[:, 0, 1])
-    return total
+    M+ = proj @ rho_bd (one matmul) is the unnormalised state of A after
+    outcome +, M- = rho_A - M+; each adds w * S(M/w), w = Tr M, or zero when
+    w < 1e-12. (K, 4) proj against one state's operands gives (K,); (N, K, 4)
+    against N states' gives (N, K).
+    """
+    m_plus = proj @ rho_bd
+    m = np.stack([m_plus, rho_a - m_plus])  # M+, M-; columns (a c)
+    w = np.real(m[..., 0] + m[..., 3])
+    disc = np.sqrt(np.maximum(
+        np.real(m[..., 0] - m[..., 3]) ** 2 + 4 * np.abs(m[..., 1]) ** 2, 0.0))
+    eig = np.clip(np.stack([w + disc, w - disc]) / 2, 0.0, None)
+    q = np.divide(eig, w, out=np.zeros_like(eig), where=w > ZERO_PROBABILITY)
+    terms = eig * np.log2(np.where(q > 1e-15, q, 1.0))
+    outcome = (0.0 - terms[0]) - terms[1]
+    return outcome[0] + outcome[1]
 
 
 def conditional_entropy(rho: np.ndarray, bloch: np.ndarray) -> float:
@@ -193,10 +190,9 @@ def conditional_entropy(rho: np.ndarray, bloch: np.ndarray) -> float:
         raise ValueError("measurement basis must be a unit 3-vector")
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])
-    kets = _kets_from_angles(np.array([theta]), np.array([phi]))
-    rho4 = rho.reshape(2, 2, 2, 2)
-    rho_a = partial_trace(rho, "B")
-    return float(_conditional_entropy_batch(rho4, rho_a, kets)[0])
+    rho_bd, rho_a = _search_operands(rho[None])
+    proj = _projectors(np.array([theta]), np.array([phi]))
+    return float(_conditional_entropies(rho_bd[0], rho_a[0], proj)[0])
 
 
 def classical_correlation_bruteforce(
@@ -207,50 +203,59 @@ def classical_correlation_bruteforce(
 ) -> BruteForceClassical:
     """Grid search over measurement bases plus local refinement.
 
-    Scans (theta, phi) on a theta_steps x phi_steps grid, then coordinate
-    descent with step halving down to angle_tol. Ties on the grid resolve to
-    the lexicographically smallest angles, so results are run-to-run
-    identical.
+    Takes one (4, 4) density matrix or an (N, 4, 4) stack; a stack returns
+    values (N,) and bases (N, 3), each row equal to the single-state call.
+    Scans (theta, phi) on a theta_steps x phi_steps grid one state at a
+    time, then runs coordinate descent with step halving down to angle_tol
+    on all states in lockstep, each keeping its own step and stopping on its
+    own. Ties on the grid resolve to the lexicographically smallest angles,
+    so results are run-to-run identical.
     """
-    rho = require_valid_state(rho)
-    rho4 = rho.reshape(2, 2, 2, 2)
-    rho_a = partial_trace(rho, "B")
-    entropy_a = von_neumann_entropy(rho_a)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
+    stack = np.array([require_valid_state(state) for state in rho.reshape(-1, 4, 4)])
+    rho_bd, rho_a = _search_operands(stack)
+    entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
 
     thetas = np.linspace(0.0, np.pi, theta_steps)
     phis = np.arange(phi_steps) * (2 * np.pi / phi_steps)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    kets = _kets_from_angles(tg.ravel(), pg.ravel())
-    values = _conditional_entropy_batch(rho4, rho_a, kets)
-    best = int(np.argmin(values))
-    best_val = float(values[best])
-    theta, phi = float(tg.ravel()[best]), float(pg.ravel()[best])
+    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    grid = _projectors(tg, pg)
+    n = len(stack)
+    best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        values = _conditional_entropies(rho_bd[i], rho_a[i], grid)
+        j = np.argmin(values)
+        best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
 
-    step_t = np.pi / theta_steps
-    step_p = 2 * np.pi / phi_steps
-    while max(step_t, step_p) > angle_tol:
-        cand_t = np.array(
-            [
-                min(theta + step_t, np.pi),
-                max(theta - step_t, 0.0),
-                theta,
-                theta,
-            ]
-        )
-        cand_p = np.array(
-            [phi, phi, (phi + step_p) % (2 * np.pi), (phi - step_p) % (2 * np.pi)]
-        )
-        vals = _conditional_entropy_batch(
-            rho4, rho_a, _kets_from_angles(cand_t, cand_p)
-        )
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            theta, phi = float(cand_t[i]), float(cand_p[i])
-        else:
-            step_t /= 2
-            step_p /= 2
-    return BruteForceClassical(entropy_a - best_val, _bloch_from_angles(theta, phi))
+    # the theta and phi steps start at pi/theta_steps and 2 pi/phi_steps and
+    # halve together; halving a scale by 2 is exact
+    scale = np.ones(n)
+    reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
+    while (live := np.flatnonzero(reach * scale > angle_tol)).size:
+        t, p = theta[live], phi[live]
+        st, sp = np.pi / theta_steps * scale[live], 2 * np.pi / phi_steps * scale[live]
+        cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], 1)
+        cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], 1)
+        vals = _conditional_entropies(
+            rho_bd[live], rho_a[live], _projectors(cand_t, cand_p))
+        rows, pick = np.arange(live.size), np.argmin(vals, axis=1)
+        low = vals[rows, pick]
+        better = low < best_val[live]
+        moved = live[better]
+        best_val[moved] = low[better]
+        theta[moved] = cand_t[rows, pick][better]
+        phi[moved] = cand_p[rows, pick][better]
+        scale[live[~better]] /= 2
+
+    value = entropy_a - best_val
+    basis = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta)], axis=-1)
+    if rho.ndim == 2:
+        return BruteForceClassical(float(value[0]), basis[0])
+    return BruteForceClassical(value, basis)
 
 
 def dephase(c, axis: str) -> BellCoefficients:

@@ -206,6 +206,15 @@ class TestTcCommand:
         assert out.returncode == 0
         assert "none" in out.stdout
 
+    def test_closed_form_within_equal_kernel_tolerance(self, tmp_path):
+        # A within 1e-12 relative of a: the root is checked against the
+        # closed form, so the closed form is reported too
+        path = tmp_path / "tc.json"
+        assert main(["tc", "--A", "1.0000000000001", "--c", "0.1,0.16,0.1",
+                     "--format", "json", "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["closed_form"] == pytest.approx(payload["a_tc"], abs=1e-8)
+
 
 class TestVerifyCommand:
     def test_default_settings_pass(self):
@@ -220,12 +229,10 @@ class TestVerifyCommand:
         assert "decay-ode" in out.stdout
         assert "FAIL" in out.stdout
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        one = tmp_path / "v1.txt"
-        two = tmp_path / "v2.txt"
-        assert main(["verify", "--threads", "1", "--out", str(one)]) == 0
-        assert main(["verify", "--threads", "4", "--out", str(two)]) == 0
-        assert one.read_text() == two.read_text()
+    def test_threads_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestConfigHandling:
@@ -261,6 +268,49 @@ class TestConfigHandling:
 
     def test_bad_triple_exits_2(self):
         assert run_cli("correlations", "--c", "0.1,0.2").returncode == 2
+
+    @pytest.mark.parametrize("body", [
+        "[grid]\nt_step = 5\n", "[kernal]\na = 2\n", "[output]\nthreads = 2\n",
+        "[DEFAULT]\nt_max = 5\n",
+    ], ids=["typo-key", "unknown-section", "threads-key", "default-section"])
+    def test_unknown_entries_exit_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(body)
+        path = tmp_path / "o.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(path)]) == 2
+        assert "unknown config" in capsys.readouterr().err
+        assert not path.exists()
+
+
+STATE = ("--c", "0.1,0.16,0.1")
+# each command with every common flag it does not read
+UNREAD_FLAGS = [
+    *((("tc", *STATE), flag) for flag in [
+        ("--channel-a", "bitphase"), ("--channel-b", "bitflip"), ("--t-max", "3"),
+        ("--t-steps", "100"), ("--oracle",)]),
+    *((("verify",), flag) for flag in [
+        ("--A", "2"), ("--gamma", "0.5"), ("--channel-a", "bitphase"),
+        ("--channel-b", "bitflip"), STATE, ("--family", "proportional"),
+        ("--family-param", "0.5"), ("--family-sign", "-1"),
+        ("--state-file", "state.json"), ("--markovian",), ("--oracle",),
+        ("--format", "json")]),
+    *((("correlations", *STATE), flag) for flag in [
+        ("--a", "2"), ("--A", "2"), ("--gamma", "0.5"), ("--channel-a", "bitphase"),
+        ("--channel-b", "bitflip"), ("--t-max", "3"), ("--t-steps", "100"),
+        ("--markovian",)]),
+    (("evolve",), ("--oracle",)),
+    (("trajectory",), ("--oracle",)),
+    (("figure", "3", "a"), ("--oracle",)),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[command[0] + flag[0] for command, flag in UNREAD_FLAGS])
+def test_unread_flags_exit_2(tmp_path, capsys, command, flag):
+    path = tmp_path / "out.txt"
+    assert main([*command, *flag, "--out", str(path)]) == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_output_to_unwritable_path_exits_3(tmp_path):

@@ -154,12 +154,26 @@ class TestBruteForce:
 
     def test_agrees_with_closed_form(self):
         rng = np.random.default_rng(53)
-        worst = 0.0
-        for _ in range(50):
-            c = random_bell_coefficients(rng)
-            brute = classical_correlation_bruteforce(bell_to_density(c))
-            worst = max(worst, abs(brute.value - classical_correlation(c).value))
+        states = [random_bell_coefficients(rng) for _ in range(50)]
+        brute = classical_correlation_bruteforce(
+            np.stack([bell_to_density(c) for c in states]))
+        worst = max(abs(value - classical_correlation(c).value)
+                    for value, c in zip(brute.value, states))
         assert worst <= 1e-5
+
+    def test_stack_rows_equal_single_calls(self):
+        rng = np.random.default_rng(61)
+        states = [random_bell_coefficients(rng) for _ in range(30)]
+        # maximally mixed, singlet, and an exact tie |c_x| = |c_y|
+        states += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]
+        rhos = np.stack([bell_to_density(c) for c in states])
+        stack = classical_correlation_bruteforce(rhos)
+        assert stack.value.shape == (len(states),)
+        assert stack.basis.shape == (len(states), 3)
+        for rho, value, basis in zip(rhos, stack.value, stack.basis):
+            single = classical_correlation_bruteforce(rho)
+            assert single.value == value
+            assert np.array_equal(single.basis, basis)
 
     def test_argmin_aligns_with_dominant_axis(self):
         rng = np.random.default_rng(59)
