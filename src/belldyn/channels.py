@@ -39,7 +39,7 @@ def _require_axis(axis: str) -> str:
 def _require_retention(p):
     """p, a float or an array of retention parameters, once every |p| <= 1."""
     worst = float(np.max(np.abs(p), initial=0.0))
-    if worst > 1 + 1e-12:
+    if not worst <= 1 + 1e-12:  # a NaN fails too
         raise NonCPTPError(f"retention parameter |p| <= 1 required, got |p| = {worst}")
     return p if np.ndim(p) else float(p)
 

@@ -83,11 +83,12 @@ def decay_factor(k: KernelParams, t):
     elif tag == "overdamped":
         w = np.sqrt(-w2)
         if w < 1e-3 * b:
-            # near-critical: the hyperbolic form is accurate and cannot
-            # overflow since w*t stays small wherever exp(-b*t) is nonzero
-            out = np.exp(-b * t_arr) * (
-                np.cosh(w * t_arr) + (b / w) * np.sinh(w * t_arr)
-            )
+            # near-critical: the hyperbolic form is accurate. Past w*t = 1,
+            # b*t > 1000 and exp(-b*t) is already 0, the true limit; capping
+            # w*t there keeps cosh/sinh from overflowing to inf (inf * 0 is
+            # NaN) and changes no other value
+            wt = np.minimum(w * t_arr, 1.0)
+            out = np.exp(-b * t_arr) * (np.cosh(wt) + (b / w) * np.sinh(wt))
         else:
             # same continuation through decaying exponentials (0 < w < b),
             # so large w*t cannot overflow cosh/sinh

@@ -75,6 +75,8 @@ def is_physical(c, tol: float = -EIGENVALUE_FLOOR) -> bool:
 
 def require_physical(c) -> BellCoefficients:
     c = as_bell(c)
+    if not np.all(np.isfinite(c)):
+        raise InvalidStateError(f"coefficients {tuple(c)} are not finite")
     lam = bell_eigenvalues(c)
     if np.min(lam) < EIGENVALUE_FLOOR:
         raise InvalidStateError(
@@ -155,6 +157,8 @@ def spectral_decomposition(rho: np.ndarray) -> SpectralDecomposition:
 
 def shannon_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy in bits of the probability vectors along the last axis of p."""
+    if not np.all(np.isfinite(p)):
+        raise InvalidStateError("probabilities are not finite")
     if np.min(p) < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, 1.0)

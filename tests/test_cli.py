@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from belldyn import cli
 from belldyn.cli import main
+from belldyn.states import density_to_bell
 
 RUN = [sys.executable, "-m", "belldyn.cli"]
 
@@ -66,6 +68,12 @@ class TestCorrelationsCommand:
         assert out.returncode == 2
         assert "error" in out.stderr
 
+    def test_non_finite_state_exits_2(self, capsys):
+        assert main(["correlations", "--c", "nan,0.1,0.1"]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert captured.out == ""
+
     def test_state_file_input(self, tmp_path):
         from belldyn.states import bell_to_density, density_to_json
 
@@ -106,6 +114,17 @@ class TestEvolveCommand:
               "--out", str(path)])
         _, rows = read_csv(path)
         np.testing.assert_allclose(rows[-1, 5:], [0.25] * 4, atol=1e-8)
+
+
+    def test_near_critical_long_run_decays_to_zero(self, tmp_path):
+        path = tmp_path / "long.csv"
+        assert main(["evolve", "--a", "1", "--A", "0.499999995", "--gamma", "0",
+                     "--c", "0.1,0.3,0.1", "--t-max", "1e8", "--t-steps", "5",
+                     "--out", str(path)]) == 0
+        _, rows = read_csv(path)
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[1:, 1:5] == 0.0)  # p and c_x, c_y, c_z
+        assert np.all(rows[1:, 5:] == 0.25)  # maximally mixed spectrum
 
 
 class TestTrajectoryCommand:
@@ -228,6 +247,40 @@ class TestVerifyCommand:
         assert out.returncode == 1
         assert "decay-ode" in out.stdout
         assert "FAIL" in out.stdout
+
+    def test_nan_deviation_fails(self, tmp_path, monkeypatch):
+        calls = []
+
+        def nan_on_fifth_case(rho):
+            calls.append(None)
+            c, residual = density_to_bell(rho)
+            return c, float("nan") if len(calls) == 5 else residual
+
+        monkeypatch.setattr(cli, "density_to_bell", nan_on_fifth_case)
+        path = tmp_path / "verify.txt"
+        assert main(["verify", "--out", str(path)]) == 1
+        lines = path.read_text().splitlines()
+        kraus = next(line for line in lines if "kraus-vs-coefficients" in line)
+        assert "max dev nan" in kraus and kraus.endswith("FAIL")
+        assert lines[-1] == "verify: FAIL (5/6)"
+
+    @pytest.mark.parametrize("oracle, check, poison", [
+        ("decay_factor_ode", "decay-ode", lambda out: out * np.nan),
+        ("relative_entropy_discord", "relative-entropy-identity",
+         lambda out: out._replace(value=float("nan"))),
+    ], ids=["decay-ode", "relative-entropy-identity"])
+    def test_nan_deviation_propagates(self, monkeypatch, oracle, check, poison):
+        real, calls = getattr(cli, oracle), []
+
+        def nan_on_second_call(*args):
+            calls.append(None)
+            out = real(*args)
+            return poison(out) if len(calls) == 2 else out
+
+        monkeypatch.setattr(cli, oracle, nan_on_second_call)
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["verify"]))
+        run = {name: run for name, _, run in cli._verify_checks(cfg)}[check]
+        assert np.isnan(run())
 
     def test_threads_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from belldyn.correlations import (
+    PHI_STEPS,
+    REFINE_ANGLE_TOL,
+    THETA_STEPS,
+    _conditional_entropies,
+    _projectors,
+    _search_grid,
+    _search_operands,
     binary_information,
     classical_correlation,
     classical_correlation_bruteforce,
@@ -20,6 +27,7 @@ from belldyn.states import (
     bell_to_density,
     random_bell_coefficients,
     relative_entropy,
+    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -41,6 +49,51 @@ def random_qubit_state(rng):
     v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = v @ v.conj().T
     return rho / np.trace(rho)
+
+
+def random_two_qubit_state(rng):
+    v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = v @ v.conj().T
+    return rho / np.trace(rho)
+
+
+def one_step_descent(rho, theta_steps=THETA_STEPS, phi_steps=PHI_STEPS,
+                     angle_tol=REFINE_ANGLE_TOL):
+    """Reference search: its own grid, then coordinate descent that tries one
+    step per iteration and halves it after a failed try."""
+    stack = np.asarray(rho, dtype=complex).reshape(-1, 4, 4)
+    rho_bd, rho_a = _search_operands(stack)
+    entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
+    thetas = np.linspace(0.0, np.pi, theta_steps)
+    phis = np.arange(phi_steps) * (2 * np.pi / phi_steps)
+    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    grid = _projectors(tg, pg)
+    n = len(stack)
+    best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        values = _conditional_entropies(rho_bd[i], rho_a[i], grid)
+        j = np.argmin(values)
+        best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
+    scale = np.ones(n)
+    reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
+    while (live := np.flatnonzero(reach * scale > angle_tol)).size:
+        t, p = theta[live], phi[live]
+        st, sp = np.pi / theta_steps * scale[live], 2 * np.pi / phi_steps * scale[live]
+        cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], 1)
+        cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], 1)
+        vals = _conditional_entropies(
+            rho_bd[live], rho_a[live], _projectors(cand_t, cand_p))
+        rows, pick = np.arange(live.size), np.argmin(vals, axis=1)
+        low = vals[rows, pick]
+        better = low < best_val[live]
+        moved = live[better]
+        best_val[moved] = low[better]
+        theta[moved] = cand_t[rows, pick][better]
+        phi[moved] = cand_p[rows, pick][better]
+        scale[live[~better]] /= 2
+    basis = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta)], axis=-1)
+    return entropy_a - best_val, basis
 
 
 class TestMutualInformation:
@@ -174,6 +227,35 @@ class TestBruteForce:
             single = classical_correlation_bruteforce(rho)
             assert single.value == value
             assert np.array_equal(single.basis, basis)
+
+    @pytest.mark.parametrize("steps", [(THETA_STEPS, PHI_STEPS), (16, 32)],
+                             ids=["64x128", "16x32"])
+    def test_lookahead_equals_one_step_descent(self, steps):
+        rng = np.random.default_rng(71)
+        rhos = [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
+        rhos += [random_two_qubit_state(rng) for _ in range(20)]
+        # maximally mixed, singlet, and an exact tie |c_x| = |c_y|
+        rhos += [bell_to_density(c) for c in
+                 [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]]
+        rhos = np.stack(rhos)
+        value, basis = one_step_descent(rhos, *steps)
+        stack = classical_correlation_bruteforce(rhos, *steps)
+        assert np.array_equal(stack.value, value)
+        assert np.array_equal(stack.basis, basis)
+        for rho in rhos:
+            single = classical_correlation_bruteforce(rho, *steps)
+            ref_value, ref_basis = one_step_descent(rho, *steps)
+            assert single.value == ref_value[0]
+            assert np.array_equal(single.basis, ref_basis[0])
+
+    def test_cached_grid_is_read_only(self):
+        for steps in [(THETA_STEPS, PHI_STEPS), (16, 32)]:
+            arrays = _search_grid(*steps)
+            assert arrays[2].shape == (steps[0] * steps[1], 4)
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
     def test_argmin_aligns_with_dominant_axis(self):
         rng = np.random.default_rng(59)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,23 @@ class TestDecayFactor:
         below = decay_factor(KernelParams(a, a_crit - 1e-6, gamma), t)
         above = decay_factor(KernelParams(a, a_crit + 1e-6, gamma), t)
         assert np.max(np.abs(below - above)) <= 1e-4
+
+    def test_near_critical_long_times_reach_zero(self):
+        k = KernelParams(1.0, 0.5 * (1 - 1e-8), 0.0)  # hyperbolic, w = 1e-4
+        t = np.array([0.0, 0.5, 10.0, 1e3, 7e3, 1e4, 2e4, 7.1e6, 1e8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value warning
+            scalar = decay_factor(k, 1e8)
+            p = decay_factor(k, t)
+        assert scalar == 0.0
+        assert np.all(np.isfinite(p)) and np.all(p[-3:] == 0.0)
+        # every value the uncapped hyperbolic form gets finite is unchanged
+        b, w = 1.0, np.sqrt(-omega0_squared(k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            uncapped = np.exp(-b * t) * (np.cosh(w * t) + (b / w) * np.sinh(w * t))
+        finite = np.isfinite(uncapped)
+        assert not finite.all()
+        assert np.array_equal(p[finite], uncapped[finite])
 
     def test_never_exceeds_one(self):
         rng = np.random.default_rng(17)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from belldyn.errors import InvalidStateError, SupportViolationError
+from belldyn.channels import correlation_multipliers
+from belldyn.errors import InvalidStateError, NonCPTPError, SupportViolationError
 from belldyn.states import (
     BELL_KETS,
     BellCoefficients,
@@ -15,6 +16,7 @@ from belldyn.states import (
     random_bell_coefficients,
     relative_entropy,
     require_physical,
+    shannon_entropy,
     spectral_decomposition,
     validate_state,
     von_neumann_entropy,
@@ -129,6 +131,27 @@ class TestPhysicality:
         rng = np.random.default_rng(3)
         for _ in range(500):
             assert is_physical(random_bell_coefficients(rng))
+
+
+NON_FINITE = {
+    "require_physical": (lambda: require_physical((np.nan, 0.1, 0.1)),
+                         InvalidStateError),
+    "shannon_entropy-nan": (lambda: shannon_entropy(np.array([np.nan, 0.5, 0.5])),
+                            InvalidStateError),
+    "shannon_entropy-inf": (lambda: shannon_entropy(np.array([[0.5, 0.5], [np.inf, 0]])),
+                            InvalidStateError),
+    "multipliers-scalar": (lambda: correlation_multipliers("x", "z", np.nan),
+                           NonCPTPError),
+    "multipliers-array": (lambda: correlation_multipliers("x", "z", 0.5, np.array(
+        [0.5, np.nan])), NonCPTPError),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE, ids=list(NON_FINITE))
+def test_non_finite_input_is_rejected(case):
+    call, error = NON_FINITE[case]
+    with pytest.raises(error):
+        call()
 
 
 class TestEntropy:
