@@ -9,13 +9,11 @@ from .channels import (
 from .correlations import (
     CorrelationLedger,
     CorrelationReport,
-    classical_correlation,
     classical_correlation_bruteforce,
     closest_classical_state,
     conditional_entropy,
     correlation_ledger,
     discord,
-    mutual_information,
     relative_entropy_discord,
 )
 from .errors import (
@@ -39,14 +37,12 @@ from .kernel import (
 from .scenarios import (
     Evolution,
     InitialFamily,
-    TrajectoryPoint,
     characteristic_time,
     closed_form_characteristic_time,
     detect_kink,
     evolve,
     figure_data,
     make_family_state,
-    trajectory,
 )
 from .states import (
     BellCoefficients,

@@ -58,21 +58,20 @@ def apply_local_channel(rho: np.ndarray, qubit: str, channel: LocalChannel) -> n
     return ((1 + p) / 2) * rho + ((1 - p) / 2) * (op @ rho @ op)
 
 
-def correlation_multipliers(axis_a: str, axis_b: str, p, p_b=None) -> tuple:
+def correlation_multipliers(axis_a: str, axis_b: str, p) -> tuple:
     """Per-axis multipliers (mx, my, mz) with c_alpha(t) = m_alpha * c_alpha.
 
     Each local channel leaves its own axis fixed and scales the other two by
-    its retention parameter; the correlation multiplier is the product of the
-    per-qubit factors. p_b defaults to p (one shared environment). For arrays
-    of retention parameters, a multiplier that depends on them is an array;
-    one that does not stays 1.0.
+    its retention parameter p, the same for both qubits; the correlation
+    multiplier is the product of the per-qubit factors. For an array of
+    retention parameters, a multiplier that depends on them is an array; one
+    that does not stays 1.0.
     """
     _require_axis(axis_a)
     _require_axis(axis_b)
     p = _require_retention(p)
-    pb = p if p_b is None else _require_retention(p_b)
     return tuple(
-        (1.0 if ax == axis_a else p) * (1.0 if ax == axis_b else pb)
+        (1.0 if ax == axis_a else p) * (1.0 if ax == axis_b else p)
         for ax in CHANNEL_AXES
     )
 

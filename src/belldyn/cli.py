@@ -15,7 +15,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .correlations import (
     correlation_ledger,
     discord,
     relative_entropy_discord,
-    report_to_json,
 )
 from .errors import (
     AccuracyError,
@@ -67,46 +66,28 @@ from .states import (
 CHANNEL_NAMES = {"bitflip": "x", "bitphase": "y", "phaseflip": "z"}
 VERIFY_SEED = 20111
 
-_DEFAULTS = {
-    "a": 1.0,
-    "A": 1.0,
-    "gamma": 1.0,
-    "channel_a": "bitflip",
-    "channel_b": "phaseflip",
-    "c": None,
-    "family": "sudden_change",
-    "family_param": (0.1, 0.16),
-    "family_sign": 1,
-    "t_max": 10.0,
-    "t_steps": 2000,
-    "markovian": False,
-    "oracle": False,
-    "out": None,
-    "format": "csv",
-    "state_file": None,
-}
 # verify needs a grid fine enough for the convolution oracle precondition
 _VERIFY_DEFAULTS = {"t_steps": 4001}
 
 
 @dataclass
 class RunConfig:
-    a: float
-    A: float
-    gamma: float
-    channel_a: str
-    channel_b: str
-    c: tuple | None
-    family: str
-    family_param: tuple
-    family_sign: int
-    t_max: float
-    t_steps: int
-    markovian: bool
-    oracle: bool
-    out: str | None
-    format: str
-    state_file: str | None
+    a: float = 1.0
+    A: float = 1.0
+    gamma: float = 1.0
+    channel_a: str = "bitflip"
+    channel_b: str = "phaseflip"
+    c: tuple | None = None
+    family: str = "sudden_change"
+    family_param: tuple = (0.1, 0.16)
+    family_sign: int = 1
+    t_max: float = 10.0
+    t_steps: int = 2000
+    markovian: bool = False
+    oracle: bool = False
+    out: str | None = None
+    format: str = "csv"
+    state_file: str | None = None
 
     def kernel(self) -> KernelParams:
         return KernelParams(self.a, self.A, self.gamma)
@@ -133,8 +114,8 @@ class RunConfig:
     def time_grid(self) -> np.ndarray:
         if self.t_steps < 2:
             raise ValueError("t-steps must be at least 2")
-        if self.t_max <= 0:
-            raise ValueError("t-max must be positive")
+        if not 0 < self.t_max < np.inf:  # a NaN fails too
+            raise ValueError(f"t-max must be positive and finite, got {self.t_max}")
         return np.linspace(0.0, self.t_max / self.a, self.t_steps)
 
 
@@ -252,18 +233,17 @@ def dump_config_file(cfg: RunConfig, path: str) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    if args.command == "verify":
-        merged.update(_VERIFY_DEFAULTS)
+    """RunConfig's defaults, then verify's, the config file and the flags."""
+    merged = dict(_VERIFY_DEFAULTS) if args.command == "verify" else {}
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            merged[key] = value
-    if isinstance(merged["c"], str):
+            merged[field.name] = value
+    if isinstance(merged.get("c"), str):
         merged["c"] = _parse_floats(merged["c"], 3)
-    if isinstance(merged["family_param"], str):
+    if isinstance(merged.get("family_param"), str):
         merged["family_param"] = _parse_floats(merged["family_param"])
     return RunConfig(**merged)
 
@@ -340,7 +320,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 def cmd_correlations(cfg: RunConfig) -> int:
     c = cfg.initial_state()
     report = discord(c)
-    payload = report_to_json(report)
+    payload = report._asdict()
     if cfg.oracle:
         brute = classical_correlation_bruteforce(bell_to_density(c))
         red = relative_entropy_discord(c)
@@ -422,18 +402,19 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
 
 def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     table = figure_data(figure, panel, cfg.a)
-    overrides = {"A": table.params["A"], "gamma": table.params["gamma"]}
-    if "t_max" in table.params:
-        overrides["t_max"] = table.params["t_max"]
-        overrides["t_steps"] = table.params["t_steps"]
-    sub_cfg = RunConfig(**{**cfg.__dict__, **overrides})
+    # the header reports what the panel ran, whatever the config file says:
+    # its own kernel and grid, under the memory kernel with the paper's
+    # channel pair, which is RunConfig's default
+    panel_cfg = RunConfig(format=cfg.format, **{
+        key: table.params[key] for key in ("a", "A", "gamma", "t_max", "t_steps")
+        if key in table.params})
     extra = {"figure": figure, "panel": panel}
     if "c0" in table.params:
         extra["c0"] = ",".join(_fmt(v) for v in table.params["c0"])
     else:
         extra["cx"] = _fmt(table.params["cx"])
         extra["cz"] = _fmt(table.params["cz"])
-    text = _table_text(sub_cfg, f"figure {figure}{panel}", table.columns,
+    text = _table_text(panel_cfg, f"figure {figure}{panel}", table.columns,
                        table.rows, extra)
     _write_text(cfg.out, text)
     if cfg.out is not None and cfg.format == "csv":

@@ -60,12 +60,6 @@ class CorrelationLedger(NamedTuple):
     axis: np.ndarray  # index into AXES
 
 
-class ClassicalCorrelation(NamedTuple):
-    value: float
-    lambda_max: float
-    axis: str
-
-
 class BruteForceClassical(NamedTuple):
     value: float | np.ndarray  # (N,) for a stack of states
     basis: np.ndarray  # Bloch vector of the minimizing measurement; (N, 3) for a stack
@@ -74,10 +68,6 @@ class BruteForceClassical(NamedTuple):
 class RelativeEntropyDiscord(NamedTuple):
     value: float
     axis: str
-
-
-def report_to_json(report: CorrelationReport) -> dict:
-    return report._asdict()
 
 
 def dominant_axis(c) -> tuple[float, str]:
@@ -119,31 +109,14 @@ def correlation_ledger(c) -> CorrelationLedger:
     )
 
 
-def ledger_reports(ledger) -> list[CorrelationReport]:
-    """Row view of a ledger (or of anything carrying its five fields)."""
-    return [
-        CorrelationReport(i, c, d, lam, AXES[axis])
-        for i, c, d, lam, axis in zip(
-            ledger.I.tolist(), ledger.C.tolist(), ledger.D.tolist(),
-            ledger.lambda_max.tolist(), ledger.axis.tolist(),
-        )
-    ]
-
-
-def mutual_information(c) -> float:
-    """2 + sum_i lambda_i log2 lambda_i over the Bell spectrum."""
-    return discord(c).I
-
-
-def classical_correlation(c) -> ClassicalCorrelation:
-    """Closed form: measurement along the dominant axis is optimal."""
-    report = discord(c)
-    return ClassicalCorrelation(report.C, report.lambda_max, report.axis)
-
-
 def discord(c) -> CorrelationReport:
-    """One-row correlation_ledger."""
-    return ledger_reports(correlation_ledger([as_bell(c)]))[0]
+    """One-row correlation_ledger.
+
+    The fields are built-in floats and the axis is its name, so the report
+    serializes with json.dumps as it stands.
+    """
+    i, cl, d, lam, axis = (field.item() for field in correlation_ledger([as_bell(c)]))
+    return CorrelationReport(i, cl, d, lam, AXES[axis])
 
 
 def _projectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -38,12 +38,15 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"decay rate a must be positive, got {self.a}")
-        if not self.A > 0:
-            raise ValueError(f"kernel amplitude A must be positive, got {self.A}")
-        if self.gamma < 0:
-            raise ValueError(f"kernel width gamma must be >= 0, got {self.gamma}")
+        # chained comparisons, so that a NaN fails each check too
+        if not 0 < self.a < np.inf:
+            raise ValueError(f"decay rate a must be positive and finite, got {self.a}")
+        if not 0 < self.A < np.inf:
+            raise ValueError(
+                f"kernel amplitude A must be positive and finite, got {self.A}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(
+                f"kernel width gamma must be >= 0 and finite, got {self.gamma}")
 
 
 class DampingRegime(NamedTuple):

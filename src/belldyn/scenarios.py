@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import correlation_multipliers
-from .correlations import CorrelationReport, correlation_ledger, ledger_reports
+from .correlations import correlation_ledger
 from .errors import AccuracyError
 from .kernel import KernelParams, decay_factor, markovian_decay_factor, solve_decay_time
 from .states import BellCoefficients, bell_eigenvalues, require_physical
@@ -38,14 +38,6 @@ class Evolution(NamedTuple):
     D: np.ndarray
     lambda_max: np.ndarray
     axis: np.ndarray  # index into correlations.AXES
-
-
-class TrajectoryPoint(NamedTuple):
-    t: float
-    p: float
-    c: BellCoefficients
-    report: CorrelationReport
-    markov: CorrelationReport  # same initial state under the delta kernel
 
 
 def make_family_state(family: InitialFamily) -> BellCoefficients:
@@ -97,22 +89,6 @@ def evolve(
     return Evolution(t, p, c, bell_eigenvalues(c), *correlation_ledger(c))
 
 
-def trajectory(
-    c0,
-    k: KernelParams,
-    t_grid,
-    axis_a: str = "x",
-    axis_b: str = "z",
-) -> list[TrajectoryPoint]:
-    """Row view over `evolve`: one point per grid time, each carrying the
-    report of the Markovian twin (same c0 under exp(-2at))."""
-    run = evolve(c0, k, t_grid, axis_a, axis_b)
-    twin = evolve(c0, k, t_grid, axis_a, axis_b, markovian=True)
-    rows = zip(run.t.tolist(), run.p.tolist(), map(BellCoefficients._make, run.c.tolist()),
-               ledger_reports(run), ledger_reports(twin))
-    return [TrajectoryPoint(*row) for row in rows]
-
-
 def closed_form_characteristic_time(ratio: float, a: float = 1.0) -> float:
     """ln[(1 + sqrt(1 - r)) / r] / a, valid for the kernel with A = a = gamma."""
     if not 0.0 < ratio < 1.0:
@@ -147,20 +123,21 @@ def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float |
     return t
 
 
-def detect_kink(points: list[TrajectoryPoint], threshold: float = KINK_THRESHOLD):
+def detect_kink(t, C, threshold: float = KINK_THRESHOLD) -> float | None:
     """Time of the first sudden slope change in C(t), or None if C is smooth.
 
-    A kink shows as a localized spike in the second differences of C: the
-    candidate must exceed `threshold` times both the global and a windowed
-    local median of |d2C| (plus an eps-scale floor), so smoothly varying
-    curvature never triggers. With several kinks (oscillatory kernels) the
-    first cluster wins. Resolution is one grid step; small kinks need a dense
-    grid since the spike scales with the step while the smooth background
-    scales with its square.
+    t and C are the time grid and classical correlation of an Evolution,
+    as in `detect_kink(run.t, run.C)`. A kink shows as a localized spike in
+    the second differences of C: the candidate must exceed `threshold` times
+    both the global and a windowed local median of |d2C| (plus an eps-scale
+    floor), so smoothly varying curvature never triggers. With several kinks
+    (oscillatory kernels) the first cluster wins. Resolution is one grid
+    step; small kinks need a dense grid since the spike scales with the step
+    while the smooth background scales with its square.
     """
-    if len(points) < MIN_KINK_POINTS:
+    c_vals = np.asarray(C, dtype=float)
+    if c_vals.size < MIN_KINK_POINTS:
         raise ValueError(f"need at least {MIN_KINK_POINTS} trajectory points")
-    c_vals = np.array([pt.report.C for pt in points])
     d2 = np.abs(c_vals[2:] - 2 * c_vals[1:-1] + c_vals[:-2])
     n = d2.size
     global_median = float(np.median(d2))
@@ -185,7 +162,7 @@ def detect_kink(points: list[TrajectoryPoint], threshold: float = KINK_THRESHOLD
         else:
             break
     peak = max(cluster, key=lambda i: d2[i])
-    return points[peak + 1].t
+    return float(t[peak + 1])
 
 
 class FigureTable(NamedTuple):

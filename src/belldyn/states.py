@@ -69,10 +69,6 @@ def bell_eigenvalues(c) -> np.ndarray:
     ).T
 
 
-def is_physical(c, tol: float = -EIGENVALUE_FLOOR) -> bool:
-    return bool(np.min(bell_eigenvalues(c)) >= -tol)
-
-
 def require_physical(c) -> BellCoefficients:
     c = as_bell(c)
     if not np.all(np.isfinite(c)):
@@ -142,17 +138,6 @@ def require_valid_state(rho: np.ndarray) -> np.ndarray:
     if not diag.ok:
         raise InvalidStateError(f"invalid density matrix: {diag}")
     return rho
-
-
-class SpectralDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # descending
-    eigenvectors: np.ndarray  # columns, matching order
-
-
-def spectral_decomposition(rho: np.ndarray) -> SpectralDecomposition:
-    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    order = np.argsort(vals)[::-1]
-    return SpectralDecomposition(vals[order], vecs[:, order])
 
 
 def shannon_entropy(p: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from belldyn.channels import (
     scale_coefficients,
 )
 from belldyn.correlations import (
-    classical_correlation,
     classical_correlation_bruteforce,
     discord,
     dominant_axis,
@@ -35,8 +34,8 @@ from belldyn.scenarios import (
     InitialFamily,
     closed_form_characteristic_time,
     detect_kink,
+    evolve,
     make_family_state,
-    trajectory,
 )
 from belldyn.states import (
     bell_eigenvalues,
@@ -119,7 +118,7 @@ def test_criterion_4_discord_oracle():
     states = [random_bell_coefficients(rng) for _ in range(500)]
     brute = classical_correlation_bruteforce(
         np.stack([bell_to_density(c0) for c0 in states]))
-    worst = max(abs(value - classical_correlation(c0).value)
+    worst = max(abs(value - discord(c0).C)
                 for value, c0 in zip(brute.value, states))
     min_discord = min(discord(c0).D for c0 in states)
     elapsed = time.perf_counter() - start
@@ -133,13 +132,13 @@ def test_criterion_4_discord_oracle():
 
 def test_criterion_5_family_identities():
     grid = np.linspace(0.0, 10.0, 2000)
-    sync = trajectory(make_family_state(InitialFamily("synchronized", (0.6,))),
-                      EQUAL, grid)
-    dev_dc = max(abs(pt.report.D - pt.report.C) for pt in sync)
-    dev_half = max(abs(pt.report.D - pt.report.I / 2) for pt in sync)
+    sync = evolve(make_family_state(InitialFamily("synchronized", (0.6,))),
+                  EQUAL, grid)
+    dev_dc = float(np.max(np.abs(sync.D - sync.C)))
+    dev_half = float(np.max(np.abs(sync.D - sync.I / 2)))
 
-    prop = trajectory(make_family_state(InitialFamily("proportional", (0.6,))),
-                      EQUAL, grid)
+    prop = evolve(make_family_state(InitialFamily("proportional", (0.6,))),
+                  EQUAL, grid)
 
     def branch_term(u):
         total = 0.0
@@ -149,8 +148,8 @@ def test_criterion_5_family_identities():
                 total += (v / 2) * np.log2(v)
         return total
 
-    dev_branch = max(abs(pt.report.C - branch_term(pt.p)) for pt in prop)
-    ordering = all(pt.report.C >= pt.report.D - 1e-12 for pt in prop)
+    dev_branch = max(abs(c - branch_term(p)) for p, c in zip(prop.p, prop.C))
+    ordering = bool(np.all(prop.C >= prop.D - 1e-12))
     passed = (dev_dc <= 1e-9 and dev_half <= 1e-9 and dev_branch <= 1e-9 and ordering)
     report(5, "family-identities", passed,
            f"|D-C| {dev_dc:.2e}, |D-I/2| {dev_half:.2e}, "
@@ -172,8 +171,8 @@ def test_criterion_6_sudden_change_time():
     closed = closed_form_characteristic_time(ratio, A)
 
     grid = np.linspace(0.0, 10.0, 2000)
-    points = trajectory((0.1, 0.16, 0.1), EQUAL, grid)
-    detected = detect_kink(points)
+    run = evolve((0.1, 0.16, 0.1), EQUAL, grid)
+    detected = detect_kink(run.t, run.C)
     step = grid[1] - grid[0]
 
     passed = (
@@ -215,9 +214,10 @@ def test_criterion_7_relative_entropy_identity():
 
 def test_criterion_8_non_markovian_retention():
     grid = np.linspace(0.0, 10.0, 2000)
-    points = trajectory((0.6, 0.36, -0.6), EQUAL, grid)
-    worst_c = min(pt.report.C - pt.markov.C for pt in points)
-    worst_d = min(pt.report.D - pt.markov.D for pt in points)
+    run = evolve((0.6, 0.36, -0.6), EQUAL, grid)
+    twin = evolve((0.6, 0.36, -0.6), EQUAL, grid, markovian=True)
+    worst_c = float(np.min(run.C - twin.C))
+    worst_d = float(np.min(run.D - twin.D))
     passed = worst_c >= -1e-12 and worst_d >= -1e-12
     report(8, "non-markovian-retention", passed,
            f"min(C - C_markov) {worst_c:.2e}, min(D - D_markov) {worst_d:.2e}")

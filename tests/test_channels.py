@@ -219,12 +219,6 @@ class TestCorrelationMultipliers:
                 )
                 assert via_kraus == pytest.approx(tuple(direct), abs=1e-12)
 
-    def test_per_qubit_retention(self):
-        pa, pb = 0.5, -0.3
-        assert correlation_multipliers("x", "z", pa, pb) == pytest.approx(
-            (pb, pa * pb, pa)
-        )
-
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
             correlation_multipliers("x", "w", 0.5)

@@ -208,6 +208,23 @@ class TestFigureCommand:
         assert payload["meta"]["a"] == 2.0 and payload["meta"]["A"] == 2.0
         assert (tmp_path / "dump.ini").exists()
 
+    @pytest.mark.parametrize("figure, panel", [
+        ("1", "a"), ("1", "b"), ("2", "a"), ("2", "b"), ("3", "a"), ("3", "b"), ("3", "c"),
+    ], ids=lambda value: value)
+    def test_config_file_does_not_change_the_panel(self, tmp_path, figure, panel):
+        # the panel fixes its kernel shape, grid, channels and state; its
+        # header must report those, not the values the file sets
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[kernel]\nA = 5\ngamma = 0.3\n"
+                       "[channels]\nchannel_a = bitphase\nchannel_b = bitflip\n"
+                       "[state]\nc = 0.2,0.3,0.1\n[grid]\nt_max = 3\nt_steps = 77\n"
+                       "[output]\nmarkovian = true\n")
+        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+        assert main(["figure", figure, panel, "--out", str(plain)]) == 0
+        assert main(["figure", figure, panel, "--config", str(cfg),
+                     "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
     def test_invalid_panel_exits_2(self):
         assert run_cli("figure", "1", "c").returncode == 2
         assert run_cli("figure", "5", "a").returncode == 2
@@ -363,6 +380,28 @@ def test_unread_flags_exit_2(tmp_path, capsys, command, flag):
     path = tmp_path / "out.txt"
     assert main([*command, *flag, "--out", str(path)]) == 2
     assert flag[0] in capsys.readouterr().err
+    assert not path.exists()
+
+
+# every command that reads a kernel or grid parameter, with each one it reads
+NON_FINITE = [
+    *((("evolve",), flag) for flag in ("--a", "--A", "--gamma", "--t-max")),
+    (("trajectory",), "--t-max"),
+    *((("tc", *STATE), flag) for flag in ("--a", "--A", "--gamma")),
+    (("figure", "1", "a"), "--a"),
+    (("verify",), "--a"),
+    (("verify",), "--t-max"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", NON_FINITE,
+                         ids=[command[0] + flag for command, flag in NON_FINITE])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "out.txt"
+    assert main([*command, flag, value, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f" {flag[2:]} must be" in err and "finite" in err
     assert not path.exists()
 
 

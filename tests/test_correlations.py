@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,13 @@ from belldyn.correlations import (
     _search_grid,
     _search_operands,
     binary_information,
-    classical_correlation,
     classical_correlation_bruteforce,
     closest_classical_state,
     conditional_entropy,
     dephase,
     discord,
     dominant_axis,
-    mutual_information,
     relative_entropy_discord,
-    report_to_json,
 )
 from belldyn.errors import InvalidStateError
 from belldyn.states import (
@@ -98,29 +97,29 @@ def one_step_descent(rho, theta_steps=THETA_STEPS, phi_steps=PHI_STEPS,
 
 class TestMutualInformation:
     def test_uncorrelated(self):
-        assert mutual_information((0, 0, 0)) == 0.0
+        assert discord((0, 0, 0)).I == 0.0
 
     def test_synchronized_state(self):
-        assert mutual_information((0.6, 0.36, -0.6)) == pytest.approx(
+        assert discord((0.6, 0.36, -0.6)).I == pytest.approx(
             I_SYNC, abs=1e-12
         )
         # cross-check against the factorized closed form at x = 0.6
         x = 0.6
         closed = (1 + x) * np.log2(1 + x) + (1 - x) * np.log2(1 - x)
-        assert mutual_information((0.6, 0.36, -0.6)) == pytest.approx(
+        assert discord((0.6, 0.36, -0.6)).I == pytest.approx(
             closed, abs=1e-12
         )
 
     def test_proportional_state(self):
-        assert mutual_information((0.6, 0.6, -1.0)) == pytest.approx(
+        assert discord((0.6, 0.6, -1.0)).I == pytest.approx(
             I_PROP, abs=1e-12
         )
 
     def test_sudden_change_states(self):
-        assert mutual_information((0.1, 0.16, 0.1)) == pytest.approx(
+        assert discord((0.1, 0.16, 0.1)).I == pytest.approx(
             I_SUDDEN_PLUS, abs=1e-12
         )
-        assert mutual_information((0.1, 0.16, -0.1)) == pytest.approx(
+        assert discord((0.1, 0.16, -0.1)).I == pytest.approx(
             I_SUDDEN_MINUS, abs=1e-12
         )
 
@@ -130,25 +129,25 @@ class TestMutualInformation:
             c = random_bell_coefficients(rng)
             rho = bell_to_density(c)
             general = 2.0 - von_neumann_entropy(rho)  # marginals are I/2
-            assert mutual_information(c) == pytest.approx(general, abs=1e-10)
+            assert discord(c).I == pytest.approx(general, abs=1e-10)
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
-            mutual_information((1, 1, 1))
+            discord((1, 1, 1)).I
 
 
 class TestClassicalCorrelation:
     def test_uncorrelated(self):
-        assert classical_correlation((0, 0, 0)).value == 0.0
+        assert discord((0, 0, 0)).C == 0.0
 
     def test_sudden_change_state(self):
-        value, lam, axis = classical_correlation((0.1, 0.16, 0.1))
+        _, value, _, lam, axis = discord((0.1, 0.16, 0.1))
         assert value == pytest.approx(C_SUDDEN, abs=1e-12)
         assert lam == pytest.approx(0.16)
         assert axis == "y"
 
     def test_proportional_state(self):
-        value, lam, axis = classical_correlation((0.6, 0.6, -1.0))
+        _, value, _, lam, axis = discord((0.6, 0.6, -1.0))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert lam == pytest.approx(1.0)
         assert axis == "z"
@@ -210,7 +209,7 @@ class TestBruteForce:
         states = [random_bell_coefficients(rng) for _ in range(50)]
         brute = classical_correlation_bruteforce(
             np.stack([bell_to_density(c) for c in states]))
-        worst = max(abs(value - classical_correlation(c).value)
+        worst = max(abs(value - discord(c).C)
                     for value, c in zip(brute.value, states))
         assert worst <= 1e-5
 
@@ -314,8 +313,11 @@ class TestDiscord:
             assert abs(report.D - report.I / 2) <= 1e-9
 
     def test_json_keys(self):
-        payload = report_to_json(discord((0.1, 0.16, 0.1)))
+        payload = discord((0.1, 0.16, 0.1))._asdict()
         assert list(payload) == ["I", "C", "D", "lambda_max", "axis"]
+        # built-in types, so correlations --format json can dump the report
+        assert [type(v) for v in payload.values()] == [float] * 4 + [str]
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestClosestClassical:

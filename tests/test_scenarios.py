@@ -20,7 +20,6 @@ from belldyn.scenarios import (
     evolve,
     figure_data,
     make_family_state,
-    trajectory,
 )
 from belldyn.states import bell_eigenvalues
 
@@ -33,6 +32,14 @@ BRANCHES = {
     "overdamped": KernelParams(0.7, 0.7, 0.7),
     "critical": KernelParams(1.1, 0.55, 0.0),
     "near_critical": KernelParams(0.9, 0.45 * (1 - 1e-8), 0.0),
+}
+
+# the four decay_factor branches as kernel shapes in units of a
+PAPER_KERNELS = {
+    "oscillatory": lambda a: KernelParams(a, 10 * a, a / 100),
+    "overdamped": lambda a: KernelParams(a, a, a),
+    "critical": lambda a: KernelParams(a, a / 2, 0.0),
+    "near_critical": lambda a: KernelParams(a, (a / 2) * (1 - 1e-8), 0.0),
 }
 
 T_C = 0.9477102861581741  # -ln(1 - sqrt(0.375)), independently verified
@@ -83,47 +90,46 @@ class TestFamilies:
 class TestTrajectory:
     def test_initial_point_matches_direct_report(self):
         c0 = (0.1, 0.16, 0.1)
-        points = trajectory(c0, EQUAL, np.linspace(0, 1, 101))
-        first = points[0]
-        assert first.t == 0.0
-        assert first.p == 1.0
-        assert first.report == discord(c0)
-        assert first.markov == discord(c0)
+        grid = np.linspace(0, 1, 101)
+        run = evolve(c0, EQUAL, grid)
+        twin = evolve(c0, EQUAL, grid, markovian=True)
+        assert run.t[0] == 0.0
+        assert run.p[0] == 1.0
+        for ledger in (run, twin):
+            first = (ledger.I[0], ledger.C[0], ledger.D[0], ledger.lambda_max[0],
+                     AXES[ledger.axis[0]])
+            assert first == discord(c0)
 
     def test_synchronized_family_d_equals_c_everywhere(self):
         c0 = make_family_state(InitialFamily("synchronized", (0.6,)))
-        points = trajectory(c0, EQUAL, np.linspace(0, 10, 400))
-        worst = max(abs(pt.report.D - pt.report.C) for pt in points)
+        run = evolve(c0, EQUAL, np.linspace(0, 10, 400))
+        worst = float(np.max(np.abs(run.D - run.C)))
         assert worst <= 1e-9
         # mutual information follows the factorized closed form in p*cx
-        for pt in points[:: 40]:
-            u = 0.6 * pt.p
+        for p, mutual in zip(run.p[:: 40], run.I[:: 40]):
+            u = 0.6 * p
             closed = 2 * binary_information(u)
-            assert pt.report.I == pytest.approx(closed, abs=1e-9)
+            assert mutual == pytest.approx(closed, abs=1e-9)
 
     def test_proportional_family_branch_decomposition(self):
         c0 = make_family_state(InitialFamily("proportional", (0.6,)))
         for kernel in (EQUAL, WIDE):
             span = 10.0 if kernel is EQUAL else 3.0
-            points = trajectory(c0, kernel, np.linspace(0, span, 400))
-            for pt in points:
-                assert pt.report.C == pytest.approx(
-                    binary_information(pt.p), abs=1e-9
-                )
-                assert pt.report.D == pytest.approx(
-                    binary_information(0.6 * pt.p), abs=1e-9
-                )
-                assert pt.report.C >= pt.report.D - 1e-12
+            run = evolve(c0, kernel, np.linspace(0, span, 400))
+            for p, classical, disc in zip(run.p, run.C, run.D):
+                assert classical == pytest.approx(binary_information(p), abs=1e-9)
+                assert disc == pytest.approx(binary_information(0.6 * p), abs=1e-9)
+                assert classical >= disc - 1e-12
 
     def test_sudden_change_family_branch_switch(self):
         c0 = (0.1, 0.16, 0.1)
-        points = trajectory(c0, EQUAL, np.linspace(0, 10, 500))
-        for pt in points:
-            if abs(pt.p) > 0.625:
-                expected = binary_information(0.16 * pt.p * pt.p)
+        run = evolve(c0, EQUAL, np.linspace(0, 10, 500))
+        for p, classical in zip(run.p, run.C):
+            if abs(p) > 0.625:
+                expected = binary_information(0.16 * p * p)
             else:
-                expected = binary_information(0.1 * abs(pt.p))
-            assert pt.report.C == pytest.approx(expected, abs=1e-9)
+                expected = binary_information(0.1 * abs(p))
+            assert classical == pytest.approx(expected, abs=1e-9)
         # both branch formulas agree at the crossing itself
         p_c = 0.625
         assert binary_information(0.16 * p_c * p_c) == pytest.approx(
@@ -132,17 +138,19 @@ class TestTrajectory:
 
     def test_memory_kernel_retains_more_than_markovian(self):
         c0 = (0.6, 0.36, -0.6)
-        points = trajectory(c0, EQUAL, np.linspace(0, 10, 300))
-        for pt in points:
-            assert pt.report.C >= pt.markov.C - 1e-12
-            assert pt.report.D >= pt.markov.D - 1e-12
+        grid = np.linspace(0, 10, 300)
+        run = evolve(c0, EQUAL, grid)
+        twin = evolve(c0, EQUAL, grid, markovian=True)
+        assert np.all(run.C >= twin.C - 1e-12)
+        assert np.all(run.D >= twin.D - 1e-12)
 
     def test_custom_axis_pair(self):
         c0 = (0.3, 0.2, 0.3)
-        points = trajectory(c0, EQUAL, np.linspace(0, 1, 101), "z", "z")
-        pt = points[-1]
-        assert pt.c.cz == pytest.approx(0.3)  # z component untouched by z channels
-        assert pt.c.cx == pytest.approx(0.3 * pt.p * pt.p)
+        run = evolve(c0, EQUAL, np.linspace(0, 1, 101), "z", "z")
+        cx, _, cz = run.c[-1]
+        p = run.p[-1]
+        assert cz == pytest.approx(0.3)  # z component untouched by z channels
+        assert cx == pytest.approx(0.3 * p * p)
 
 
 class TestEvolve:
@@ -205,23 +213,23 @@ class TestCharacteristicTime:
 
 class TestDetectKink:
     def test_sudden_change_trajectory(self):
-        points = trajectory((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 2000))
-        found = detect_kink(points)
-        step = points[1].t - points[0].t
+        run = evolve((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 2000))
+        found = detect_kink(run.t, run.C)
+        step = run.t[1] - run.t[0]
         assert found is not None
         assert abs(found - T_C) <= step
 
     def test_smooth_families_give_none(self):
         grid = np.linspace(0, 10, 2000)
-        sync = trajectory((0.6, 0.36, -0.6), EQUAL, grid)
-        assert detect_kink(sync) is None
-        prop = trajectory((0.6, 0.6, -1.0), EQUAL, grid)
-        assert detect_kink(prop) is None
+        sync = evolve((0.6, 0.36, -0.6), EQUAL, grid)
+        assert detect_kink(sync.t, sync.C) is None
+        prop = evolve((0.6, 0.6, -1.0), EQUAL, grid)
+        assert detect_kink(prop.t, prop.C) is None
 
     def test_oscillatory_kernel_returns_first_of_many(self):
         grid = np.linspace(0, 3, 8000)
-        points = trajectory((0.05, 0.8, 0.05), WIDE, grid)
-        found = detect_kink(points)
+        run = evolve((0.05, 0.8, 0.05), WIDE, grid)
+        found = detect_kink(run.t, run.C)
         crossing = solve_decay_time(WIDE, 0.05 / 0.8)
         assert crossing == pytest.approx(T_CROSS_WIDE_SMALL, abs=1e-9)
         assert found is not None
@@ -229,15 +237,26 @@ class TestDetectKink:
 
     def test_oscillatory_sudden_change_state(self):
         grid = np.linspace(0, 3, 2000)
-        points = trajectory((0.1, 0.16, 0.1), WIDE, grid)
-        found = detect_kink(points)
+        run = evolve((0.1, 0.16, 0.1), WIDE, grid)
+        found = detect_kink(run.t, run.C)
         assert found is not None
         assert abs(found - T_CROSS_WIDE) <= grid[1]
 
     def test_short_trajectory_rejected(self):
-        points = trajectory((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 50))
+        run = evolve((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 50))
         with pytest.raises(ValueError):
-            detect_kink(points)
+            detect_kink(run.t, run.C)
+
+    @pytest.mark.parametrize("cz", [0.1, -0.1])
+    @pytest.mark.parametrize("shape", sorted(PAPER_KERNELS))
+    def test_matches_characteristic_time_on_every_branch(self, shape, cz):
+        a = 1.3
+        k = PAPER_KERNELS[shape](a)
+        c0 = (0.1, 0.16, cz)
+        run = evolve(c0, k, np.linspace(0.0, 10.0 / a, 2000))
+        found = detect_kink(run.t, run.C)
+        assert found is not None
+        assert abs(found - characteristic_time(c0, k)) <= run.t[1]
 
 
 class TestFigureData:

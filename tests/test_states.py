@@ -11,13 +11,11 @@ from belldyn.states import (
     density_from_json,
     density_to_bell,
     density_to_json,
-    is_physical,
     partial_trace,
     random_bell_coefficients,
     relative_entropy,
     require_physical,
     shannon_entropy,
-    spectral_decomposition,
     validate_state,
     von_neumann_entropy,
 )
@@ -119,18 +117,18 @@ class TestBellDensity:
 
 class TestPhysicality:
     def test_accepts_valid(self):
-        assert is_physical((0.1, 0.16, 0.1))
+        assert require_physical((0.1, 0.16, 0.1)) == (0.1, 0.16, 0.1)
         require_physical((0.6, 0.6, -1.0))
 
     def test_rejects_invalid(self):
-        assert not is_physical((1, 1, 1))
         with pytest.raises(InvalidStateError):
             require_physical((1, 1, 1))
 
     def test_random_samples_are_physical(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            assert is_physical(random_bell_coefficients(rng))
+            c = random_bell_coefficients(rng)
+            assert require_physical(c) == c
 
 
 NON_FINITE = {
@@ -142,7 +140,7 @@ NON_FINITE = {
                             InvalidStateError),
     "multipliers-scalar": (lambda: correlation_multipliers("x", "z", np.nan),
                            NonCPTPError),
-    "multipliers-array": (lambda: correlation_multipliers("x", "z", 0.5, np.array(
+    "multipliers-array": (lambda: correlation_multipliers("x", "z", np.array(
         [0.5, np.nan])), NonCPTPError),
 }
 
@@ -253,17 +251,6 @@ class TestValidateState:
         rho = MIXED.astype(complex).copy()
         rho[0, 1] = 0.1
         assert not validate_state(rho).ok
-
-
-def test_spectral_decomposition_reconstructs():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        rho = bell_to_density(random_bell_coefficients(rng))
-        vals, vecs = spectral_decomposition(rho)
-        assert np.all(np.diff(vals) <= 1e-14)
-        assert np.sum(vals) == pytest.approx(np.real(np.trace(rho)), abs=1e-12)
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        assert np.max(np.abs(rebuilt - rho)) <= 1e-10
 
 
 def test_density_json_round_trip():
