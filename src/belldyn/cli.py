@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -126,7 +127,10 @@ def _parse_floats(text: str, count: int | None = None) -> tuple:
     return vals
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main()
+    call in the process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
     common.add_argument(

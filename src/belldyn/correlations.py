@@ -34,10 +34,14 @@ IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 THETA_STEPS = 64
 PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
-# scales the descent tries per iteration: the current one and its next three
-# halvings. verify's 500 live states x 4 levels x 4 moves = 8000 candidate
-# rows, within the size of one 64 x 128 grid pass.
-DESCENT_LEVELS = 4
+# scales the descent tries per iteration: the current one and its next seven
+# halvings. A state then takes ~6.6 iterations, against ~9.6 at depth 4 and
+# ~27.8 trying one step at a time; blocks of BLOCK_ROWS bound the memory
+DESCENT_LEVELS = 8
+# most candidate rows one _conditional_entropies call evaluates: its largest
+# temporary, the M+- stack, is then 128 KiB, small enough for malloc to reuse
+# rather than map and zero fresh pages on every call
+BLOCK_ROWS = 1024
 
 
 class CorrelationReport(NamedTuple):
@@ -169,6 +173,24 @@ def _conditional_entropies(rho_bd, rho_a, proj) -> np.ndarray:
     return outcome[0] + outcome[1]
 
 
+def _blocked_entropies(rho_bd, rho_a, proj) -> np.ndarray:
+    """_conditional_entropies with at most BLOCK_ROWS candidate rows per call.
+
+    (K, 4) proj against one state is cut into slices of rows; (N, K, 4)
+    against N states into groups of whole states. Rows are independent, so
+    the values equal those of one unblocked call bit for bit.
+    """
+    if proj.ndim == 2:
+        return np.concatenate([
+            _conditional_entropies(rho_bd, rho_a, proj[i:i + BLOCK_ROWS])
+            for i in range(0, len(proj), BLOCK_ROWS)])
+    group = max(1, BLOCK_ROWS // proj.shape[1])
+    return np.concatenate([
+        _conditional_entropies(rho_bd[i:i + group], rho_a[i:i + group],
+                               proj[i:i + group])
+        for i in range(0, len(proj), group)])
+
+
 def conditional_entropy(rho: np.ndarray, bloch: np.ndarray) -> float:
     """sum_i p_i S(rho_A^(i)) after measuring B along the unit Bloch vector.
 
@@ -200,7 +222,8 @@ def classical_correlation_bruteforce(
     time (the grid and its projector rows are built once per grid size and
     cached), then runs coordinate descent with step halving down to
     angle_tol on all states in lockstep, each keeping its own step and
-    stopping on its own. Each iteration evaluates the four moves at a
+    stopping on its own. Neither evaluates more than BLOCK_ROWS candidate
+    rows at once. Each iteration evaluates the four moves at a
     state's step and its next DESCENT_LEVELS - 1 halvings in one batch and
     takes the largest step that improves, which is exactly the move a
     descent trying one step at a time, halving after each failure, would
@@ -219,7 +242,7 @@ def classical_correlation_bruteforce(
     n = len(stack)
     best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
-        values = _conditional_entropies(rho_bd[i], rho_a[i], grid)
+        values = _blocked_entropies(rho_bd[i], rho_a[i], grid)
         j = np.argmin(values)
         best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
 
@@ -236,7 +259,7 @@ def classical_correlation_bruteforce(
         st, sp = np.pi / theta_steps * levels, 2 * np.pi / phi_steps * levels
         cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], -1)
         cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], -1)
-        vals = _conditional_entropies(
+        vals = _blocked_entropies(
             rho_bd[live], rho_a[live],
             _projectors(cand_t, cand_p).reshape(live.size, -1, 4),
         ).reshape(cand_t.shape)  # (live, levels, moves)

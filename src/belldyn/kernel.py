@@ -47,6 +47,18 @@ class KernelParams:
         if not 0 <= self.gamma < np.inf:
             raise ValueError(
                 f"kernel width gamma must be >= 0 and finite, got {self.gamma}")
+        # omega0_squared's two terms must be finite too: ((2a + gamma)/2) ** 2
+        # raises OverflowError past ~1.3e154, and 2aA = inf makes p(t) NaN
+        half_damping = (2 * self.a + self.gamma) / 2
+        if not half_damping * half_damping < np.inf:
+            name = "kernel width gamma" if self.gamma > 2 * self.a else "decay rate a"
+            raise ValueError(
+                f"{name} too large: ((2a + gamma)/2)^2 overflows, "
+                f"got a = {self.a}, gamma = {self.gamma}")
+        if not 2 * self.a * self.A < np.inf:
+            raise ValueError(
+                f"kernel amplitude A too large: 2aA overflows, "
+                f"got a = {self.a}, A = {self.A}")
 
 
 class DampingRegime(NamedTuple):

@@ -28,6 +28,10 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+# X@X, Y@Y and Z@Z, built once; read-only because every caller shares them
+PAULI_PAIRS = {ax: np.kron(s, s) for ax, s in PAULI.items()}
+for _pair in PAULI_PAIRS.values():
+    _pair.flags.writeable = False
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 BELL_KETS = {
@@ -86,9 +90,9 @@ def bell_to_density(c) -> np.ndarray:
     """(I@I + cx X@X + cy Y@Y + cz Z@Z) / 4 in the product basis."""
     cx, cy, cz = as_bell(c)
     rho = np.eye(4, dtype=complex)
-    rho += cx * np.kron(SIGMA_X, SIGMA_X)
-    rho += cy * np.kron(SIGMA_Y, SIGMA_Y)
-    rho += cz * np.kron(SIGMA_Z, SIGMA_Z)
+    rho += cx * PAULI_PAIRS["x"]
+    rho += cy * PAULI_PAIRS["y"]
+    rho += cz * PAULI_PAIRS["z"]
     return rho / 4.0
 
 
@@ -101,7 +105,7 @@ def density_to_bell(rho: np.ndarray) -> tuple[BellCoefficients, float]:
     """
     rho = np.asarray(rho, dtype=complex)
     c = BellCoefficients(
-        *(float(np.real(np.trace(rho @ np.kron(PAULI[ax], PAULI[ax])))) for ax in "xyz")
+        *(float(np.real(np.trace(rho @ PAULI_PAIRS[ax]))) for ax in "xyz")
     )
     residual = float(np.max(np.abs(rho - bell_to_density(c))))
     return c, residual

@@ -405,6 +405,56 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value):
     assert not path.exists()
 
 
+# finite values whose kernel discriminant 2aA - ((2a + gamma)/2)^2 overflows
+HUGE_KERNELS = [("--gamma", "1e308"), ("--a", "1e308"), ("--A", "1e308")]
+
+
+@pytest.mark.parametrize("flag, value", HUGE_KERNELS,
+                         ids=[flag[2:] for flag, _ in HUGE_KERNELS])
+def test_huge_kernel_parameters_exit_2(tmp_path, capsys, flag, value):
+    path = tmp_path / "out.csv"
+    assert main(["evolve", flag, value, "--t-steps", "5", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f" {flag[2:]} too large" in err
+    assert not path.exists()
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import os\n"
+        "from belldyn import cli\n"
+        "built = [cli.build_parser.cache_info().currsize]\n"
+        "for _ in range(2):\n"
+        "    cli.main(['correlations', '--c', '0,0,0', '--out', os.devnull])\n"
+        "    built.append(cli.build_parser.cache_info().misses)\n"
+        "print(*built)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout == "0 1 1\n", out.stderr
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[kernel]\nA = 5\n[channels]\nchannel_a = bitphase\n")
+    grid = ("--t-steps", "40")
+    sequence = [
+        ("evolve", "--markovian", *grid), ("evolve", *grid),
+        ("correlations", *STATE, "--format", "json"), ("correlations", *STATE),
+        ("trajectory", "--config", str(config), *grid), ("trajectory", *grid),
+        ("correlations", *STATE, "--a", "2"), ("correlations", *STATE),
+        ("evolve", "--format", "xml"), ("evolve", *grid),
+    ]
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects its arguments this way
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_output_to_unwritable_path_exits_3(tmp_path):
     target = tmp_path / "missing" / "out.csv"
     assert main(["evolve", "--t-steps", "16", "--out", str(target)]) == 3

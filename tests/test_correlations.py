@@ -1,8 +1,10 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from belldyn import correlations
 from belldyn.correlations import (
     PHI_STEPS,
     REFINE_ANGLE_TOL,
@@ -194,6 +196,33 @@ class TestConditionalEntropy:
             conditional_entropy(SINGLET, np.array([1.0, 1.0, 0.0]))
 
 
+@lru_cache(maxsize=2)
+def lookahead_reference(steps):
+    """50 seeded Bell-diagonal and 20 general states, the maximally mixed
+    state, the singlet and an exact tie |c_x| = |c_y|, with the values and
+    bases of one_step_descent on them."""
+    rng = np.random.default_rng(71)
+    rhos = [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
+    rhos += [random_two_qubit_state(rng) for _ in range(20)]
+    rhos += [bell_to_density(c) for c in
+             [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]]
+    rhos = np.stack(rhos)
+    return (rhos, *one_step_descent(rhos, *steps))
+
+
+# (grid, BLOCK_ROWS, DESCENT_LEVELS). Blocks of 1 and 7 rows divide neither
+# grid, and they give the descent one state per call at every depth, so the
+# one-row grid pass runs at one depth only. Both run on the 16 x 32 grid
+# only: on the 64 x 128 grid the many small blocks take 6-33 s per case.
+BLOCK_CASES = [
+    ((16, 32), 1, 8),
+    *(((16, 32), 7, levels) for levels in (1, 4, 8)),
+    *((steps, block_rows, levels)
+      for steps in ((THETA_STEPS, PHI_STEPS), (16, 32))
+      for block_rows in (1024, 8192) for levels in (1, 4, 8)),
+]
+
+
 class TestBruteForce:
     def test_maximally_mixed(self):
         result = classical_correlation_bruteforce(np.eye(4) / 4)
@@ -246,6 +275,17 @@ class TestBruteForce:
             ref_value, ref_basis = one_step_descent(rho, *steps)
             assert single.value == ref_value[0]
             assert np.array_equal(single.basis, ref_basis[0])
+
+    @pytest.mark.parametrize("steps, block_rows, levels", BLOCK_CASES,
+                             ids=[f"{t}x{p}-{b}-{d}" for (t, p), b, d in BLOCK_CASES])
+    def test_independent_of_block_size_and_depth(self, monkeypatch, steps,
+                                                 block_rows, levels):
+        monkeypatch.setattr(correlations, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(correlations, "DESCENT_LEVELS", levels)
+        rhos, value, basis = lookahead_reference(steps)
+        stack = classical_correlation_bruteforce(rhos, *steps)
+        assert np.array_equal(stack.value, value)
+        assert np.array_equal(stack.basis, basis)
 
     def test_cached_grid_is_read_only(self):
         for steps in [(THETA_STEPS, PHI_STEPS), (16, 32)]:
