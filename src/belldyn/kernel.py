@@ -16,6 +16,7 @@ baseline exp(-2at), two independent numerical oracles, and root finding on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -27,6 +28,8 @@ REGIME_REL_TOL = 1e-12
 ODE_MAX_STEP = 0.01  # in units of 1/a
 CONVOLUTION_MAX_STEP = 0.005  # in units of 1/a
 SEARCH_WINDOW = 50.0  # root search horizon in units of 1/a
+SCAN_CHUNK = 1024  # oscillatory scan points generated and searched per block
+SCAN_LIMIT = 2**20  # oscillatory scan points searched at most
 
 
 @dataclass(frozen=True)
@@ -210,21 +213,43 @@ def decay_factor_convolution(
     return p
 
 
-def _oscillation_zeros(k: KernelParams, t_end: float) -> np.ndarray:
-    """Times where the oscillatory p(t) vanishes, up to t_end."""
+def _oscillatory_scan(k: KernelParams, t_end: float):
+    """Scan times t > 0 of the oscillatory root search, in sorted blocks.
+
+    The blocks concatenate to the sorted union of the multiples i*step of
+    step = pi/(8 omega0) up to t_end + step (the values np.arange(0, t_end +
+    step, step) holds) and the zeros z0 + (m*pi)/omega0 <= t_end of p. Each
+    block holds at most SCAN_CHUNK multiples, so a search that stops early
+    never builds the whole horizon; past SCAN_LIMIT multiples the scan ends
+    with RootNotFoundError.
+    """
     b = (2 * k.a + k.gamma) / 2
     w = np.sqrt(omega0_squared(k))
-    first = (np.pi - np.arctan(w / b)) / w
-    if first > t_end:
-        return np.empty(0)
-    count = int((t_end * w - (np.pi - np.arctan(w / b))) // np.pi) + 1
-    return first + np.arange(count) * np.pi / w
+    step = np.pi / (8 * w)
+    n_scan = math.ceil((t_end + step) / step)
+    phase = np.pi - np.arctan(w / b)
+    first = phase / w
+    n_zeros = 0 if first > t_end else int((t_end * w - phase) // np.pi) + 1
+    m = 0
+    for i in range(1, n_scan, SCAN_CHUNK):
+        if i > SCAN_LIMIT:
+            raise RootNotFoundError(
+                f"|p(t)| scan stopped at its limit of {SCAN_LIMIT} points, "
+                f"at t = {i * step:g} < {t_end:g}")
+        end = min(i + SCAN_CHUNK, n_scan)
+        # SCAN_CHUNK zeros span 8 * SCAN_CHUNK steps, past this block's end
+        zeros = first + np.arange(m, n_zeros if end == n_scan else
+                                  min(m + SCAN_CHUNK, n_zeros)) * np.pi / w
+        if end < n_scan:
+            zeros = zeros[:np.searchsorted(zeros, end * step)]
+        m += zeros.size
+        yield np.unique(np.concatenate([np.arange(i, end) * step, zeros]))
 
 
 def _bisect_abs_crossing(f, lo: float, hi: float) -> float:
     """Bisection holding the invariant f(lo) > 0 >= f(hi); 1e-10 relative."""
     for _ in range(200):
-        if hi - lo <= 1e-10 * max(hi, 1e-12):
+        if hi - lo <= 1e-10 * hi:
             break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -236,34 +261,66 @@ def _bisect_abs_crossing(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_decay_time(k: KernelParams, target: float, markovian: bool = False) -> float:
+def _bisect_abs_crossings(k: KernelParams, targets, lo, hi) -> np.ndarray:
+    """_bisect_abs_crossing for many targets in lockstep, one decay_factor
+    call per step; each target stops on its own, at the scalar rule."""
+    lo, hi = lo.copy(), hi.copy()
+    live = np.arange(targets.size)
+    for _ in range(200):
+        lo_live, hi_live = lo[live], hi[live]
+        mid = 0.5 * (lo_live + hi_live)
+        go = ~((hi_live - lo_live <= 1e-10 * hi_live)
+               | (mid == lo_live) | (mid == hi_live))
+        live, mid = live[go], mid[go]
+        if live.size == 0:
+            break
+        above = np.abs(decay_factor(k, mid)) - targets[live] > 0
+        lo[live[above]] = mid[above]
+        hi[live[~above]] = mid[~above]
+    return 0.5 * (lo + hi)
+
+
+def _first_at_or_below(abs_p: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the first |p| <= target for each target; len(abs_p) if none.
+
+    f = |p| - target is positive at t = 0, so this is the point where the
+    scalar scans first see prev_f > 0 >= f; fmin skips a NaN |p| as their
+    comparisons do."""
+    running_min = np.fmin.accumulate(abs_p)
+    return np.searchsorted(-running_min, -targets, side="left")
+
+
+def solve_decay_time(k: KernelParams, target,
+                     markovian: bool = False) -> float | np.ndarray:
     """Smallest t > 0 with |p(t)| = target, for target in (0, 1).
 
-    In the oscillatory regime the scan resolves pi/(8 omega0) and additionally
-    visits the zeros of p so dips of |p| below target between scan points
-    cannot be skipped.
+    `target` is a scalar (the root is returned as a float) or an array of
+    targets (an array of roots of the same shape is returned, bitwise equal
+    to the scalar roots; all targets are bracketed in one pass and bisected
+    in lockstep). In the oscillatory regime the scan resolves pi/(8 omega0)
+    and additionally visits the zeros of p so dips of |p| below target
+    between scan points cannot be skipped.
     """
+    if np.ndim(target) != 0:
+        return _solve_decay_times(k, np.asarray(target, dtype=float), markovian)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie strictly in (0, 1), got {target}")
     if markovian:
-        return -np.log(target) / (2 * k.a)
+        return float(-np.log(target) / (2 * k.a))
 
     def f(t):
         return abs(decay_factor(k, t)) - target
 
-    tag, w2 = damping_regime(k)
+    tag, _ = damping_regime(k)
     t_end = SEARCH_WINDOW / k.a
     if tag == "oscillatory":
-        w = np.sqrt(w2)
-        step = np.pi / (8 * w)
-        scan = np.arange(0.0, t_end + step, step)
-        scan = np.unique(np.concatenate([scan, _oscillation_zeros(k, t_end)]))
         prev_t, prev_f = 0.0, 1.0 - target
-        for t in scan[1:]:
-            ft = f(t)
-            if prev_f > 0 >= ft:
-                return _bisect_abs_crossing(f, prev_t, t)
-            prev_t, prev_f = t, ft
+        for block in _oscillatory_scan(k, t_end):
+            for t in block:
+                ft = f(t)
+                if prev_f > 0 >= ft:
+                    return float(_bisect_abs_crossing(f, prev_t, t))
+                prev_t, prev_f = t, ft
         raise RootNotFoundError(
             f"|p(t)| never crosses {target} within t <= {t_end:g}"
         )
@@ -271,8 +328,48 @@ def solve_decay_time(k: KernelParams, target: float, markovian: bool = False) ->
     hi = 1.0 / k.a
     for _ in range(64):
         if f(hi) <= 0:
-            return _bisect_abs_crossing(f, 0.0, hi)
+            return float(_bisect_abs_crossing(f, 0.0, hi))
         hi *= 2
         if hi > t_end * 1e6:
             break
     raise RootNotFoundError(f"|p(t)| never crosses {target}")
+
+
+def _solve_decay_times(k: KernelParams, targets: np.ndarray,
+                       markovian: bool) -> np.ndarray:
+    flat = targets.ravel()
+    outside = ~((0.0 < flat) & (flat < 1.0))
+    if outside.any():
+        raise ValueError(
+            f"target must lie strictly in (0, 1), got {float(flat[outside][0])}")
+    if markovian:
+        return -np.log(targets) / (2 * k.a)
+    tag, _ = damping_regime(k)
+    t_end = SEARCH_WINDOW / k.a
+    lo, hi = np.zeros(flat.size), np.zeros(flat.size)
+    if tag == "oscillatory":
+        pending = np.arange(flat.size)
+        prev_t = 0.0
+        for block in _oscillatory_scan(k, t_end):
+            if pending.size == 0:
+                break
+            idx = _first_at_or_below(np.abs(decay_factor(k, block)), flat[pending])
+            hit = idx < block.size
+            hi[pending[hit]] = block[idx[hit]]
+            lo[pending[hit]] = np.concatenate([[prev_t], block])[idx[hit]]
+            pending, prev_t = pending[~hit], block[-1]
+        if pending.size:
+            raise RootNotFoundError(
+                f"|p(t)| never crosses {float(flat[pending[0]])} within t <= {t_end:g}")
+    else:
+        # the scalar loop's doubling ladder, as one array
+        rungs = [1.0 / k.a]
+        while len(rungs) < 64 and rungs[-1] * 2 <= t_end * 1e6:
+            rungs.append(rungs[-1] * 2)
+        ladder = np.array(rungs)
+        idx = _first_at_or_below(np.abs(decay_factor(k, ladder)), flat)
+        missing = np.flatnonzero(idx == ladder.size)
+        if missing.size:
+            raise RootNotFoundError(f"|p(t)| never crosses {float(flat[missing[0]])}")
+        hi = ladder[idx]
+    return _bisect_abs_crossings(k, flat, lo, hi).reshape(targets.shape)

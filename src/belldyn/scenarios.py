@@ -89,23 +89,41 @@ def evolve(
     return Evolution(t, p, c, bell_eigenvalues(c), *correlation_ledger(c))
 
 
-def closed_form_characteristic_time(ratio: float, a: float = 1.0) -> float:
-    """ln[(1 + sqrt(1 - r)) / r] / a, valid for the kernel with A = a = gamma."""
-    if not 0.0 < ratio < 1.0:
+def closed_form_characteristic_time(ratio, a: float = 1.0):
+    """ln[(1 + sqrt(1 - r)) / r] / a, valid for the kernel with A = a = gamma.
+
+    Accepts a scalar ratio (returns a float) or an array of ratios."""
+    r = np.asarray(ratio, dtype=float)
+    if not np.all((0.0 < r) & (r < 1.0)):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    return float(np.log((1 + np.sqrt(1 - ratio)) / ratio)) / a
+    out = np.log((1 + np.sqrt(1 - r)) / r) / a
+    return float(out) if np.ndim(ratio) == 0 else out
 
 
 def _is_equal_kernel(k: KernelParams) -> bool:
     return abs(k.A - k.a) <= 1e-12 * k.a and abs(k.gamma - k.a) <= 1e-12 * k.a
 
 
+def _check_closed_form(k: KernelParams, ratio, t) -> None:
+    """For the A = a = gamma kernel, require each root t to match the closed
+    form to 1e-8, compared as a*t so that the check holds at every rate a."""
+    if not _is_equal_kernel(k):
+        return
+    closed = np.atleast_1d(closed_form_characteristic_time(ratio))
+    t = np.atleast_1d(t)
+    off = np.flatnonzero(np.abs(k.a * t - closed) > 1e-8 * np.maximum(1.0, closed))
+    if off.size:
+        i = off[0]
+        raise AccuracyError(f"root finder a*t={float(k.a * t[i])!r} disagrees "
+                            f"with closed form {float(closed[i])!r}")
+
+
 def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float | None:
     """First time where the dominant-coefficient branch switches.
 
     Solves |p(t)| = max(|cx|, |cz|) / |cy|. Returns None when no switch can
-    occur (|cy| does not dominate at t=0). For the A = a = gamma kernel the
-    root is cross-checked against the closed form to 1e-8.
+    occur (|cy| does not dominate at t=0). For the A = a = gamma kernel a*t
+    is cross-checked against the closed form to 1e-8.
     """
     cx, _, cz = c0 = require_physical(c0)
     ratio_num = max(abs(cx), abs(cz))
@@ -114,12 +132,8 @@ def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float |
         return None
     ratio = ratio_num / cy_mag
     t = solve_decay_time(k, ratio, markovian=markovian)
-    if not markovian and _is_equal_kernel(k):
-        closed = closed_form_characteristic_time(ratio, k.a)
-        if abs(t - closed) > 1e-8 * max(1.0, closed):
-            raise AccuracyError(
-                f"root finder t={t!r} disagrees with closed form {closed!r}"
-            )
+    if not markovian:
+        _check_closed_form(k, ratio, t)
     return t
 
 
@@ -201,9 +215,13 @@ def figure_data(figure: int, panel: str, a: float = 1.0) -> FigureTable:
         cx = 0.1
         cy_grid = np.linspace(0.105, 1.0, 180)
         # cz = -cx branch: physical over all cy <= 1, and t_c only depends
-        # on |cx|/|cy|
-        t_c = [characteristic_time((cx, cy, -cx), k) for cy in cy_grid.tolist()]
-        rows = np.column_stack([cy_grid, a * np.array(t_c)])
+        # on |cx|/|cy|; every cy > cx, so |cy| dominates and each state
+        # switches. One call solves all 180 ratios, as characteristic_time
+        # would one by one
+        ratio = cx / cy_grid
+        t_c = solve_decay_time(k, ratio)
+        _check_closed_form(k, ratio, t_c)
+        rows = np.column_stack([cy_grid, a * t_c])
         params = {
             "figure": figure,
             "panel": panel,

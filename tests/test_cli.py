@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -458,3 +459,49 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
 def test_output_to_unwritable_path_exits_3(tmp_path):
     target = tmp_path / "missing" / "out.csv"
     assert main(["evolve", "--t-steps", "16", "--out", str(target)]) == 3
+
+
+# SHA-256 of stdout, pinned from outputs captured before panel 3c moved onto
+# one lockstep root solve; tc covers the four decay_factor branches
+GOLDEN_STDOUT = {
+    "figure 3 c": "505be442587422783050c0a5b0560e46839fb98413ec9c8e80d9e486b811a215",
+    "tc --A 10 --gamma 0.01 --format csv":
+        "42409b98412107348145417d23f641f5a220604ef8e903317d5de8448aa06793",
+    "tc --A 10 --gamma 0.01 --format json":
+        "6d67eef96b5fd4b7c9853d6e4573b24e8ea46e56aba8f38fe43e92e14abc4365",
+    "tc --A 1 --gamma 1 --format csv":
+        "583c0445876a9f1f94345ee36947fc1c18236dbaf626b1f4f9609b86bef9babf",
+    "tc --A 1 --gamma 1 --format json":
+        "9408283466788030cc83458f760cb3366eb51cd052dddd31e5a3e96cae6bf859",
+    "tc --A 0.5 --gamma 0 --format csv":
+        "e269da81df9f9e36704de8443ed0f2f3b9462d182a7dedd0357143eb952e759b",
+    "tc --A 0.5 --gamma 0 --format json":
+        "0ef4c6458fc10e30e3f0e8d593c4a06c8f2afc5e298ba5d11e29940081402133",
+    "tc --A 0.49999999 --gamma 0 --format csv":
+        "8475c229c91b9f7bbe456216a58b6b15fd278d0933ac5ba24a587eb157e5f785",
+    "tc --A 0.49999999 --gamma 0 --format json":
+        "858ed7e8e286b99147b3a588496eceb9ec453b32efed43c8ae5bc91d61a50079",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    argv = command.split()
+    if argv[0] == "tc":
+        argv += ["--a", "1", "--c", "0.1,0.16,0.1"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("a", ["1e16", "1e20"])
+def test_tc_at_large_rates(capsys, a):
+    assert main(["tc", "--a", a, "--A", a, "--gamma", a, "--c", "0.1,0.16,0.1"]) == 0
+    assert capsys.readouterr().out == "a*t_c = 0.947710286\nclosed_form = 0.947710286\n"
+
+
+def test_tc_with_huge_amplitude(capsys):
+    # omega0 ~ 1.4e150 a: the scan stops at the root instead of building
+    # ~1e152 points
+    assert main(["tc", "--A", "1e300", "--c", "0.1,0.16,0.1"]) == 0
+    assert capsys.readouterr().out == "a*t_c = 6.33330649e-151\n"

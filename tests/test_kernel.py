@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from belldyn.errors import AccuracyError
+from belldyn import kernel
+from belldyn.errors import AccuracyError, RootNotFoundError
 from belldyn.kernel import (
     KernelParams,
     damping_regime,
@@ -223,3 +224,142 @@ class TestSolveDecayTime:
     def test_target_domain(self, bad):
         with pytest.raises(ValueError):
             solve_decay_time(EQUAL, bad)
+
+
+def _branch_kernel(rng, branch):
+    """A seeded kernel on one decay_factor branch."""
+    a = float(rng.uniform(0.5, 2.0))
+    if branch == "oscillatory":
+        A, gamma = a * float(rng.uniform(2.0, 50.0)), a * float(rng.uniform(0.0, 1.0))
+    elif branch == "overdamped":
+        A, gamma = a * float(rng.uniform(0.1, 1.0)), a * float(rng.uniform(1.0, 3.0))
+    elif branch == "critical":
+        A, gamma = a / 2, 0.0
+    else:
+        A, gamma = a / 2 * (1 - float(10 ** rng.uniform(-9, -7))), 0.0
+    k = KernelParams(a, A, gamma)
+    expected = "overdamped" if branch == "near_critical" else branch
+    assert damping_regime(k).tag == expected
+    return k
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _one_shot_scan(k, t_end):
+    """The oscillatory scan as one array: multiples of pi/(8 omega0) and the
+    zeros of p, merged, without t = 0."""
+    b = (2 * k.a + k.gamma) / 2
+    w = np.sqrt(omega0_squared(k))
+    step = np.pi / (8 * w)
+    scan = np.arange(0.0, t_end + step, step)
+    first = (np.pi - np.arctan(w / b)) / w
+    zeros = np.empty(0)
+    if first <= t_end:
+        count = int((t_end * w - (np.pi - np.arctan(w / b))) // np.pi) + 1
+        zeros = first + np.arange(count) * np.pi / w
+    return np.unique(np.concatenate([scan, zeros]))[1:]
+
+
+BRANCH_NAMES = ("oscillatory", "overdamped", "critical", "near_critical")
+
+
+class TestSolveDecayTimeArray:
+    @pytest.mark.parametrize("markovian", [False, True])
+    @pytest.mark.parametrize("branch", BRANCH_NAMES)
+    def test_roots_equal_the_scalar_path(self, branch, markovian):
+        rng = np.random.default_rng(BRANCH_NAMES.index(branch) + 11)
+        for _ in range(50):
+            k = _branch_kernel(rng, branch)
+            drawn = rng.uniform(1e-12, 1.0, 10)
+            # unsorted, with repeats and a target next to 1
+            targets = np.concatenate([drawn, [1 - 1e-12], drawn[:3]]).reshape(2, 7)
+            roots = solve_decay_time(k, targets, markovian=markovian)
+            assert roots.shape == targets.shape
+            scalar = [solve_decay_time(k, x, markovian=markovian)
+                      for x in targets.ravel().tolist()]
+            assert _hex(roots) == _hex(scalar)
+
+    @pytest.mark.parametrize("branch", BRANCH_NAMES)
+    def test_scalar_target_returns_a_float(self, branch):
+        k = _branch_kernel(np.random.default_rng(3), branch)
+        for markovian in (False, True):
+            root = solve_decay_time(k, 0.3, markovian=markovian)
+            assert type(root) is float
+            zero_d = solve_decay_time(k, np.array(0.3), markovian=markovian)
+            assert type(zero_d) is float
+            assert zero_d.hex() == root.hex()
+
+    @pytest.mark.parametrize("chunk", [2, 7, 1024])
+    def test_blocks_equal_the_one_shot_scan(self, monkeypatch, chunk):
+        monkeypatch.setattr(kernel, "SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(29)
+        kernels = [_branch_kernel(rng, "oscillatory") for _ in range(8)]
+        # zeros of p beyond the horizon; many points per period of 1/a
+        kernels += [KernelParams(1.0, 0.5000001, 0.0), KernelParams(0.7, 300.0, 0.2)]
+        for k in kernels:
+            t_end = kernel.SEARCH_WINDOW / k.a
+            blocks = list(kernel._oscillatory_scan(k, t_end))
+            assert _hex(np.concatenate(blocks)) == _hex(_one_shot_scan(k, t_end))
+
+    @pytest.mark.parametrize("chunk", [2, 7])
+    def test_brackets_across_blocks(self, monkeypatch, chunk):
+        # small blocks put crossings at block edges and in later blocks
+        rng = np.random.default_rng(31)
+        cases = [(_branch_kernel(rng, "oscillatory"), rng.uniform(1e-12, 1.0, 20))
+                 for _ in range(10)]
+        expected = [_hex([solve_decay_time(k, x) for x in t.tolist()]) for k, t in cases]
+        monkeypatch.setattr(kernel, "SCAN_CHUNK", chunk)
+        assert [_hex(solve_decay_time(k, t)) for k, t in cases] == expected
+
+    def test_empty_array(self):
+        for k in (WIDE, EQUAL):
+            assert solve_decay_time(k, np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("k", [WIDE, EQUAL], ids=["oscillatory", "monotone"])
+    def test_out_of_domain_target_is_named(self, k):
+        with pytest.raises(ValueError, match="got 1.5$"):
+            solve_decay_time(k, np.array([0.5, 1.5, -0.2]))
+        with pytest.raises(ValueError, match="got nan$"):
+            solve_decay_time(k, [0.5, np.nan], markovian=True)
+
+    def test_scan_stops_at_its_limit(self, monkeypatch):
+        root = solve_decay_time(WIDE, 0.9)
+        monkeypatch.setattr(kernel, "SCAN_CHUNK", 2)
+        monkeypatch.setattr(kernel, "SCAN_LIMIT", 4)
+        # the 0.9 crossing lies within the first four scan points
+        assert solve_decay_time(WIDE, 0.9).hex() == root.hex()
+        assert _hex(solve_decay_time(WIDE, [0.9])) == [root.hex()]
+        for target in (1e-40, [0.9, 1e-40]):
+            with pytest.raises(RootNotFoundError, match="limit of 4 points"):
+                solve_decay_time(WIDE, target)
+
+    def test_unreachable_target_is_named(self):
+        # |p| stays above 1e-36 on every scan point up to a*t = 50
+        with pytest.raises(RootNotFoundError, match="never crosses 1e-40 within t <= 50$"):
+            solve_decay_time(WIDE, np.array([0.5, 1e-40, 1e-50]))
+        with pytest.raises(RootNotFoundError, match="never crosses 1e-40 within t <= 50$"):
+            solve_decay_time(WIDE, 1e-40)
+
+
+@pytest.mark.parametrize("A, gamma", [(1e8, 0.0), (1e300, 1.0)])
+def test_huge_amplitude_root_matches_high_precision(A, gamma):
+    # omega0 / a up to 1e150: the scan is built only as far as the root
+    mpmath = pytest.importorskip("mpmath")
+    k = KernelParams(1.0, A, gamma)
+    t = solve_decay_time(k, 0.625)
+    with mpmath.workdps(60):
+        a, A, gamma = (mpmath.mpf(x) for x in (k.a, k.A, k.gamma))
+        b = (2 * a + gamma) / 2
+        w = mpmath.sqrt(2 * a * A - b * b)
+
+        def excess(u):  # in the phase u = w t
+            s = u / w
+            return mpmath.exp(-b * s) * (mpmath.cos(u) + b / w * mpmath.sin(u)) - 0.625
+
+        # the first crossing: cos(u) = 0.625 near u = 0.896
+        phase = mpmath.findroot(excess, mpmath.acos(mpmath.mpf(0.625)))
+        assert 0.8 < phase < 1.0
+        root = float(phase / w)
+        assert abs(t - root) <= 1e-9 * root

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from belldyn import kernel, scenarios
 from belldyn.channels import correlation_multipliers, scale_coefficients
 from belldyn.correlations import AXES, binary_information, discord
-from belldyn.errors import InvalidStateError
+from belldyn.errors import AccuracyError, InvalidStateError
 from belldyn.kernel import (
     KernelParams,
     decay_factor,
@@ -210,6 +211,24 @@ class TestCharacteristicTime:
         t_c = characteristic_time((0.1, 0.16, 0.1), WIDE)
         assert t_c == pytest.approx(T_CROSS_WIDE, abs=1e-9)
 
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e4, 1e16, 1e20])
+    def test_a_t_c_does_not_depend_on_the_rate(self, a):
+        t_c = characteristic_time((0.1, 0.16, 0.1), KernelParams(a, a, a))
+        assert abs(a * t_c - T_C) <= 1e-9 * T_C
+
+    @pytest.mark.parametrize("a", [1.0, 1e16])
+    def test_closed_form_check_is_relative(self, monkeypatch, a):
+        # a root 1e-7 relative off fails the cross-check at every rate,
+        # also where t_c itself is ~1e-16
+        solve = scenarios.solve_decay_time
+        monkeypatch.setattr(scenarios, "solve_decay_time",
+                            lambda k, target, markovian=False:
+                            solve(k, target, markovian) * (1 + 1e-7))
+        with pytest.raises(AccuracyError, match="disagrees with closed form"):
+            characteristic_time((0.1, 0.16, 0.1), KernelParams(a, a, a))
+        with pytest.raises(AccuracyError, match="disagrees with closed form"):
+            figure_data(3, "c", a=a)
+
 
 class TestDetectKink:
     def test_sudden_change_trajectory(self):
@@ -301,6 +320,28 @@ class TestFigureData:
         assert tc[idx] == pytest.approx(T_C, abs=1e-8)
         # the closed form makes t_c increase with c_y at fixed c_x
         assert np.all(np.diff(tc) > 0)
+
+    def test_figure3c_equals_characteristic_time(self):
+        a = 2.5
+        table = figure_data(3, "c", a=a)
+        k = KernelParams(a, a, a)
+        expected = [a * characteristic_time((0.1, cy, -0.1), k)
+                    for cy in table.rows[:, 0].tolist()]
+        assert table.rows[:, 1].tolist() == expected
+
+    def test_figure3c_decay_factor_calls(self, monkeypatch):
+        # one lockstep root solve: the bracketing ladder, then one call per
+        # bisection step (a loop over characteristic_time made 6 625)
+        calls = []
+        decay = kernel.decay_factor
+
+        def counted(k, t):
+            calls.append(np.size(t))
+            return decay(k, t)
+
+        monkeypatch.setattr(kernel, "decay_factor", counted)
+        figure_data(3, "c")
+        assert len(calls) <= 64
 
     def test_markov_columns_match_at_start(self):
         for figure, panel in ((1, "a"), (2, "a"), (3, "b")):
