@@ -15,8 +15,8 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from functools import cache
+from dataclasses import dataclass, field, fields
+from functools import cache, partial
 
 import numpy as np
 
@@ -71,24 +71,65 @@ VERIFY_SEED = 20111
 _VERIFY_DEFAULTS = {"t_steps": 4001}
 
 
+def _parse_floats(text: str, count: int | None = None) -> tuple:
+    vals = tuple(float(v) for v in text.split(","))
+    if count is not None and len(vals) != count:
+        raise ValueError(f"expected {count} comma-separated values, got {text!r}")
+    return vals
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+_ALL = ("evolve", "correlations", "trajectory", "figure", "tc", "verify")
+_EVOLVING = ("evolve", "trajectory")
+_STATE = (*_EVOLVING, "correlations", "tc")
+_CHANNELS = tuple(sorted(CHANNEL_NAMES))
+
+
+def _option(default, section, reads, parse=str, help=None, choices=None, metavar=None):
+    """A field that is also a flag and a config key in [section]; `parse` reads
+    the text of either (None: an on/off flag). Commands not in `reads` reject both."""
+    if choices:
+        metavar = "{%s}" % ",".join(map(str, choices))  # as argparse shows them
+    return field(default=default, metadata=dict(section=section, reads=reads,
+        parse=parse, help=help, choices=choices, metavar=metavar))
+
+
 @dataclass
 class RunConfig:
-    a: float = 1.0
-    A: float = 1.0
-    gamma: float = 1.0
-    channel_a: str = "bitflip"
-    channel_b: str = "phaseflip"
-    c: tuple | None = None
-    family: str = "sudden_change"
-    family_param: tuple = (0.1, 0.16)
-    family_sign: int = 1
-    t_max: float = 10.0
-    t_steps: int = 2000
-    markovian: bool = False
-    oracle: bool = False
-    out: str | None = None
-    format: str = "csv"
-    state_file: str | None = None
+    a: float = _option(1.0, "kernel", (*_EVOLVING, "figure", "tc", "verify"), float,
+                       "Markovian decay rate (default 1)")
+    # each figure panel fixes its own kernel shape, grid, channels and state
+    A: float = _option(1.0, "kernel", (*_EVOLVING, "tc"), float,
+                       "kernel amplitude (default 1)")
+    gamma: float = _option(1.0, "kernel", (*_EVOLVING, "tc"), float,
+                           "kernel width (default 1)")
+    # characteristic_time assumes the bit-flip(A)/phase-flip(B) channel pair
+    channel_a: str = _option("bitflip", "channels", _EVOLVING, choices=_CHANNELS)
+    channel_b: str = _option("phaseflip", "channels", _EVOLVING, choices=_CHANNELS)
+    c: tuple | None = _option(None, "state", _STATE, partial(_parse_floats, count=3),
+                              "raw coefficient triple", metavar="CX,CY,CZ")
+    family: str = _option("sudden_change", "state", _STATE, choices=(
+        "synchronized", "proportional", "sudden_change"))
+    family_param: tuple = _option((0.1, 0.16), "state", _STATE, _parse_floats,
+                                  metavar="X[,Y]")
+    family_sign: int = _option(1, "state", _STATE, int, choices=(1, -1))
+    state_file: str | None = _option(None, "state", _STATE, str,
+                                     "density matrix JSON", metavar="PATH")
+    t_max: float = _option(10.0, "grid", (*_EVOLVING, "verify"), float,
+                           "grid end, in units of a*t")
+    t_steps: int = _option(2000, "grid", (*_EVOLVING, "verify"), int, "grid points")
+    markovian: bool = _option(False, "output", (*_EVOLVING, "tc"), None)
+    oracle: bool = _option(False, "output", ("correlations",), None,
+                           "add brute-force cross-checks where available")
+    out: str | None = _option(None, "output", _ALL, str,
+                              "output file (default stdout)", metavar="PATH")
+    format: str = _option("csv", "output", _ALL[:-1],  # verify prints text only
+                          choices=("csv", "json"))
 
     def kernel(self) -> KernelParams:
         return KernelParams(self.a, self.A, self.gamma)
@@ -120,41 +161,39 @@ class RunConfig:
         return np.linspace(0.0, self.t_max / self.a, self.t_steps)
 
 
-def _parse_floats(text: str, count: int | None = None) -> tuple:
-    vals = tuple(float(v) for v in text.split(","))
-    if count is not None and len(vals) != count:
-        raise ValueError(f"expected {count} comma-separated values, got {text!r}")
-    return vals
+_OPTIONS = {option.name: option for option in fields(RunConfig)}
+
+
+def _flag(option) -> str:
+    return "--" + option.name.replace("_", "-")
+
+
+def _parse_option(option, text: str, source: str):
+    """The value `text` gives `option`; a bad one raises a ValueError that
+    names the flag or config key it came from."""
+    meta = option.metadata
+    try:
+        value = (meta["parse"] or _parse_bool)(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if meta["choices"] is not None and value not in meta["choices"]:
+        raise ValueError(f"{source}: invalid choice {text!r}, not in {meta['metavar']}")
+    return value
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every main()
-    call in the process; parsing leaves it unchanged."""
+    """The argument parser, built on first use and shared by every main() call
+    in the process; parsing leaves it unchanged, and option values as text."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
-    common.add_argument(
-        "--dump-config", metavar="PATH", help="write the effective config, then run"
-    )
-    common.add_argument("--a", type=float, help="Markovian decay rate (default 1)")
-    common.add_argument("--A", type=float, help="kernel amplitude (default 1)")
-    common.add_argument("--gamma", type=float, help="kernel width (default 1)")
-    common.add_argument("--channel-a", choices=sorted(CHANNEL_NAMES))
-    common.add_argument("--channel-b", choices=sorted(CHANNEL_NAMES))
-    common.add_argument("--c", metavar="CX,CY,CZ", help="raw coefficient triple")
-    common.add_argument(
-        "--family", choices=("synchronized", "proportional", "sudden_change")
-    )
-    common.add_argument("--family-param", metavar="X[,Y]")
-    common.add_argument("--family-sign", type=int, choices=(1, -1))
-    common.add_argument("--state-file", metavar="PATH", help="density matrix JSON")
-    common.add_argument("--t-max", type=float, help="grid end, in units of a*t")
-    common.add_argument("--t-steps", type=int, help="grid points")
-    common.add_argument("--markovian", action="store_true", default=None)
-    common.add_argument("--oracle", action="store_true", default=None,
-                        help="add brute-force cross-checks where available")
-    common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--dump-config", metavar="PATH",
+                        help="write the config keys the command reads, then run")
+    for option in _OPTIONS.values():
+        meta = option.metadata
+        how = ({"action": "store_const", "const": "true"} if meta["parse"] is None
+               else {"metavar": meta["metavar"]})
+        common.add_argument(_flag(option), help=meta["help"], **how)
 
     parser = argparse.ArgumentParser(
         prog="belldyn",
@@ -162,93 +201,65 @@ def build_parser() -> argparse.ArgumentParser:
         "non-Markovian bit-flip/phase-flip noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("evolve", parents=[common],
-                   help="state table: coefficients and Bell spectrum over time")
-    sub.add_parser("correlations", parents=[common],
-                   help="correlation report for one state")
-    sub.add_parser("trajectory", parents=[common],
-                   help="correlation dynamics table over time")
-    fig = sub.add_parser("figure", parents=[common],
-                         help="data table and gnuplot script for a figure panel")
-    fig.add_argument("figure_id", type=int, choices=(1, 2, 3))
-    fig.add_argument("panel", choices=("a", "b", "c"))
-    sub.add_parser("tc", parents=[common],
-                   help="sudden-change characteristic time")
-    sub.add_parser("verify", parents=[common],
-                   help="run the oracle suite and report max discrepancies")
+    for command, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(command, parents=[common], help=help_text)
+        if command == "figure":
+            cmd.add_argument("figure_id", type=int, choices=(1, 2, 3))
+            cmd.add_argument("panel", choices=("a", "b", "c"))
     return parser
 
 
-_CONFIG_LAYOUT = {
-    "kernel": ("a", "A", "gamma"),
-    "channels": ("channel_a", "channel_b"),
-    "state": ("c", "family", "family_param", "family_sign", "state_file"),
-    "grid": ("t_max", "t_steps"),
-    "output": ("out", "format", "markovian", "oracle"),
-}
-_FLOAT_KEYS = {"a", "A", "gamma", "t_max"}
-_INT_KEYS = {"t_steps", "family_sign"}
-_BOOL_KEYS = {"markovian", "oracle"}
-_TUPLE_KEYS = {"c", "family_param"}
-
-
 def load_config_file(path: str) -> dict:
+    """{option name: (value, source)} for each key of the INI file at `path`;
+    a section or key that names no option raises ValueError."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # kernel.a and kernel.A must stay distinct
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
     if cp.defaults():
         raise ValueError(f"{path}: unknown config section [{cp.default_section}]")
+    keys = {(option.metadata["section"], option.name) for option in _OPTIONS.values()}
     out = {}
     for section in cp.sections():
-        if section not in _CONFIG_LAYOUT:
+        if section not in {known for known, _ in keys}:
             raise ValueError(f"{path}: unknown config section [{section}]")
         for key in cp.options(section):
-            if key not in _CONFIG_LAYOUT[section]:
+            if (section, key) not in keys:
                 raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
-            raw = cp.get(section, key)
-            if key in _FLOAT_KEYS:
-                out[key] = float(raw)
-            elif key in _INT_KEYS:
-                out[key] = int(raw)
-            elif key in _BOOL_KEYS:
-                out[key] = cp.getboolean(section, key)
-            elif key in _TUPLE_KEYS:
-                out[key] = _parse_floats(raw)
-            else:
-                out[key] = raw
+            source = f"config key {key!r} in [{section}]"
+            out[key] = _parse_option(_OPTIONS[key], cp.get(section, key), source), source
     return out
 
 
-def dump_config_file(cfg: RunConfig, path: str) -> None:
+def dump_config_file(cfg: RunConfig, path: str, command: str) -> None:
+    """Write the options `command` reads, so the file loads back into it."""
+    layout = {}
+    for option in _OPTIONS.values():
+        value = getattr(cfg, option.name)
+        if value is not None and command in option.metadata["reads"]:
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            layout.setdefault(option.metadata["section"], {})[option.name] = text
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    for section, keys in _CONFIG_LAYOUT.items():
-        cp.add_section(section)
-        for key in keys:
-            value = getattr(cfg, key)
-            if value is None:
-                continue
-            if key in _TUPLE_KEYS:
-                value = ",".join(_fmt(v) for v in value)
-            cp.set(section, key, str(value))
+    cp.read_dict(layout)
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig's defaults, then verify's, the config file and the flags."""
+    """RunConfig's defaults, then verify's, the config file and the flags.
+    An option the command does not read exits 2, whichever source set it."""
+    given = load_config_file(args.config) if args.config else {}
+    for name, option in _OPTIONS.items():
+        text, flag = getattr(args, name), _flag(option)
+        if text is not None:
+            given[name] = _parse_option(option, text, flag), flag
+    unread = [source for name, (_, source) in given.items()
+              if args.command not in _OPTIONS[name].metadata["reads"]]
+    if unread:
+        raise ValueError(f"{args.command} does not read {', '.join(unread)}")
     merged = dict(_VERIFY_DEFAULTS) if args.command == "verify" else {}
-    if args.config:
-        merged.update(load_config_file(args.config))
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            merged[field.name] = value
-    if isinstance(merged.get("c"), str):
-        merged["c"] = _parse_floats(merged["c"], 3)
-    if isinstance(merged.get("family_param"), str):
-        merged["family_param"] = _parse_floats(merged["family_param"])
+    merged.update((name, value) for name, (value, _) in given.items())
     return RunConfig(**merged)
 
 
@@ -406,9 +417,8 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
 
 def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     table = figure_data(figure, panel, cfg.a)
-    # the header reports what the panel ran, whatever the config file says:
-    # its own kernel and grid, under the memory kernel with the paper's
-    # channel pair, which is RunConfig's default
+    # the header reports the panel's own kernel and grid, under the memory
+    # kernel with the paper's channel pair, which is RunConfig's default
     panel_cfg = RunConfig(format=cfg.format, **{
         key: table.params[key] for key in ("a", "A", "gamma", "t_max", "t_steps")
         if key in table.params})
@@ -478,8 +488,9 @@ def _verify_checks(cfg: RunConfig):
     def tc_root_vs_closed():
         k = KernelParams(a, a, a)
         ratio = 0.625
-        root = solve_decay_time(k, ratio)
-        return abs(root - closed_form_characteristic_time(ratio, a))
+        # in units of a*t, as characteristic_time reports it
+        return abs(a * solve_decay_time(k, ratio)
+                   - a * closed_form_characteristic_time(ratio, a))
 
     return [
         ("decay-ode", 1e-6, lambda: decay_vs(decay_factor_ode)),
@@ -513,74 +524,38 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-_CHANNEL_FLAGS = ("channel_a", "channel_b")
-_GRID_FLAGS = ("t_max", "t_steps")
-_STATE_FLAGS = ("c", "family", "family_param", "family_sign", "state_file")
-# the common flags each command does not read; giving one on the command
-# line exits 2 rather than being silently ignored
-_UNREAD_FLAGS = {
-    "evolve": ("oracle",),
-    "trajectory": ("oracle",),
-    "correlations": ("a", "A", "gamma", *_CHANNEL_FLAGS, *_GRID_FLAGS, "markovian"),
-    # each panel fixes its own kernel shape, grid, channels and initial state
-    "figure": ("A", "gamma", *_GRID_FLAGS, *_CHANNEL_FLAGS, *_STATE_FLAGS,
-               "markovian", "oracle"),
-    # characteristic_time assumes the bit-flip(A)/phase-flip(B) channel pair
-    "tc": (*_CHANNEL_FLAGS, *_GRID_FLAGS, "oracle"),
-    "verify": ("A", "gamma", *_CHANNEL_FLAGS, *_STATE_FLAGS, "markovian", "oracle",
-               "format"),
-}
-
-
-def _reject_unread_flags(args: argparse.Namespace) -> None:
-    given = [key for key in _UNREAD_FLAGS[args.command]
-             if getattr(args, key) is not None]
-    if given:
-        flags = ", ".join("--" + key.replace("_", "-") for key in given)
-        raise ValueError(f"{args.command} does not read {flags}")
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join '--c -1,-1,-1' into '--c=-1,-1,-1' so argparse keeps the value."""
+    lists = {_flag(option) for option in _OPTIONS.values()
+             if option.type.startswith("tuple")}
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in ("--c", "--family-param")
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in lists and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
+_COMMANDS = {
+    "evolve": (cmd_evolve, "state table: coefficients and Bell spectrum over time"),
+    "correlations": (cmd_correlations, "correlation report for one state"),
+    "trajectory": (cmd_trajectory, "correlation dynamics table over time"),
+    "figure": (cmd_figure, "data table and gnuplot script for a figure panel"),
+    "tc": (cmd_tc, "sudden-change characteristic time"),
+    "verify": (cmd_verify, "run the oracle suite and report max discrepancies"),
+}
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_negative_values(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_merge_negative_values(argv))
     try:
-        _reject_unread_flags(args)
         cfg = resolve_config(args)
         if args.dump_config:
-            dump_config_file(cfg, args.dump_config)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
-        if args.command == "correlations":
-            return cmd_correlations(cfg)
-        if args.command == "trajectory":
-            return cmd_trajectory(cfg)
-        if args.command == "figure":
-            return cmd_figure(cfg, args.figure_id, args.panel)
-        if args.command == "tc":
-            return cmd_tc(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+            dump_config_file(cfg, args.dump_config, args.command)
+        panel = (args.figure_id, args.panel) if args.command == "figure" else ()
+        return _COMMANDS[args.command][0](cfg, *panel)
     except (InvalidStateError, NonCPTPError, AccuracyError, RootNotFoundError,
             ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

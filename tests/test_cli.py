@@ -25,6 +25,36 @@ def read_csv(path):
     return header, rows
 
 
+# the config-file section of each option, written out here as the spec
+# rather than read from the option table under test
+SECTIONS = {
+    "a": "kernel", "A": "kernel", "gamma": "kernel",
+    "channel_a": "channels", "channel_b": "channels",
+    "c": "state", "family": "state", "family_param": "state", "family_sign": "state",
+    "state_file": "state", "t_max": "grid", "t_steps": "grid",
+    "markovian": "output", "oracle": "output", "out": "output", "format": "output",
+}
+
+
+def given_as(source, flag, tmp_path):
+    """argv that sets `flag` (a flag and its value, if any) as a flag or as a
+    config key, and the name an error message must give it."""
+    if source == "flag":
+        return list(flag), flag[0]
+    key = flag[0][2:].replace("-", "_")
+    value = flag[1] if len(flag) > 1 else "true"
+    path = tmp_path / "given.ini"
+    path.write_text(f"[{SECTIONS[key]}]\n{key} = {value}\n")
+    return ["--config", str(path)], f"config key {key!r}"
+
+
+def from_both_sources(cases, case_id):
+    """Each case once as a flag, keeping the case's id, and once as a config key."""
+    return [pytest.param(*case, source, id=case_id(*case) + suffix)
+            for source, suffix in (("flag", ""), ("config key", "-config-key"))
+            for case in cases]
+
+
 class TestCorrelationsCommand:
     def test_sudden_change_state(self):
         out = run_cli("correlations", "--c", "0.1,0.16,0.1", "--format", "json")
@@ -186,16 +216,17 @@ class TestFigureCommand:
         script = (tmp_path / "f2b.gp").read_text()
         assert "plot" in script and "f2b.csv" in script
 
-    @pytest.mark.parametrize("flag", [
+    @pytest.mark.parametrize("flag, source", from_both_sources([(flag,) for flag in [
         ("--A", "2"), ("--gamma", "0.5"), ("--t-max", "3"), ("--t-steps", "100"),
         ("--channel-a", "bitphase"), ("--channel-b", "bitflip"), ("--c", "0.1,0.2,0.1"),
         ("--family", "proportional"), ("--family-param", "0.5"), ("--family-sign", "-1"),
         ("--state-file", "state.json"), ("--markovian",),
-    ], ids=lambda flag: flag[0])
-    def test_fixed_parameter_flags_exit_2(self, tmp_path, capsys, flag):
+    ]], lambda flag: flag[0]))
+    def test_fixed_parameter_flags_exit_2(self, tmp_path, capsys, flag, source):
+        argv, name = given_as(source, flag, tmp_path)
         path = tmp_path / "f3a.csv"
-        assert main(["figure", "3", "a", *flag, "--out", str(path)]) == 2
-        assert flag[0] in capsys.readouterr().err
+        assert main(["figure", "3", "a", *argv, "--out", str(path)]) == 2
+        assert name in capsys.readouterr().err
         assert not path.exists()
 
     def test_output_and_rate_flags_still_apply(self, tmp_path):
@@ -212,19 +243,20 @@ class TestFigureCommand:
     @pytest.mark.parametrize("figure, panel", [
         ("1", "a"), ("1", "b"), ("2", "a"), ("2", "b"), ("3", "a"), ("3", "b"), ("3", "c"),
     ], ids=lambda value: value)
-    def test_config_file_does_not_change_the_panel(self, tmp_path, figure, panel):
-        # the panel fixes its kernel shape, grid, channels and state; its
-        # header must report those, not the values the file sets
+    def test_config_file_does_not_change_the_panel(self, tmp_path, capsys, figure,
+                                                   panel):
+        # the panel fixes its kernel shape, grid, channels and state, so a
+        # config file that sets them is rejected, as the flags are
         cfg = tmp_path / "run.ini"
         cfg.write_text("[kernel]\nA = 5\ngamma = 0.3\n"
                        "[channels]\nchannel_a = bitphase\nchannel_b = bitflip\n"
                        "[state]\nc = 0.2,0.3,0.1\n[grid]\nt_max = 3\nt_steps = 77\n"
                        "[output]\nmarkovian = true\n")
-        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
-        assert main(["figure", figure, panel, "--out", str(plain)]) == 0
+        path = tmp_path / "configured.csv"
         assert main(["figure", figure, panel, "--config", str(cfg),
-                     "--out", str(configured)]) == 0
-        assert configured.read_bytes() == plain.read_bytes()
+                     "--out", str(path)]) == 2
+        assert "figure does not read config key 'A'" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_invalid_panel_exits_2(self):
         assert run_cli("figure", "1", "c").returncode == 2
@@ -300,22 +332,63 @@ class TestVerifyCommand:
         run = {name: run for name, _, run in cli._verify_checks(cfg)}[check]
         assert np.isnan(run())
 
+    def test_tc_root_is_compared_in_units_of_a_t(self, tmp_path, monkeypatch):
+        # at a = 1e20 the root is ~1e-20 in t, where an absolute comparison
+        # in t passes a root that is 1e-3 relative off
+        real = cli.solve_decay_time
+        monkeypatch.setattr(cli, "solve_decay_time",
+                            lambda k, target: real(k, target) * (1 + 1e-3))
+        path = tmp_path / "verify.txt"
+        assert main(["verify", "--a", "1e20", "--out", str(path)]) == 1
+        lines = path.read_text().splitlines()
+        assert "tc-root-vs-closed-form" in lines[5] and lines[5].endswith("FAIL")
+        assert lines[-1] == "verify: FAIL (5/6)"
+
     def test_threads_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--threads", "2"])
         assert exc.value.code == 2
 
 
+# each command with a value other than the default for options it reads
+ROUND_TRIPS = {
+    "evolve": ["evolve", "--a", "2", "--A", "3", "--gamma", "0.5",
+               "--c", "0.3,0.2,-0.3", "--t-max", "5", "--t-steps", "64"],
+    "trajectory": ["trajectory", "--channel-a", "bitphase", "--channel-b", "bitflip",
+                   "--family", "proportional", "--family-param", "0.6",
+                   "--family-sign", "-1", "--t-max", "4", "--t-steps", "50",
+                   "--markovian", "--format", "json"],
+    "correlations": ["correlations", "--c", "-0.3,0.2,-0.312345678912", "--oracle",
+                     "--format", "json"],
+    "figure": ["figure", "2", "b", "--a", "2", "--format", "json"],
+    "tc": ["tc", "--a", "2", "--A", "8", "--gamma", "0.25", "--family-param", "0.1,0.2",
+           "--markovian", "--format", "json"],
+    "verify": ["verify", "--a", "3", "--t-max", "8"],
+}
+
+
 class TestConfigHandling:
-    def test_round_trip_reproduces_run(self, tmp_path):
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
+    def test_round_trip_reproduces_run(self, tmp_path, command):
+        argv = ROUND_TRIPS[command]
+        positional = argv[:3] if command == "figure" else argv[:1]
         cfg = tmp_path / "run.ini"
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        assert main(["evolve", "--a", "2", "--A", "3", "--gamma", "0.5",
-                     "--c", "0.3,0.2,-0.3", "--t-max", "5", "--t-steps", "64",
-                     "--dump-config", str(cfg), "--out", str(first)]) == 0
-        assert main(["evolve", "--config", str(cfg), "--out", str(second)]) == 0
+        first = tmp_path / "a.out"
+        second = tmp_path / "b.out"
+        assert main([*argv, "--dump-config", str(cfg), "--out", str(first)]) == 0
+        assert main([*positional, "--config", str(cfg), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("flag, source", from_both_sources([(flag,) for flag in [
+        ("--channel-a", "foo"), ("--format", "xml"), ("--family-sign", "2"),
+        ("--c", "0.1,0.2"), ("--t-steps", "1.5"),
+    ]], lambda flag: flag[0][2:]))
+    def test_bad_values_exit_2(self, tmp_path, capsys, flag, source):
+        argv, name = given_as(source, flag, tmp_path)
+        path = tmp_path / "o.csv"
+        assert main(["evolve", *argv, "--out", str(path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not path.exists()
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -375,12 +448,13 @@ UNREAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
-                         ids=[command[0] + flag[0] for command, flag in UNREAD_FLAGS])
-def test_unread_flags_exit_2(tmp_path, capsys, command, flag):
+@pytest.mark.parametrize("command, flag, source", from_both_sources(
+    UNREAD_FLAGS, lambda command, flag: command[0] + flag[0]))
+def test_unread_flags_exit_2(tmp_path, capsys, command, flag, source):
+    argv, name = given_as(source, flag, tmp_path)
     path = tmp_path / "out.txt"
-    assert main([*command, *flag, "--out", str(path)]) == 2
-    assert flag[0] in capsys.readouterr().err
+    assert main([*command, *argv, "--out", str(path)]) == 2
+    assert name in capsys.readouterr().err
     assert not path.exists()
 
 
