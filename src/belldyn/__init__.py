@@ -1,17 +1,10 @@
 """Bell-diagonal two-qubit dynamics under local non-Markovian Pauli noise."""
 
-from .channels import (
-    LocalChannel,
-    apply_local_channel,
-    correlation_multipliers,
-    scale_coefficients,
-)
+from .channels import apply_local_channel, correlation_multipliers
 from .correlations import (
     CorrelationLedger,
     CorrelationReport,
     classical_correlation_bruteforce,
-    closest_classical_state,
-    conditional_entropy,
     correlation_ledger,
     discord,
     relative_entropy_discord,
@@ -24,14 +17,12 @@ from .errors import (
     SupportViolationError,
 )
 from .kernel import (
-    DampingRegime,
     KernelParams,
     damping_regime,
     decay_factor,
     decay_factor_convolution,
     decay_factor_ode,
     markovian_decay_factor,
-    omega0_squared,
     solve_decay_time,
 )
 from .scenarios import (
@@ -49,11 +40,8 @@ from .states import (
     bell_eigenvalues,
     bell_to_density,
     density_to_bell,
-    partial_trace,
     random_bell_coefficients,
     relative_entropy,
-    validate_state,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"

@@ -5,29 +5,20 @@ sigma_k, weights (1+p)/2 and (1-p)/2. On the Bloch sphere this keeps the
 k component and multiplies the two orthogonal components by p; the mixture
 is completely positive for |p| <= 1, including negative p (needed when the
 memory kernel makes p(t) oscillate through zero).
+
+correlation_multipliers is the one channel model: the per-axis factors that
+scale a coefficient triple. apply_local_channel is its independent oracle,
+the Kraus map on density matrices, one state or a stack at a time.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NonCPTPError
-from .states import (
-    ID2,
-    PAULI,
-    BellCoefficients,
-    as_bell,
-    require_valid_state,
-)
+from .states import ID2, PAULI, require_valid_state
 
 CHANNEL_AXES = ("x", "y", "z")  # bit flip, bit-phase flip, phase flip
-
-
-class LocalChannel(NamedTuple):
-    axis: str
-    p: float
 
 
 def _require_axis(axis: str) -> str:
@@ -44,11 +35,16 @@ def _require_retention(p):
     return p if np.ndim(p) else float(p)
 
 
-def apply_local_channel(rho: np.ndarray, qubit: str, channel: LocalChannel) -> np.ndarray:
-    """((1+p)/2) rho + ((1-p)/2) S rho S with S = sigma_axis on the named qubit."""
+def apply_local_channel(rho: np.ndarray, qubit: str, axis: str, p) -> np.ndarray:
+    """((1+p)/2) rho + ((1-p)/2) S rho S with S = sigma_axis on the named qubit.
+
+    rho is one (4, 4) state or an (N, 4, 4) stack, and p a float or an (N,)
+    array of one retention parameter per state; each state of a stack maps
+    as in the one-state call.
+    """
     rho = require_valid_state(rho)
-    axis = _require_axis(channel.axis)
-    p = _require_retention(channel.p)
+    axis = _require_axis(axis)
+    p = np.asarray(_require_retention(p))[..., None, None]
     if qubit == "A":
         op = np.kron(PAULI[axis], ID2)
     elif qubit == "B":
@@ -75,8 +71,3 @@ def correlation_multipliers(axis_a: str, axis_b: str, p) -> tuple:
         for ax in CHANNEL_AXES
     )
 
-
-def scale_coefficients(c0, multipliers) -> BellCoefficients:
-    cx, cy, cz = as_bell(c0)
-    mx, my, mz = multipliers
-    return BellCoefficients(mx * cx, my * cy, mz * cz)

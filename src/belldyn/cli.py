@@ -20,12 +20,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .channels import (
-    LocalChannel,
-    apply_local_channel,
-    correlation_multipliers,
-    scale_coefficients,
-)
+from .channels import apply_local_channel, correlation_multipliers
 from .correlations import (
     classical_correlation_bruteforce,
     correlation_ledger,
@@ -48,6 +43,7 @@ from .kernel import (
 from .scenarios import (
     InitialFamily,
     _is_equal_kernel,
+    branch_switch_ratio,
     characteristic_time,
     closed_form_characteristic_time,
     evolve,
@@ -158,6 +154,9 @@ class RunConfig:
             raise ValueError("t-steps must be at least 2")
         if not 0 < self.t_max < np.inf:  # a NaN fails too
             raise ValueError(f"t-max must be positive and finite, got {self.t_max}")
+        if not self.t_max / self.a < np.inf:
+            raise ValueError(f"grid end t-max/a overflows: t-max = {self.t_max}, "
+                             f"a = {self.a} too small")
         return np.linspace(0.0, self.t_max / self.a, self.t_steps)
 
 
@@ -212,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config_file(path: str) -> dict:
     """{option name: (value, source)} for each key of the INI file at `path`;
     a section or key that names no option raises ValueError."""
-    cp = configparser.ConfigParser()
+    # no interpolation, so a value holds any text, a % sign included
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # kernel.a and kernel.A must stay distinct
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
@@ -239,7 +239,7 @@ def dump_config_file(cfg: RunConfig, path: str, command: str) -> None:
         if value is not None and command in option.metadata["reads"]:
             text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             layout.setdefault(option.metadata["section"], {})[option.name] = text
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read_dict(layout)
     with open(path, "w", encoding="utf-8") as fh:
@@ -362,8 +362,7 @@ def cmd_tc(cfg: RunConfig) -> int:
     t_c = characteristic_time(c, k, markovian=cfg.markovian)
     closed = None
     if t_c is not None and not cfg.markovian and _is_equal_kernel(k):
-        ratio = max(abs(c.cx), abs(c.cz)) / abs(c.cy)
-        closed = k.a * closed_form_characteristic_time(ratio, k.a)
+        closed = k.a * closed_form_characteristic_time(branch_switch_ratio(c), k.a)
     if cfg.format == "json":
         payload = {
             "a_tc": None if t_c is None else k.a * t_c,
@@ -455,17 +454,17 @@ def _verify_checks(cfg: RunConfig):
                              for _, k in kernels]))
 
     def kraus_vs_coefficients():
-        devs = []
-        for _ in range(1000):
-            c0, p = random_bell_coefficients(rng), rng.uniform(-1, 1)
-            rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
-            rho = apply_local_channel(rho, "B", LocalChannel("z", p))
-            via_kraus, residual = density_to_bell(rho)
-            direct = scale_coefficients(c0, correlation_multipliers("x", "z", p))
-            min_eig = float(np.min(bell_eigenvalues(direct)))
-            devs += [abs(u - v) for u, v in zip(via_kraus, direct)]
-            devs += [residual, -min_eig - 1e-12 if min_eig < -1e-12 else 0.0]
-        return float(np.max(devs))
+        # drawn case by case, state then p, as the later checks expect
+        cases = [(random_bell_coefficients(rng), rng.uniform(-1, 1)) for _ in range(1000)]
+        c0 = np.array([c for c, _ in cases])
+        p = np.array([p for _, p in cases])
+        rho = apply_local_channel(bell_to_density(c0), "A", "x", p)
+        via_kraus, residual = density_to_bell(apply_local_channel(rho, "B", "z", p))
+        direct = np.stack(correlation_multipliers("x", "z", p), -1) * c0
+        min_eig = np.min(bell_eigenvalues(direct), axis=1)
+        return float(np.max(np.concatenate([
+            np.abs(via_kraus - direct).ravel(), residual,
+            np.where(min_eig < -1e-12, -min_eig - 1e-12, 0.0)])))
 
     def bruteforce_vs_analytic():
         states = np.array([random_bell_coefficients(rng) for _ in range(500)])

@@ -1,10 +1,11 @@
 """Correlation measures for two-qubit states.
 
-Fast paths (mutual information, classical correlation, discord, closest
-classical state, relative-entropy discord) operate on Bell-diagonal
-coefficient triples. The measurement-based definitions (conditional entropy,
-brute-force classical correlation) take a full density matrix and serve as
-independent oracles for the closed forms.
+The closed forms (mutual information, classical correlation and discord, in
+correlation_ledger and discord) operate on Bell-diagonal coefficient
+triples. Two oracles check them by independent paths: the brute-force
+classical correlation minimizes the conditional entropy over measurements
+on a full density matrix (or a stack of them), and the relative-entropy
+discord finds the nearest of the three axis dephasings.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ class BruteForceClassical(NamedTuple):
 class RelativeEntropyDiscord(NamedTuple):
     value: float
     axis: str
-
-
-def dominant_axis(c) -> tuple[float, str]:
-    """Largest |c_alpha| with ties broken in axis order x, y, z."""
-    mags = np.abs(np.asarray(as_bell(c), dtype=float))
-    idx = int(np.argmax(mags))
-    return float(mags[idx]), AXES[idx]
 
 
 def binary_information(u):
@@ -191,23 +185,6 @@ def _blocked_entropies(rho_bd, rho_a, proj) -> np.ndarray:
         for i in range(0, len(proj), group)])
 
 
-def conditional_entropy(rho: np.ndarray, bloch: np.ndarray) -> float:
-    """sum_i p_i S(rho_A^(i)) after measuring B along the unit Bloch vector.
-
-    Outcomes with probability below 1e-12 contribute zero (continuity
-    convention).
-    """
-    rho = require_valid_state(rho)
-    n = np.asarray(bloch, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError("measurement basis must be a unit 3-vector")
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    rho_bd, rho_a = _search_operands(rho[None])
-    proj = _projectors(np.array([theta]), np.array([phi]))
-    return float(_conditional_entropies(rho_bd[0], rho_a[0], proj)[0])
-
-
 def classical_correlation_bruteforce(
     rho: np.ndarray,
     theta_steps: int = THETA_STEPS,
@@ -234,7 +211,7 @@ def classical_correlation_bruteforce(
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
-    stack = np.array([require_valid_state(state) for state in rho.reshape(-1, 4, 4)])
+    stack = require_valid_state(rho.reshape(-1, 4, 4))
     rho_bd, rho_a = _search_operands(stack)
     entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
 
@@ -294,13 +271,6 @@ def dephase(c, axis: str) -> BellCoefficients:
     if axis == "z":
         return BellCoefficients(0.0, 0.0, cz)
     raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-
-
-def closest_classical_state(c) -> BellCoefficients:
-    """Dephasing along the dominant axis minimizes the relative entropy."""
-    c = require_physical(c)
-    _, axis = dominant_axis(c)
-    return dephase(c, axis)
 
 
 def relative_entropy_discord(c) -> RelativeEntropyDiscord:

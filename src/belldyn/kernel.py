@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,7 @@ class KernelParams:
         if not 0 <= self.gamma < np.inf:
             raise ValueError(
                 f"kernel width gamma must be >= 0 and finite, got {self.gamma}")
-        # omega0_squared's two terms must be finite too: ((2a + gamma)/2) ** 2
+        # the discriminant's two terms must be finite too: ((2a + gamma)/2) ** 2
         # raises OverflowError past ~1.3e154, and 2aA = inf makes p(t) NaN
         half_damping = (2 * self.a + self.gamma) / 2
         if not half_damping * half_damping < np.inf:
@@ -64,18 +63,10 @@ class KernelParams:
                 f"got a = {self.a}, A = {self.A}")
 
 
-class DampingRegime(NamedTuple):
-    tag: str  # "oscillatory" | "critical" | "overdamped"
-    omega0_squared: float
-
-
-def omega0_squared(k: KernelParams) -> float:
-    """Discriminant 2aA - ((2a + gamma)/2)^2 of the damped-oscillator equation."""
-    return 2 * k.a * k.A - ((2 * k.a + k.gamma) / 2) ** 2
-
-
-def damping_regime(k: KernelParams) -> DampingRegime:
-    w2 = omega0_squared(k)
+def damping_regime(k: KernelParams) -> tuple[str, float]:
+    """(tag, omega0^2): "oscillatory", "critical" or "overdamped", and the
+    discriminant 2aA - ((2a + gamma)/2)^2 of the damped-oscillator equation."""
+    w2 = 2 * k.a * k.A - ((2 * k.a + k.gamma) / 2) ** 2
     band = REGIME_REL_TOL * k.a * k.a
     if w2 > band:
         tag = "oscillatory"
@@ -83,7 +74,7 @@ def damping_regime(k: KernelParams) -> DampingRegime:
         tag = "overdamped"
     else:
         tag = "critical"
-    return DampingRegime(tag, w2)
+    return tag, w2
 
 
 def decay_factor(k: KernelParams, t):
@@ -169,31 +160,18 @@ def decay_factor_ode(k: KernelParams, t_grid) -> np.ndarray:
     return out
 
 
-def decay_factor_convolution(
-    k: KernelParams,
-    t_grid,
-    kernel_values: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
+def decay_factor_convolution(k: KernelParams, t_grid) -> np.ndarray:
     """Direct discretization of the memory-integral form.
 
     Trapezoidal convolution with an implicit-trapezoid (predictor-corrector
     solved exactly, the update is linear in the new value) time step; second
     order accurate. Requires a uniform grid starting at 0 with step
-    h <= 0.005/a. `kernel_values` may tabulate an arbitrary kernel k(t) on
-    the grid (testing facility); default is the exponential kernel.
+    h <= 0.005/a.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     h = _check_grid(t_grid, CONVOLUTION_MAX_STEP, k.a)
-    if kernel_values is None:
-        kern = k.A * np.exp(-k.gamma * t_grid)
-    elif callable(kernel_values):
-        kern = np.asarray(kernel_values(t_grid), dtype=float)
-    else:
-        kern = np.asarray(kernel_values, dtype=float)
-        if kern.shape != t_grid.shape:
-            raise ValueError("tabulated kernel must match the time grid")
-    # integrand weight g(u) = k(u) exp(-2au)
-    g = kern * np.exp(-2 * k.a * t_grid)
+    # integrand weight g(u) = k(u) exp(-2au), k(u) = A exp(-gamma u)
+    g = k.A * np.exp(-k.gamma * t_grid) * np.exp(-2 * k.a * t_grid)
 
     n = t_grid.size
     p = np.empty(n)
@@ -224,7 +202,7 @@ def _oscillatory_scan(k: KernelParams, t_end: float):
     with RootNotFoundError.
     """
     b = (2 * k.a + k.gamma) / 2
-    w = np.sqrt(omega0_squared(k))
+    w = np.sqrt(damping_regime(k)[1])
     step = np.pi / (8 * w)
     n_scan = math.ceil((t_end + step) / step)
     phase = np.pi - np.arctan(w / b)

@@ -118,19 +118,27 @@ def _check_closed_form(k: KernelParams, ratio, t) -> None:
                             f"with closed form {float(closed[i])!r}")
 
 
+def branch_switch_ratio(c0) -> float | None:
+    """max(|cx|, |cz|) / |cy|: the |p| at which the dominant coefficient
+    switches branch, or None when no switch occurs (|cy| does not dominate
+    at t = 0)."""
+    cx, cy, cz = c0
+    ratio_num = max(abs(cx), abs(cz))
+    if ratio_num < 1e-15 or abs(cy) <= ratio_num:
+        return None
+    return ratio_num / abs(cy)
+
+
 def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float | None:
     """First time where the dominant-coefficient branch switches.
 
-    Solves |p(t)| = max(|cx|, |cz|) / |cy|. Returns None when no switch can
-    occur (|cy| does not dominate at t=0). For the A = a = gamma kernel a*t
-    is cross-checked against the closed form to 1e-8.
+    Solves |p(t)| = branch_switch_ratio(c0); None when that is None. For
+    the A = a = gamma kernel a*t is cross-checked against the closed form
+    to 1e-8.
     """
-    cx, _, cz = c0 = require_physical(c0)
-    ratio_num = max(abs(cx), abs(cz))
-    cy_mag = abs(c0.cy)
-    if ratio_num < 1e-15 or cy_mag <= ratio_num:
+    ratio = branch_switch_ratio(require_physical(c0))
+    if ratio is None:
         return None
-    ratio = ratio_num / cy_mag
     t = solve_decay_time(k, ratio, markovian=markovian)
     if not markovian:
         _check_closed_form(k, ratio, t)
@@ -237,6 +245,8 @@ def figure_data(figure: int, panel: str, a: float = 1.0) -> FigureTable:
     c0 = make_family_state(family)
     k = _PANEL_KERNELS[panel](a)
     span = _PANEL_SPANS[panel]
+    if not span / a < np.inf:
+        raise ValueError(f"grid end {span:g}/a overflows: a = {a} too small")
     t_grid = np.linspace(0.0, span / a, GRID_POINTS)
     run = evolve(c0, k, t_grid)
     twin = evolve(c0, k, t_grid, markovian=True)

@@ -10,7 +10,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -87,60 +86,57 @@ def require_physical(c) -> BellCoefficients:
 
 
 def bell_to_density(c) -> np.ndarray:
-    """(I@I + cx X@X + cy Y@Y + cz Z@Z) / 4 in the product basis."""
-    cx, cy, cz = as_bell(c)
-    rho = np.eye(4, dtype=complex)
-    rho += cx * PAULI_PAIRS["x"]
+    """(I@I + cx X@X + cy Y@Y + cz Z@Z) / 4 in the product basis.
+
+    An (N, 3) array of triples gives the (N, 4, 4) stack of their states.
+    """
+    cx, cy, cz = np.asarray(c, dtype=float).T[..., None, None]
+    rho = np.eye(4, dtype=complex) + cx * PAULI_PAIRS["x"]
     rho += cy * PAULI_PAIRS["y"]
     rho += cz * PAULI_PAIRS["z"]
     return rho / 4.0
 
 
-def density_to_bell(rho: np.ndarray) -> tuple[BellCoefficients, float]:
+def density_to_bell(rho: np.ndarray) -> tuple:
     """Project onto the Bell-diagonal family.
 
     Returns the coefficient triple c_alpha = Tr(rho sigma_alpha@sigma_alpha)
     together with the residual: the largest-modulus entry of rho outside the
-    family, so callers can reject states that are not Bell-diagonal.
+    family, so callers can reject states that are not Bell-diagonal. One
+    (4, 4) state gives (BellCoefficients, float); an (N, 4, 4) stack gives
+    (N, 3) triples and (N,) residuals, each row as the one-state call.
     """
     rho = np.asarray(rho, dtype=complex)
-    c = BellCoefficients(
-        *(float(np.real(np.trace(rho @ PAULI_PAIRS[ax]))) for ax in "xyz")
-    )
-    residual = float(np.max(np.abs(rho - bell_to_density(c))))
+    c = np.stack([np.real(np.trace(rho @ PAULI_PAIRS[ax], axis1=-2, axis2=-1))
+                  for ax in "xyz"], axis=-1)
+    residual = np.max(np.abs(rho - bell_to_density(c)), axis=(-2, -1))
+    if rho.ndim == 2:
+        return BellCoefficients(*c.tolist()), float(residual)
     return c, residual
 
 
-@dataclass(frozen=True)
-class StateDiagnostics:
-    """Physicality report for a density matrix (diagnostics, not exceptions)."""
-
-    hermiticity_error: float
-    trace_error: float
-    min_eigenvalue: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.hermiticity_error <= HERMITICITY_TOL
-            and self.trace_error <= TRACE_TOL
-            and self.min_eigenvalue >= EIGENVALUE_FLOOR
-        )
-
-
-def validate_state(rho: np.ndarray) -> StateDiagnostics:
-    rho = np.asarray(rho, dtype=complex)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(np.trace(rho) - 1.0))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    return StateDiagnostics(herm, trace, min_eig)
-
-
 def require_valid_state(rho: np.ndarray) -> np.ndarray:
+    """rho as a complex array, once it is a density matrix.
+
+    Takes one (4, 4) state or an (N, 4, 4) stack. Raises InvalidStateError
+    naming the failing quantity (Hermiticity, trace or minimum eigenvalue)
+    and, for a stack, the index of the first failing state.
+    """
     rho = np.asarray(rho, dtype=complex)
-    diag = validate_state(rho)
-    if not diag.ok:
-        raise InvalidStateError(f"invalid density matrix: {diag}")
+    adjoint = np.swapaxes(rho.conj(), -2, -1)
+    herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    min_eig = np.min(np.linalg.eigvalsh(0.5 * (rho + adjoint)), axis=-1)
+    values = np.stack([herm, trace, min_eig], axis=-1).reshape(-1, 3)
+    # written so that a NaN fails each check
+    ok = np.stack([herm <= HERMITICITY_TOL, trace <= TRACE_TOL,
+                   min_eig >= EIGENVALUE_FLOOR], axis=-1).reshape(-1, 3)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]  # the first failing state, its first check
+        name = ("Hermiticity error", "trace error", "minimum eigenvalue")[j]
+        where = f" at index {i}" if rho.ndim == 3 else ""
+        raise InvalidStateError(
+            f"invalid density matrix{where}: {name} {values[i, j]:.3e}")
     return rho
 
 
@@ -159,14 +155,6 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
     for j in range(1, terms.shape[-1]):
         total = total + terms[..., j]
     return -total
-
-
-def von_neumann_entropy(state) -> float:
-    """Entropy in bits of a density matrix or a probability vector."""
-    arr = np.asarray(state)
-    if arr.ndim == 1:
-        return float(shannon_entropy(arr.astype(float)))
-    return float(shannon_entropy(np.linalg.eigvalsh(arr.astype(complex))))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -192,16 +180,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return max(t1 - t2, 0.0)
 
 
-def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace out the named qubit ("A" or "B"), returning the 2x2 reduction."""
-    r4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if subsystem == "A":
-        return np.einsum("abad->bd", r4)
-    if subsystem == "B":
-        return np.einsum("abcb->ac", r4)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-
-
 def random_bell_coefficients(rng: np.random.Generator) -> BellCoefficients:
     """Uniform sample over the physical Bell-diagonal tetrahedron."""
     lam = rng.dirichlet(np.ones(4))
@@ -210,11 +188,6 @@ def random_bell_coefficients(rng: np.random.Generator) -> BellCoefficients:
         2 * (lam[0] + lam[2]) - 1,
         2 * (lam[1] + lam[2]) - 1,
     )
-
-
-def density_to_json(rho: np.ndarray) -> dict:
-    rho = np.asarray(rho, dtype=complex)
-    return {"re": np.real(rho).tolist(), "im": np.imag(rho).tolist()}
 
 
 def density_from_json(obj: dict) -> np.ndarray:

@@ -11,18 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from belldyn.channels import (
-    LocalChannel,
-    apply_local_channel,
-    correlation_multipliers,
-    scale_coefficients,
-)
+from belldyn.channels import apply_local_channel, correlation_multipliers
 from belldyn.correlations import (
     classical_correlation_bruteforce,
     discord,
-    dominant_axis,
     relative_entropy_discord,
 )
+from belldyn.errors import InvalidStateError
 from belldyn.kernel import (
     KernelParams,
     decay_factor,
@@ -42,7 +37,7 @@ from belldyn.states import (
     bell_to_density,
     density_to_bell,
     random_bell_coefficients,
-    validate_state,
+    require_valid_state,
 )
 
 A = 1.0
@@ -54,7 +49,7 @@ GRID = np.linspace(0.0, 10.0, 4001)  # h = 0.0025 <= both oracle preconditions
 
 def bitflip_phaseflip(c0, p):
     """The paper's channel: bit flip on A, phase flip on B, one shared p."""
-    return scale_coefficients(c0, correlation_multipliers("x", "z", p))
+    return np.stack(correlation_multipliers("x", "z", p), -1) * c0
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -97,13 +92,16 @@ def test_criterion_3_channel_path_equivalence():
     for _ in range(1000):
         c0 = random_bell_coefficients(rng)
         p = rng.uniform(-1, 1)
-        rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
-        rho = apply_local_channel(rho, "B", LocalChannel("z", p))
+        rho = apply_local_channel(bell_to_density(c0), "A", "x", p)
+        rho = apply_local_channel(rho, "B", "z", p)
         via_kraus, residual = density_to_bell(rho)
         direct = bitflip_phaseflip(c0, p)
         worst = max(worst, max(abs(u - v) for u, v in zip(via_kraus, direct)), residual)
         min_eig = min(min_eig, float(np.min(bell_eigenvalues(direct))))
-        all_valid = all_valid and validate_state(bell_to_density(direct)).ok
+        try:
+            require_valid_state(bell_to_density(direct))
+        except InvalidStateError:
+            all_valid = False
     passed = worst <= 1e-12 and min_eig >= -1e-12 and all_valid
     report(3, "channel-path-equivalence", passed,
            f"max dev {worst:.2e} <= 1e-12, min eigenvalue {min_eig:.2e} >= -1e-12")
@@ -204,7 +202,7 @@ def test_criterion_7_relative_entropy_identity():
         worst = max(worst, abs(red.value - rep.D))
         mags = sorted(abs(v) for v in c0)
         if mags[2] - mags[1] >= 1e-3:
-            axis_ok = axis_ok and red.axis == dominant_axis(c0)[1]
+            axis_ok = axis_ok and red.axis == rep.axis
     passed = worst <= 1e-8 and axis_ok
     report(7, "relative-entropy-identity", passed,
            f"max |RE - (I-C)| {worst:.2e} <= 1e-8, dominant-axis match {axis_ok}")

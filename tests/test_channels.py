@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from belldyn.channels import (
-    LocalChannel,
-    apply_local_channel,
-    correlation_multipliers,
-    scale_coefficients,
-)
+from belldyn.channels import apply_local_channel, correlation_multipliers
 from belldyn.errors import InvalidStateError, NonCPTPError
 from belldyn.states import (
     ID2,
@@ -16,7 +11,6 @@ from belldyn.states import (
     bell_eigenvalues,
     bell_to_density,
     density_to_bell,
-    partial_trace,
     random_bell_coefficients,
 )
 
@@ -25,10 +19,10 @@ P = 0.37
 
 def bitflip_phaseflip(c0, p):
     """The paper's channel: bit flip on A, phase flip on B, one shared p."""
-    return scale_coefficients(c0, correlation_multipliers("x", "z", p))
+    return np.stack(correlation_multipliers("x", "z", p), -1) * c0
 
 
-def single_qubit_image(channel: LocalChannel, op: np.ndarray) -> np.ndarray:
+def single_qubit_image(axis: str, op: np.ndarray) -> np.ndarray:
     """Image of a 2x2 basis operator under the channel acting on qubit A.
 
     apply_local_channel only accepts valid states, so non-Hermitian basis
@@ -36,9 +30,8 @@ def single_qubit_image(channel: LocalChannel, op: np.ndarray) -> np.ndarray:
     X (x) I/2, using Tr_B to drop the spectator qubit.
     """
     def lift(single):
-        return partial_trace(
-            apply_local_channel(np.kron(single, ID2 / 2), "A", channel), "B"
-        )
+        out = apply_local_channel(np.kron(single, ID2 / 2), "A", axis, P)
+        return np.einsum("abcb->ac", out.reshape(2, 2, 2, 2))  # Tr_B
 
     e_e = lift(np.diag([1.0, 0.0]).astype(complex))
     g_g = lift(np.diag([0.0, 1.0]).astype(complex))
@@ -63,41 +56,41 @@ class TestBasisImages:
     """The eight single-qubit operator images of the two channels."""
 
     def test_bit_flip(self):
-        ch = LocalChannel("x", P)
+        axis = "x"
         ee = np.array([[1, 0], [0, 0]], dtype=complex)
         eg = np.array([[0, 1], [0, 0]], dtype=complex)
         ge = eg.T.copy()
         gg = np.array([[0, 0], [0, 1]], dtype=complex)
         np.testing.assert_allclose(
-            single_qubit_image(ch, ee), (ID2 + P * SIGMA_Z) / 2, atol=1e-14
+            single_qubit_image(axis, ee), (ID2 + P * SIGMA_Z) / 2, atol=1e-14
         )
         np.testing.assert_allclose(
-            single_qubit_image(ch, gg), (ID2 - P * SIGMA_Z) / 2, atol=1e-14
+            single_qubit_image(axis, gg), (ID2 - P * SIGMA_Z) / 2, atol=1e-14
         )
         np.testing.assert_allclose(
-            single_qubit_image(ch, eg), (SIGMA_X + 1j * P * SIGMA_Y) / 2, atol=1e-14
+            single_qubit_image(axis, eg), (SIGMA_X + 1j * P * SIGMA_Y) / 2, atol=1e-14
         )
         np.testing.assert_allclose(
-            single_qubit_image(ch, ge), (SIGMA_X - 1j * P * SIGMA_Y) / 2, atol=1e-14
+            single_qubit_image(axis, ge), (SIGMA_X - 1j * P * SIGMA_Y) / 2, atol=1e-14
         )
 
     def test_phase_flip(self):
-        ch = LocalChannel("z", P)
+        axis = "z"
         ee = np.array([[1, 0], [0, 0]], dtype=complex)
         eg = np.array([[0, 1], [0, 0]], dtype=complex)
         ge = eg.T.copy()
         gg = np.array([[0, 0], [0, 1]], dtype=complex)
         np.testing.assert_allclose(
-            single_qubit_image(ch, ee), (ID2 + SIGMA_Z) / 2, atol=1e-14
+            single_qubit_image(axis, ee), (ID2 + SIGMA_Z) / 2, atol=1e-14
         )
         np.testing.assert_allclose(
-            single_qubit_image(ch, gg), (ID2 - SIGMA_Z) / 2, atol=1e-14
+            single_qubit_image(axis, gg), (ID2 - SIGMA_Z) / 2, atol=1e-14
         )
         np.testing.assert_allclose(
-            single_qubit_image(ch, eg), P / 2 * (SIGMA_X + 1j * SIGMA_Y), atol=1e-14
+            single_qubit_image(axis, eg), P / 2 * (SIGMA_X + 1j * SIGMA_Y), atol=1e-14
         )
         np.testing.assert_allclose(
-            single_qubit_image(ch, ge), P / 2 * (SIGMA_X - 1j * SIGMA_Y), atol=1e-14
+            single_qubit_image(axis, ge), P / 2 * (SIGMA_X - 1j * SIGMA_Y), atol=1e-14
         )
 
 
@@ -105,19 +98,19 @@ class TestApplyLocalChannel:
     def test_full_retention_is_identity(self):
         rho = bell_to_density((0.3, -0.1, 0.2))
         for axis in "xyz":
-            out = apply_local_channel(rho, "A", LocalChannel(axis, 1.0))
+            out = apply_local_channel(rho, "A", axis, 1.0)
             np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_bit_flip_at_zero_depolarizes_z(self):
         rho_b = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
         rho = np.kron(np.diag([1.0, 0.0]).astype(complex), rho_b)
-        out = apply_local_channel(rho, "A", LocalChannel("x", 0.0))
+        out = apply_local_channel(rho, "A", "x", 0.0)
         np.testing.assert_allclose(out, np.kron(ID2 / 2, rho_b), atol=1e-14)
 
     def test_phase_flip_keeps_computational_diagonals(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         for p in (-0.8, 0.0, 0.5):
-            out = apply_local_channel(rho, "B", LocalChannel("z", p))
+            out = apply_local_channel(rho, "B", "z", p)
             np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_trace_and_hermiticity_preserved(self):
@@ -127,21 +120,39 @@ class TestApplyLocalChannel:
             p = rng.uniform(-1, 1)
             axis = "xyz"[rng.integers(3)]
             qubit = "AB"[rng.integers(2)]
-            out = apply_local_channel(rho, qubit, LocalChannel(axis, p))
+            out = apply_local_channel(rho, qubit, axis, p)
             assert abs(np.trace(out) - 1.0) <= 1e-14
             assert np.max(np.abs(out - out.conj().T)) <= 1e-14
 
     def test_rejects_noncptp(self):
         with pytest.raises(NonCPTPError):
-            apply_local_channel(np.eye(4) / 4, "A", LocalChannel("x", 1.5))
+            apply_local_channel(np.eye(4) / 4, "A", "x", 1.5)
 
     def test_rejects_invalid_state(self):
         with pytest.raises(InvalidStateError):
-            apply_local_channel(np.eye(4), "A", LocalChannel("x", 0.5))
+            apply_local_channel(np.eye(4), "A", "x", 0.5)
 
     def test_rejects_unknown_qubit(self):
         with pytest.raises(ValueError):
-            apply_local_channel(np.eye(4) / 4, "Q", LocalChannel("x", 0.5))
+            apply_local_channel(np.eye(4) / 4, "Q", "x", 0.5)
+
+    def test_stack_equals_per_state_calls(self):
+        rng = np.random.default_rng(47)
+        v = rng.standard_normal((12, 4, 4)) + 1j * rng.standard_normal((12, 4, 4))
+        stack = v @ v.conj().transpose(0, 2, 1)
+        stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+        p = rng.uniform(-1, 1, size=12)
+        for qubit in "AB":
+            for axis in "xyz":
+                out = apply_local_channel(stack, qubit, axis, p)
+                one = [apply_local_channel(rho, qubit, axis, float(q))
+                       for rho, q in zip(stack, p)]
+                assert np.array_equal(out, np.stack(one))
+
+    def test_stack_rejects_one_noncptp_parameter(self):
+        stack = np.stack([np.eye(4) / 4] * 3)
+        with pytest.raises(NonCPTPError, match="1.5"):
+            apply_local_channel(stack, "A", "x", np.array([0.5, 1.5, -0.2]))
 
 
 class TestEvolve:
@@ -164,8 +175,8 @@ class TestEvolve:
         for _ in range(300):
             c0 = random_bell_coefficients(rng)
             p = rng.uniform(-1, 1)
-            rho = apply_local_channel(bell_to_density(c0), "A", LocalChannel("x", p))
-            rho = apply_local_channel(rho, "B", LocalChannel("z", p))
+            rho = apply_local_channel(bell_to_density(c0), "A", "x", p)
+            rho = apply_local_channel(rho, "B", "z", p)
             via_kraus, residual = density_to_bell(rho)
             direct = bitflip_phaseflip(c0, p)
             worst = max(worst, max(abs(u - v) for u, v in zip(via_kraus, direct)))
@@ -209,14 +220,10 @@ class TestCorrelationMultipliers:
             for axis_b in "xyz":
                 c0 = random_bell_coefficients(rng)
                 p = rng.uniform(-1, 1)
-                rho = apply_local_channel(
-                    bell_to_density(c0), "A", LocalChannel(axis_a, p)
-                )
-                rho = apply_local_channel(rho, "B", LocalChannel(axis_b, p))
+                rho = apply_local_channel(bell_to_density(c0), "A", axis_a, p)
+                rho = apply_local_channel(rho, "B", axis_b, p)
                 via_kraus, _ = density_to_bell(rho)
-                direct = scale_coefficients(
-                    c0, correlation_multipliers(axis_a, axis_b, p)
-                )
+                direct = np.stack(correlation_multipliers(axis_a, axis_b, p), -1) * c0
                 assert via_kraus == pytest.approx(tuple(direct), abs=1e-12)
 
     def test_rejects_bad_axis(self):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -106,10 +107,11 @@ class TestCorrelationsCommand:
         assert captured.out == ""
 
     def test_state_file_input(self, tmp_path):
-        from belldyn.states import bell_to_density, density_to_json
+        from belldyn.states import bell_to_density
 
+        rho = bell_to_density((-1, -1, -1))
         path = tmp_path / "singlet.json"
-        path.write_text(json.dumps(density_to_json(bell_to_density((-1, -1, -1)))))
+        path.write_text(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
         out = run_cli("correlations", "--state-file", str(path), "--format", "json")
         assert json.loads(out.stdout)["I"] == 2.0
 
@@ -285,12 +287,37 @@ class TestTcCommand:
         assert payload["closed_form"] == pytest.approx(payload["a_tc"], abs=1e-8)
 
 
+# SHA-256 of the default verify stdout, pinned before the Kraus check became
+# one stacked pass
+VERIFY_STDOUT = "24a5df634ee01e5a591984e1e83ab222d6a0eebe4904067a4c409cd1e0ce9640"
+
+
 class TestVerifyCommand:
     def test_default_settings_pass(self):
         out = run_cli("verify")
         assert out.returncode == 0, out.stdout + out.stderr
         assert out.stdout.count("PASS") == 7  # six checks plus the summary
         assert "FAIL" not in out.stdout
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == VERIFY_STDOUT
+
+    def test_kraus_check_equals_the_one_state_loop(self):
+        from belldyn.channels import apply_local_channel, correlation_multipliers
+        from belldyn.states import (bell_eigenvalues, bell_to_density,
+                                    random_bell_coefficients)
+
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["verify"]))
+        run = {name: run for name, _, run in cli._verify_checks(cfg)}
+        # no check before this one draws from the shared generator
+        rng, devs = np.random.default_rng(cli.VERIFY_SEED), []
+        for _ in range(1000):
+            c0, p = random_bell_coefficients(rng), rng.uniform(-1, 1)
+            rho = apply_local_channel(bell_to_density(c0), "A", "x", p)
+            via_kraus, residual = density_to_bell(apply_local_channel(rho, "B", "z", p))
+            direct = np.multiply(correlation_multipliers("x", "z", p), c0)
+            min_eig = float(np.min(bell_eigenvalues(direct)))
+            devs += [*np.abs(np.subtract(via_kraus, direct)), residual,
+                     max(-min_eig - 1e-12, 0.0)]
+        assert run["kraus-vs-coefficients"]() == max(devs)
 
     def test_oversized_step_fails(self):
         out = run_cli("verify", "--t-steps", "500")
@@ -299,12 +326,10 @@ class TestVerifyCommand:
         assert "FAIL" in out.stdout
 
     def test_nan_deviation_fails(self, tmp_path, monkeypatch):
-        calls = []
-
         def nan_on_fifth_case(rho):
-            calls.append(None)
             c, residual = density_to_bell(rho)
-            return c, float("nan") if len(calls) == 5 else residual
+            residual[4] = np.nan
+            return c, residual
 
         monkeypatch.setattr(cli, "density_to_bell", nan_on_fifth_case)
         path = tmp_path / "verify.txt"
@@ -425,6 +450,20 @@ class TestConfigHandling:
         assert "unknown config" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_values_with_percent_signs_round_trip(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        first, second = tmp_path / "a%b.csv", tmp_path / "%(x)s.csv"
+        argv = ["evolve", "--t-steps", "20"]
+        assert main([*argv, "--out", str(first), "--dump-config", str(cfg)]) == 0
+        assert main(["evolve", "--config", str(cfg), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        # the dump holds the path as given, and a % in a file is read as is
+        body = cfg.read_text()
+        assert f"out = {first}\n" in body
+        cfg.write_text(body.replace(str(first), str(second)))
+        assert cli.load_config_file(str(cfg))["out"] == (
+            str(second), "config key 'out' in [output]")
+
 
 STATE = ("--c", "0.1,0.16,0.1")
 # each command with every common flag it does not read
@@ -477,6 +516,21 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, command, flag, value):
     assert main([*command, flag, value, "--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert f" {flag[2:]} must be" in err and "finite" in err
+    assert not path.exists()
+
+
+# commands whose time grid ends at t-max/a, or a panel's span/a
+GRID_END = [("evolve",), ("trajectory",), ("figure", "1", "a"), ("verify",)]
+
+
+@pytest.mark.parametrize("command", GRID_END, ids=[" ".join(c) for c in GRID_END])
+def test_overflowing_grid_end_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning
+        assert main([*command, "--a", "1e-310", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "grid end" in err and "a = 1e-310" in err
     assert not path.exists()
 
 

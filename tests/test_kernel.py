@@ -12,7 +12,6 @@ from belldyn.kernel import (
     decay_factor_convolution,
     decay_factor_ode,
     markovian_decay_factor,
-    omega0_squared,
     solve_decay_time,
 )
 
@@ -29,17 +28,18 @@ T_CROSS_0625_WIDE = 0.21563509959783556
 
 class TestRegimes:
     def test_equal_kernel_is_overdamped(self):
-        assert omega0_squared(EQUAL) == pytest.approx(-0.25, abs=1e-15)
-        assert damping_regime(EQUAL).tag == "overdamped"
+        tag, w2 = damping_regime(EQUAL)
+        assert w2 == pytest.approx(-0.25, abs=1e-15)
+        assert tag == "overdamped"
 
     def test_wide_kernel_is_oscillatory(self):
         k = KernelParams(1.0, 10.0, 0.0)
-        assert omega0_squared(k) == pytest.approx(19.0, abs=1e-15)
-        assert damping_regime(k).tag == "oscillatory"
+        tag, w2 = damping_regime(k)
+        assert w2 == pytest.approx(19.0, abs=1e-15)
+        assert tag == "oscillatory"
 
     def test_critical_boundary(self):
-        assert omega0_squared(CRITICAL) == 0.0
-        assert damping_regime(CRITICAL).tag == "critical"
+        assert damping_regime(CRITICAL) == ("critical", 0.0)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestDecayFactor:
         assert scalar == 0.0
         assert np.all(np.isfinite(p)) and np.all(p[-3:] == 0.0)
         # every value the uncapped hyperbolic form gets finite is unchanged
-        b, w = 1.0, np.sqrt(-omega0_squared(k))
+        b, w = 1.0, np.sqrt(-damping_regime(k)[1])
         with np.errstate(over="ignore", invalid="ignore"):
             uncapped = np.exp(-b * t) * (np.cosh(w * t) + (b / w) * np.sinh(w * t))
         finite = np.isfinite(uncapped)
@@ -176,18 +176,9 @@ class TestConvolutionOracle:
         baseline = markovian_decay_factor(1.0, grid)
         devs = []
         for gamma in (20.0, 50.0):
-            kern = gamma * np.exp(-gamma * grid)
-            p = decay_factor_convolution(
-                KernelParams(1.0, gamma, gamma), grid, kernel_values=kern
-            )
+            p = decay_factor_convolution(KernelParams(1.0, gamma, gamma), grid)
             devs.append(np.max(np.abs(p - baseline)))
         assert devs[1] < devs[0] < 0.2
-
-    def test_tabulated_kernel_shape_checked(self):
-        with pytest.raises(ValueError):
-            decay_factor_convolution(
-                EQUAL, np.linspace(0, 1, 401), kernel_values=np.ones(3)
-            )
 
 
 class TestSolveDecayTime:
@@ -239,7 +230,7 @@ def _branch_kernel(rng, branch):
         A, gamma = a / 2 * (1 - float(10 ** rng.uniform(-9, -7))), 0.0
     k = KernelParams(a, A, gamma)
     expected = "overdamped" if branch == "near_critical" else branch
-    assert damping_regime(k).tag == expected
+    assert damping_regime(k)[0] == expected
     return k
 
 
@@ -251,7 +242,7 @@ def _one_shot_scan(k, t_end):
     """The oscillatory scan as one array: multiples of pi/(8 omega0) and the
     zeros of p, merged, without t = 0."""
     b = (2 * k.a + k.gamma) / 2
-    w = np.sqrt(omega0_squared(k))
+    w = np.sqrt(damping_regime(k)[1])
     step = np.pi / (8 * w)
     scan = np.arange(0.0, t_end + step, step)
     first = (np.pi - np.arctan(w / b)) / w

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from belldyn import kernel, scenarios
-from belldyn.channels import correlation_multipliers, scale_coefficients
+from belldyn.channels import correlation_multipliers
 from belldyn.correlations import AXES, binary_information, discord
 from belldyn.errors import AccuracyError, InvalidStateError
 from belldyn.kernel import (
@@ -15,6 +15,7 @@ from belldyn.kernel import (
 )
 from belldyn.scenarios import (
     InitialFamily,
+    branch_switch_ratio,
     characteristic_time,
     closed_form_characteristic_time,
     detect_kink,
@@ -170,7 +171,8 @@ class TestEvolve:
                     p = markovian_decay_factor(k.a, float(t))
                 else:
                     p = decay_factor(k, float(t))
-                c = scale_coefficients(c0, correlation_multipliers(axis_a, axis_b, p))
+                c = tuple(np.stack(correlation_multipliers(axis_a, axis_b, p), -1)
+                          * c0)
                 report = discord(c)
                 assert run.t[i] == t and run.p[i] == p
                 assert tuple(run.c[i]) == c
@@ -202,6 +204,11 @@ class TestCharacteristicTime:
     def test_no_switch_when_cy_does_not_dominate(self):
         assert characteristic_time((0.2, 0.1, -0.2), EQUAL) is None
         assert characteristic_time((0.0, 0.5, 0.0), EQUAL) is None
+
+    def test_branch_switch_ratio(self):
+        assert branch_switch_ratio((0.1, 0.16, -0.12)) == 0.12 / 0.16
+        assert branch_switch_ratio((0.2, 0.1, -0.2)) is None
+        assert branch_switch_ratio((0.0, -0.5, 0.0)) is None
 
     def test_markovian_mode(self):
         t_c = characteristic_time((0.1, 0.16, 0.1), EQUAL, markovian=True)

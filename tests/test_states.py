@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from belldyn.channels import correlation_multipliers
+from belldyn.correlations import _search_operands
 from belldyn.errors import InvalidStateError, NonCPTPError, SupportViolationError
 from belldyn.states import (
     BELL_KETS,
@@ -10,14 +11,11 @@ from belldyn.states import (
     bell_to_density,
     density_from_json,
     density_to_bell,
-    density_to_json,
-    partial_trace,
     random_bell_coefficients,
     relative_entropy,
     require_physical,
+    require_valid_state,
     shannon_entropy,
-    validate_state,
-    von_neumann_entropy,
 )
 
 # frozen with an independent high-precision evaluation
@@ -25,6 +23,19 @@ ENTROPY_08_02 = 0.7219280948873623
 
 SINGLET = np.outer(BELL_KETS["psi_minus"], BELL_KETS["psi_minus"].conj())
 MIXED = np.eye(4) / 4
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def entropy(state):
+    return shannon_entropy(np.linalg.eigvalsh(state))
+
+
+def partial_trace(rho, subsystem):
+    """Tr_B rho as the brute-force search forms it; Tr_A through a qubit swap."""
+    rho = np.asarray(rho, dtype=complex)
+    if subsystem == "A":
+        rho = SWAP @ rho @ SWAP
+    return _search_operands(rho[None])[1].reshape(2, 2)
 
 
 def random_qubit_state(rng):
@@ -114,6 +125,18 @@ class TestBellDensity:
         _, residual = density_to_bell(ee)
         assert residual > 0.1
 
+    def test_stack_equals_per_state_calls(self):
+        rng = np.random.default_rng(17)
+        product = np.kron(random_qubit_state(rng), random_qubit_state(rng))
+        stack = np.stack([bell_to_density(random_bell_coefficients(rng))
+                          for _ in range(20)] + [product, SINGLET])
+        c, residual = density_to_bell(stack)
+        assert c.shape == (22, 3) and residual.shape == (22,)
+        for rho, row, res in zip(stack, c, residual):
+            one = density_to_bell(rho)
+            assert type(one[0]) is BellCoefficients and type(one[1]) is float
+            assert tuple(row) == one[0] and res == one[1]
+
 
 class TestPhysicality:
     def test_accepts_valid(self):
@@ -154,27 +177,27 @@ def test_non_finite_input_is_rejected(case):
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(SINGLET) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(SINGLET) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_two(self):
-        assert von_neumann_entropy(MIXED) == pytest.approx(2.0, abs=1e-12)
+        assert entropy(MIXED) == pytest.approx(2.0, abs=1e-12)
 
     def test_known_spectrum(self):
-        assert von_neumann_entropy([0.8, 0.0, 0.0, 0.2]) == pytest.approx(
+        assert shannon_entropy(np.array([0.8, 0.0, 0.0, 0.2])) == pytest.approx(
             ENTROPY_08_02, abs=1e-12
         )
 
     def test_rejects_negative_spectrum(self):
         with pytest.raises(InvalidStateError):
-            von_neumann_entropy([1.1, -0.1, 0.0, 0.0])
+            shannon_entropy(np.array([1.1, -0.1, 0.0, 0.0]))
 
     def test_additivity_on_products(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             rho_a = random_qubit_state(rng)
             rho_b = random_qubit_state(rng)
-            total = von_neumann_entropy(np.kron(rho_a, rho_b))
-            parts = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
+            total = entropy(np.kron(rho_a, rho_b))
+            parts = entropy(rho_a) + entropy(rho_b)
             assert total == pytest.approx(parts, abs=1e-10)
 
 
@@ -227,35 +250,60 @@ class TestPartialTrace:
             partial_trace(np.kron(rho_a, rho_b), "B"), rho_a, atol=1e-13
         )
 
-    def test_unknown_subsystem(self):
-        with pytest.raises(ValueError):
-            partial_trace(MIXED, "C")
+
+
+def reported(rho) -> tuple:
+    """(message, value) of require_valid_state's error; the value ends it."""
+    with pytest.raises(InvalidStateError) as info:
+        require_valid_state(rho)
+    message = str(info.value)
+    return message, float(message.split()[-1])
 
 
 class TestValidateState:
     def test_maximally_mixed_passes(self):
-        assert validate_state(MIXED).ok
+        assert np.array_equal(require_valid_state(MIXED), MIXED)
 
     def test_negative_eigenvalue_fails(self):
         diag = np.diag([0.7, 0.7, -0.2, -0.2]).astype(complex)
-        report = validate_state(diag)
-        assert not report.ok
-        assert report.min_eigenvalue < -1e-10
+        message, value = reported(diag)
+        assert "minimum eigenvalue" in message
+        assert value < -1e-10
 
     def test_unphysical_coefficients_fail(self):
-        report = validate_state(bell_to_density((1, 1, 1)))
-        assert not report.ok
-        assert report.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+        message, value = reported(bell_to_density((1, 1, 1)))
+        assert "minimum eigenvalue" in message
+        assert value == pytest.approx(-0.5, abs=1e-12)
 
     def test_non_hermitian_fails(self):
         rho = MIXED.astype(complex).copy()
         rho[0, 1] = 0.1
-        assert not validate_state(rho).ok
+        message, _ = reported(rho)
+        assert "Hermiticity" in message
+
+    def test_stack_equals_per_state_calls(self):
+        rng = np.random.default_rng(19)
+        stack = np.stack([bell_to_density(random_bell_coefficients(rng))
+                          for _ in range(10)] + [SINGLET, MIXED])
+        checked = require_valid_state(stack)
+        assert checked.dtype == complex
+        assert np.array_equal(checked, [require_valid_state(rho) for rho in stack])
+
+    @pytest.mark.parametrize("bad, quantity", [
+        (np.diag([0.7, 0.7, -0.2, -0.2]), "minimum eigenvalue"),
+        (2 * MIXED, "trace error"),
+        (MIXED + np.triu(np.full((4, 4), 0.05), 1), "Hermiticity error"),
+    ], ids=["eigenvalue", "trace", "hermiticity"])
+    def test_stack_names_the_first_bad_state(self, bad, quantity):
+        stack = np.stack([MIXED, SINGLET, bad, SINGLET, bad])
+        message, _ = reported(stack)
+        assert f"at index 2: {quantity}" in message
+        assert reported(bad)[0] == message.replace(" at index 2", "")
 
 
 def test_density_json_round_trip():
     rho = bell_to_density((0.2, -0.5, 0.3))
-    again = density_from_json(density_to_json(rho))
+    again = density_from_json({"re": rho.real.tolist(), "im": rho.imag.tolist()})
     np.testing.assert_allclose(again, rho, atol=0)
 
 
