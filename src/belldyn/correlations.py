@@ -2,10 +2,10 @@
 
 The closed forms (mutual information, classical correlation and discord, in
 correlation_ledger and discord) operate on Bell-diagonal coefficient
-triples. Two oracles check them by independent paths: the brute-force
-classical correlation minimizes the conditional entropy over measurements
-on a full density matrix (or a stack of them), and the relative-entropy
-discord finds the nearest of the three axis dephasings.
+triples. Two oracles check them by independent paths through density
+matrices: the brute-force classical correlation minimizes the conditional
+entropy over a hemisphere grid of Bloch vectors measured on B, then refines;
+the relative-entropy discord finds the nearest of the three axis dephasings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AccuracyError
 from .states import (
-    BellCoefficients,
+    PAULI,
     as_bell,
     bell_eigenvalues,
     bell_to_density,
@@ -39,10 +39,10 @@ REFINE_ANGLE_TOL = 1e-8
 # halvings. A state then takes ~6.6 iterations, against ~9.6 at depth 4 and
 # ~27.8 trying one step at a time; blocks of BLOCK_ROWS bound the memory
 DESCENT_LEVELS = 8
-# most candidate rows one _conditional_entropies call evaluates: its largest
-# temporary, the M+- stack, is then 128 KiB, small enough for malloc to reuse
-# rather than map and zero fresh pages on every call
-BLOCK_ROWS = 1024
+# most candidates one _conditional_entropies call evaluates: its largest
+# temporary, the (8, K) feature block, is then 128 KiB, small enough for malloc
+# to reuse rather than map and zero fresh pages on every call
+BLOCK_ROWS = 2048
 
 
 class CorrelationReport(NamedTuple):
@@ -71,8 +71,8 @@ class BruteForceClassical(NamedTuple):
 
 
 class RelativeEntropyDiscord(NamedTuple):
-    value: float
-    axis: str
+    value: float | np.ndarray  # (N,) for a batch
+    axis: str | np.ndarray  # (N,) indices into AXES for a batch
 
 
 def binary_information(u):
@@ -117,72 +117,92 @@ def discord(c) -> CorrelationReport:
     return CorrelationReport(i, cl, d, lam, AXES[axis])
 
 
-def _projectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rows conj(k_b) k_d, flattened over (b, d), of the measurement kets
-    |k> = (cos(theta/2), sin(theta/2) e^{i phi}); shape theta.shape + (4,)."""
-    k0 = np.cos(theta / 2)
-    k1 = np.sin(theta / 2) * np.exp(1j * phi)
-    cross = k0 * k1
-    return np.stack([k0 * k0, cross, cross.conj(), k1.conj() * k1], axis=-1)
+def _bloch_columns(theta, phi) -> np.ndarray:
+    """Columns (1, n) of the directions n(theta, phi) on qubit B: angles of
+    shape (..., K) give (..., 4, K)."""
+    sin_t = np.sin(theta)
+    cols = np.empty(theta.shape[:-1] + (4,) + theta.shape[-1:])
+    cols[..., 0, :] = 1.0
+    np.multiply(sin_t, np.cos(phi), out=cols[..., 1, :])
+    np.multiply(sin_t, np.sin(phi), out=cols[..., 2, :])
+    np.cos(theta, out=cols[..., 3, :])
+    return cols
 
 
 @lru_cache(maxsize=8)
 def _search_grid(theta_steps: int, phi_steps: int) -> tuple:
-    """Flattened (theta, phi) search grid and its projector rows, built once
-    per grid size; the arrays are read-only because every call shares them."""
-    thetas = np.linspace(0.0, np.pi, theta_steps)
+    """Flattened (theta, phi) search grid and its Bloch columns, built once
+    per grid size and read-only because every call shares them. Measuring
+    along -n is measuring along n, so only the upper hemisphere is kept:
+    theta_0 .. theta_{T/2 - 1} (the equator too for odd T), the theta = 0 pole
+    once, in (theta, phi) order so that ties resolve to the smallest angles.
+    """
+    thetas = np.linspace(0.0, np.pi, theta_steps)[:(theta_steps + 1) // 2]
     phis = np.arange(phi_steps) * (2 * np.pi / phi_steps)
-    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    grid = (tg, pg, _projectors(tg, pg))
+    tg, pg = (np.delete(g.ravel(), np.s_[1:phi_steps])
+              for g in np.meshgrid(thetas, phis, indexing="ij"))
+    grid = (tg, pg, _bloch_columns(tg, pg))
     for arr in grid:
         arr.flags.writeable = False
     return grid
 
 
+# I, sigma_x, sigma_y, sigma_z flattened as sigma.T: A.ravel() @ _PAULI_FLAT.T
+# = (Tr A sigma_i)_i for any 2 x 2 matrix A
+_PAULI_FLAT = np.array([s.T.ravel() for s in (np.eye(2), *PAULI.values())])
+_FLIP = np.array([1.0, -1.0, -1.0, -1.0])  # (1, n) -> (1, -n)
+_SIGNS = np.array([[1.0], [-1.0]])  # the eigenvalues (w +- |f|) / 2
+
+
 def _search_operands(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 4, 4) states as the kernel takes them: rho[a b, c d] rearranged to
-    rows (b d) and columns (a c), and rho_A = Tr_B rho as an (N, 1, 4) row."""
+    """(N, 4, 4) states as the kernel takes them: the real (N, 8, 4) operand
+    and rho_A = Tr_B rho as an (N, 4) row over (a c).
+
+    With rho[a b, c d] as rows (a c) and columns (b d), T = Re(_PAULI_FLAT @
+    rho_ac @ _PAULI_FLAT.T)[j, i] = Tr[rho (s_j x s_i)]. Outcome +-n on B
+    leaves A in M = Tr_B[(I x (I +- n.sigma) / 2) rho], and (Tr M sigma_j)_j
+    = T @ (1, +-n) / 2; the operand interleaves the rows of T / 2 for the
+    two outcomes, so operand @ (1, n) gives rows (w+, w-, x+, x-, ..., z-).
+    """
     n = len(rho)
-    rho_bd = rho.reshape(n, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(n, 4, 4)
-    return rho_bd, rho_bd[:, 0:1] + rho_bd[:, 3:4]
+    rho_ac = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
+    half = np.real(_PAULI_FLAT @ rho_ac @ _PAULI_FLAT.T) / 2
+    ops = np.stack([half, half * _FLIP], axis=2).reshape(n, 8, 4)
+    return ops, rho_ac[..., 0] + rho_ac[..., 3]
 
 
-def _conditional_entropies(rho_bd, rho_a, proj) -> np.ndarray:
+def _conditional_entropies(ops, cols) -> np.ndarray:
     """Conditional entropies for projective bases on B, batched.
 
-    M+ = proj @ rho_bd (one matmul) is the unnormalised state of A after
-    outcome +, M- = rho_A - M+; each adds w * S(M/w), w = Tr M, or zero when
-    w < 1e-12. (K, 4) proj against one state's operands gives (K,); (N, K, 4)
-    against N states' gives (N, K).
+    ops @ cols (one real matmul) gives each outcome's w = Tr M and
+    f = Tr M sigma, so M has eigenvalues (w +- |f|) / 2; each outcome adds
+    w * S(M/w), or zero when w < 1e-12. One state's (8, 4) operand against
+    (4, K) Bloch columns gives (K,); N states' against (N, 4, K) gives (N, K).
     """
-    m_plus = proj @ rho_bd
-    m = np.stack([m_plus, rho_a - m_plus])  # M+, M-; columns (a c)
-    w = np.real(m[..., 0] + m[..., 3])
-    disc = np.sqrt(np.maximum(
-        np.real(m[..., 0] - m[..., 3]) ** 2 + 4 * np.abs(m[..., 1]) ** 2, 0.0))
-    eig = np.clip(np.stack([w + disc, w - disc]) / 2, 0.0, None)
-    q = np.divide(eig, w, out=np.zeros_like(eig), where=w > ZERO_PROBABILITY)
+    feats = ops @ cols
+    w = feats[..., 0:2, :]  # outcomes +, -
+    disc = np.sqrt(feats[..., 2:4, :] ** 2 + feats[..., 4:6, :] ** 2
+                   + feats[..., 6:8, :] ** 2)
+    eig = np.maximum((w[..., None, :] + _SIGNS * disc[..., None, :]) / 2, 0.0)
+    q = eig / np.where(w > ZERO_PROBABILITY, w, np.inf)[..., None, :]
     terms = eig * np.log2(np.where(q > 1e-15, q, 1.0))
-    outcome = (0.0 - terms[0]) - terms[1]
-    return outcome[0] + outcome[1]
+    outcome = (0.0 - terms[..., 0, :]) - terms[..., 1, :]
+    return outcome[..., 0, :] + outcome[..., 1, :]
 
 
-def _blocked_entropies(rho_bd, rho_a, proj) -> np.ndarray:
-    """_conditional_entropies with at most BLOCK_ROWS candidate rows per call.
-
-    (K, 4) proj against one state is cut into slices of rows; (N, K, 4)
-    against N states into groups of whole states. Rows are independent, so
-    the values equal those of one unblocked call bit for bit.
-    """
-    if proj.ndim == 2:
+def _blocked_entropies(ops, cols) -> np.ndarray:
+    """_conditional_entropies with at most BLOCK_ROWS candidates per call:
+    (4, K) columns against one state in slices, (N, 4, K) against N states in
+    groups of whole states. Candidates are independent, so the values equal
+    those of one unblocked call bit for bit."""
+    if cols.ndim == 2:
         return np.concatenate([
-            _conditional_entropies(rho_bd, rho_a, proj[i:i + BLOCK_ROWS])
-            for i in range(0, len(proj), BLOCK_ROWS)])
-    group = max(1, BLOCK_ROWS // proj.shape[1])
+            _conditional_entropies(ops, cols[:, i:i + BLOCK_ROWS])
+            for i in range(0, cols.shape[1], BLOCK_ROWS)])
+    group = max(1, BLOCK_ROWS // cols.shape[2])
     return np.concatenate([
-        _conditional_entropies(rho_bd[i:i + group], rho_a[i:i + group],
-                               proj[i:i + group])
-        for i in range(0, len(proj), group)])
+        _conditional_entropies(ops[i:i + group], cols[i:i + group])
+        for i in range(0, len(cols), group)])
 
 
 def classical_correlation_bruteforce(
@@ -195,31 +215,29 @@ def classical_correlation_bruteforce(
 
     Takes one (4, 4) density matrix or an (N, 4, 4) stack; a stack returns
     values (N,) and bases (N, 3), each row equal to the single-state call.
-    Scans (theta, phi) on a theta_steps x phi_steps grid one state at a
-    time (the grid and its projector rows are built once per grid size and
-    cached), then runs coordinate descent with step halving down to
-    angle_tol on all states in lockstep, each keeping its own step and
-    stopping on its own. Neither evaluates more than BLOCK_ROWS candidate
-    rows at once. Each iteration evaluates the four moves at a
-    state's step and its next DESCENT_LEVELS - 1 halvings in one batch and
-    takes the largest step that improves, which is exactly the move a
-    descent trying one step at a time, halving after each failure, would
-    make. Ties on the grid resolve to the lexicographically smallest angles,
-    so results are run-to-run identical.
+    Scans the cached upper hemisphere of a theta_steps x phi_steps grid one
+    state at a time, then runs coordinate descent over the whole sphere with
+    step halving down to angle_tol on all states in lockstep, each keeping
+    its own step and stopping on its own; neither evaluates more than
+    BLOCK_ROWS candidates at once. Each iteration evaluates the four moves at
+    a state's step and its next DESCENT_LEVELS - 1 halvings in one batch and
+    takes the largest step that improves, exactly the move of a descent
+    trying one step at a time, halving after each failure. Ties on the grid
+    resolve to the smallest angles, so results are run-to-run identical.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
     stack = require_valid_state(rho.reshape(-1, 4, 4))
-    rho_bd, rho_a = _search_operands(stack)
+    ops, rho_a = _search_operands(stack)
     entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
 
     tg, pg, grid = _search_grid(theta_steps, phi_steps)
     n = len(stack)
     best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
-        values = _blocked_entropies(rho_bd[i], rho_a[i], grid)
+        values = _blocked_entropies(ops[i], grid)
         j = np.argmin(values)
         best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
 
@@ -231,15 +249,16 @@ def classical_correlation_bruteforce(
     halvings = 0.5 ** np.arange(DESCENT_LEVELS)
     while (live := np.flatnonzero(reach * scale > angle_tol)).size:
         levels = scale[live, None] * halvings  # (live, levels)
-        t = np.broadcast_to(theta[live, None], levels.shape)
-        p = np.broadcast_to(phi[live, None], levels.shape)
-        st, sp = np.pi / theta_steps * levels, 2 * np.pi / phi_steps * levels
-        cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], -1)
-        cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], -1)
-        vals = _blocked_entropies(
-            rho_bd[live], rho_a[live],
-            _projectors(cand_t, cand_p).reshape(live.size, -1, 4),
-        ).reshape(cand_t.shape)  # (live, levels, moves)
+        # moves theta up, theta down, phi up, phi down: adding 0 or clipping an
+        # unmoved angle leaves it as it is, so these are the one-step moves
+        st = (np.pi / theta_steps * levels)[..., None] * [1.0, -1.0, 0.0, 0.0]
+        sp = (2 * np.pi / phi_steps * levels)[..., None] * [0.0, 0.0, 1.0, -1.0]
+        cand_t = np.minimum(np.maximum(theta[live, None, None] + st, 0.0), np.pi)
+        cand_p = phi[live, None, None] + sp
+        cand_p[..., 2:] %= 2 * np.pi  # (live, levels, moves)
+        vals = _blocked_entropies(ops[live], _bloch_columns(
+            cand_t.reshape(live.size, -1), cand_p.reshape(live.size, -1)),
+        ).reshape(cand_t.shape)
         pick, low = np.argmin(vals, axis=2), np.min(vals, axis=2)
         better = (low < best_val[live, None]) & (reach * levels > angle_tol)
         hit = better.any(axis=1)
@@ -254,42 +273,36 @@ def classical_correlation_bruteforce(
         scale[live[~hit]] = levels[~hit, -1] / 2
 
     value = entropy_a - best_val
-    basis = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                      np.cos(theta)], axis=-1)
+    basis = _bloch_columns(theta, phi)[1:].T
     if rho.ndim == 2:
         return BruteForceClassical(float(value[0]), basis[0])
     return BruteForceClassical(value, basis)
 
 
-def dephase(c, axis: str) -> BellCoefficients:
-    """Erase the two correlation components orthogonal to the given axis."""
-    cx, cy, cz = as_bell(c)
-    if axis == "x":
-        return BellCoefficients(cx, 0.0, 0.0)
-    if axis == "y":
-        return BellCoefficients(0.0, cy, 0.0)
-    if axis == "z":
-        return BellCoefficients(0.0, 0.0, cz)
-    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-
-
 def relative_entropy_discord(c) -> RelativeEntropyDiscord:
     """Minimal relative entropy to the three axis dephasings.
 
-    For Bell-diagonal states this equals I - C; the identity is enforced to
-    1e-8 as an internal consistency check.
+    Takes one triple or an (N, 3) batch; a batch gives values (N,) and axes
+    (N,) as indices into AXES. The states and their dephasings (row a keeps
+    c_a) go through density matrices: one eigvalsh over the states and one
+    eigh over the dephasings. For Bell-diagonal states this equals I - C;
+    the identity is enforced to 1e-8 as an internal consistency check, whose
+    error names the first failing index of a batch.
     """
-    c = require_physical(c)
-    rho = bell_to_density(c)
-    best_val, best_axis = np.inf, AXES[0]
-    for axis in AXES:
-        val = relative_entropy(rho, bell_to_density(dephase(c, axis)))
-        if val < best_val:
-            best_val, best_axis = val, axis
-    expected = discord(c).D
-    if abs(best_val - expected) > IDENTITY_TOL:
-        raise AccuracyError(
-            f"relative-entropy discord {best_val:.3e} disagrees with I - C "
-            f"{expected:.3e} beyond {IDENTITY_TOL}"
-        )
-    return RelativeEntropyDiscord(best_val, best_axis)
+    c = np.asarray(c, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[-1] != 3:
+        raise ValueError(f"expected a triple or an (N, 3) batch, got {c.shape}")
+    batch = np.array([require_physical(row) for row in c.reshape(-1, 3)])
+    dephased = np.where(np.eye(3, dtype=bool), batch[:, None], 0.0)
+    values = relative_entropy(bell_to_density(batch)[:, None], bell_to_density(
+        dephased.reshape(-1, 3)).reshape(-1, 3, 4, 4))
+    axis = np.argmin(values, axis=1)
+    best, expected = np.min(values, axis=1), correlation_ledger(batch).D
+    off = np.flatnonzero(~(np.abs(best - expected) <= IDENTITY_TOL))
+    if off.size:
+        i, at = off[0], (f" at index {off[0]}" if c.ndim == 2 else "")
+        raise AccuracyError(f"relative-entropy discord{at} {best[i]:.3e} disagrees "
+                            f"with I - C {expected[i]:.3e} beyond {IDENTITY_TOL}")
+    if c.ndim == 2:
+        return RelativeEntropyDiscord(best, axis)
+    return RelativeEntropyDiscord(float(best[0]), AXES[axis[0]])

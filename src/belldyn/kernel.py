@@ -277,8 +277,12 @@ def solve_decay_time(k: KernelParams, target,
     to the scalar roots; all targets are bracketed in one pass and bisected
     in lockstep). In the oscillatory regime the scan resolves pi/(8 omega0)
     and additionally visits the zeros of p so dips of |p| below target
-    between scan points cannot be skipped.
+    between scan points cannot be skipped. Raises ValueError, before any
+    decay_factor call, when the search horizon SEARCH_WINDOW/a overflows.
     """
+    if not SEARCH_WINDOW / k.a < np.inf:
+        raise ValueError(f"root search horizon {SEARCH_WINDOW:g}/a overflows: "
+                         f"a = {k.a} too small")
     if np.ndim(target) != 0:
         return _solve_decay_times(k, np.asarray(target, dtype=float), markovian)
     if not 0.0 < target < 1.0:

@@ -157,27 +157,34 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
     return -total
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
     """Tr(rho log2 rho) - Tr(rho log2 sigma), in bits.
 
-    Raises SupportViolationError when rho puts more than 1e-9 weight outside
-    the support of sigma (the divergence is infinite there).
+    rho and sigma are (4, 4) states or stacks that broadcast together, each
+    matrix diagonalised once: an (N, 1, 4, 4) rho against (N, 3, 4, 4) sigma
+    gives (N, 3). Raises SupportViolationError, naming the first such pair of
+    a stack, when rho puts more than 1e-9 weight outside the support of sigma
+    (the divergence is infinite there).
     """
+    def sum_w_log2(w, x, live):  # sum of w log2 x over the live entries
+        return np.sum(np.where(live, w * np.log2(np.where(live, x, 1.0)), 0.0), axis=-1)
+
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     rho_vals = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    t1 = float(np.sum(rho_vals[rho_vals > 1e-15] * np.log2(rho_vals[rho_vals > 1e-15])))
+    t1 = sum_w_log2(rho_vals, rho_vals, rho_vals > 1e-15)
 
     sig_vals, sig_vecs = np.linalg.eigh(sigma)
-    weights = np.real(np.einsum("ij,jk,ki->i", sig_vecs.conj().T, rho, sig_vecs))
+    weights = np.einsum("...ji,...jk,...ki->...i", sig_vecs.conj(), rho, sig_vecs).real
     on_support = sig_vals > SUPPORT_TOL
-    leak = float(np.sum(weights[~on_support]))
-    if leak > SUPPORT_LEAK_TOL:
-        raise SupportViolationError(
-            f"state has weight {leak:.3e} outside the reference support"
-        )
-    t2 = float(np.sum(weights[on_support] * np.log2(sig_vals[on_support])))
-    return max(t1 - t2, 0.0)
+    leak = np.sum(np.where(on_support, 0.0, weights), axis=-1)
+    bad = np.argwhere(leak > SUPPORT_LEAK_TOL)
+    if len(bad):
+        i = tuple(bad[0].tolist())  # () for one pair
+        raise SupportViolationError(f"state{f' at index {i}' if i else ''} has "
+                                    f"weight {leak[i]:.3e} outside the reference support")
+    out = np.maximum(t1 - sum_w_log2(weights, sig_vals, on_support), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def random_bell_coefficients(rng: np.random.Generator) -> BellCoefficients:

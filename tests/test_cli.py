@@ -287,9 +287,11 @@ class TestTcCommand:
         assert payload["closed_form"] == pytest.approx(payload["a_tc"], abs=1e-8)
 
 
-# SHA-256 of the default verify stdout, pinned before the Kraus check became
-# one stacked pass
-VERIFY_STDOUT = "24a5df634ee01e5a591984e1e83ab222d6a0eebe4904067a4c409cd1e0ce9640"
+# SHA-256 of the default verify stdout. The Kraus check's stacked pass left
+# it as it was; the hemisphere grid and the Bloch-vector kernel moved the
+# last bits of the brute-force values, and with them the printed
+# bruteforce-vs-analytic deviation from 9.992e-16 to 5.551e-16
+VERIFY_STDOUT = "4fb5bb02f720d604039a77f3317c7baee1ce75d4c4d6fb81003a9178082fc0a2"
 
 
 class TestVerifyCommand:
@@ -339,18 +341,21 @@ class TestVerifyCommand:
         assert "max dev nan" in kraus and kraus.endswith("FAIL")
         assert lines[-1] == "verify: FAIL (5/6)"
 
-    @pytest.mark.parametrize("oracle, check, poison", [
-        ("decay_factor_ode", "decay-ode", lambda out: out * np.nan),
-        ("relative_entropy_discord", "relative-entropy-identity",
-         lambda out: out._replace(value=float("nan"))),
+    @pytest.mark.parametrize("oracle, check, call, poison", [
+        # decay-ode calls its oracle once per kernel: poison the second call
+        ("decay_factor_ode", "decay-ode", 2, lambda out: out * np.nan),
+        # one call for the whole batch: poison its second state
+        ("relative_entropy_discord", "relative-entropy-identity", 1,
+         lambda out: out._replace(value=np.where(np.arange(out.value.size) == 1,
+                                                 np.nan, out.value))),
     ], ids=["decay-ode", "relative-entropy-identity"])
-    def test_nan_deviation_propagates(self, monkeypatch, oracle, check, poison):
+    def test_nan_deviation_propagates(self, monkeypatch, oracle, check, call, poison):
         real, calls = getattr(cli, oracle), []
 
         def nan_on_second_call(*args):
             calls.append(None)
             out = real(*args)
-            return poison(out) if len(calls) == 2 else out
+            return poison(out) if len(calls) == call else out
 
         monkeypatch.setattr(cli, oracle, nan_on_second_call)
         cfg = cli.resolve_config(cli.build_parser().parse_args(["verify"]))
@@ -531,6 +536,21 @@ def test_overflowing_grid_end_exits_2(tmp_path, capsys, command):
         assert main([*command, "--a", "1e-310", "--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert "grid end" in err and "a = 1e-310" in err
+    assert not path.exists()
+
+
+# commands whose root search ends at 50/a; the Markovian root overflowed too
+ROOT_HORIZON = [("figure", "3", "c"), ("tc",), ("tc", "--markovian")]
+
+
+@pytest.mark.parametrize("command", ROOT_HORIZON, ids=[" ".join(c) for c in ROOT_HORIZON])
+def test_overflowing_root_search_horizon_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning
+        assert main([*command, "--a", "1e-310", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "root search horizon" in err and "a = 1e-310" in err
     assert not path.exists()
 
 

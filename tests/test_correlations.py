@@ -6,20 +6,20 @@ import pytest
 
 from belldyn import correlations
 from belldyn.correlations import (
+    AXES,
     PHI_STEPS,
     REFINE_ANGLE_TOL,
     THETA_STEPS,
+    _bloch_columns,
     _conditional_entropies,
-    _projectors,
     _search_grid,
     _search_operands,
     binary_information,
     classical_correlation_bruteforce,
-    dephase,
     discord,
     relative_entropy_discord,
 )
-from belldyn.errors import InvalidStateError
+from belldyn.errors import AccuracyError, InvalidStateError
 from belldyn.states import (
     BELL_KETS,
     bell_to_density,
@@ -58,30 +58,62 @@ def entropy(rho):
     return shannon_entropy(np.linalg.eigvalsh(rho))
 
 
+def reference_projectors(theta, phi):
+    """Rows conj(k_b) k_d, flattened over (b, d), of the measurement kets
+    |k> = (cos(theta/2), sin(theta/2) e^{i phi}); shape theta.shape + (4,)."""
+    k0 = np.cos(theta / 2)
+    k1 = np.sin(theta / 2) * np.exp(1j * phi)
+    cross = k0 * k1
+    return np.stack([k0 * k0, cross, cross.conj(), k1.conj() * k1], axis=-1)
+
+
+def reference_conditional_entropies(rho, proj):
+    """Conditional entropies of A after measuring B with (K, 4) projector
+    rows, through complex 2 x 2 matrices: M+ = proj @ rho_bd, M- = rho_A - M+,
+    each adding w * S(M/w), w = Tr M, or zero when w < 1e-12."""
+    rho_bd = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).transpose(
+        1, 3, 0, 2).reshape(4, 4)
+    m_plus = proj @ rho_bd
+    m = np.stack([m_plus, rho_bd[0] + rho_bd[3] - m_plus])  # columns (a c)
+    w = np.real(m[..., 0] + m[..., 3])
+    disc = np.sqrt(np.maximum(
+        np.real(m[..., 0] - m[..., 3]) ** 2 + 4 * np.abs(m[..., 1]) ** 2, 0.0))
+    eig = np.clip(np.stack([w + disc, w - disc]) / 2, 0.0, None)
+    q = np.divide(eig, w, out=np.zeros_like(eig), where=w > 1e-12)
+    terms = eig * np.log2(np.where(q > 1e-15, q, 1.0))
+    outcome = (0.0 - terms[0]) - terms[1]
+    return outcome[0] + outcome[1]
+
+
+def full_grid(theta_steps=THETA_STEPS, phi_steps=PHI_STEPS):
+    thetas = np.linspace(0.0, np.pi, theta_steps)
+    phis = np.arange(phi_steps) * (2 * np.pi / phi_steps)
+    return tuple(g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+
+
 def conditional_entropy(rho, bloch):
     """The brute force's conditional entropy of A after measuring B along
     the unit Bloch vector."""
-    theta, phi = np.arccos(bloch[2]), np.arctan2(bloch[1], bloch[0])
-    rho_bd, rho_a = _search_operands(np.asarray(rho, dtype=complex)[None])
-    proj = _projectors(np.array([theta]), np.array([phi]))
-    return float(_conditional_entropies(rho_bd[0], rho_a[0], proj)[0])
+    ops, _ = _search_operands(np.asarray(rho, dtype=complex)[None])
+    return float(_conditional_entropies(ops[0], np.array([[1.0, *bloch]]).T)[0])
 
 
 def one_step_descent(rho, theta_steps=THETA_STEPS, phi_steps=PHI_STEPS,
                      angle_tol=REFINE_ANGLE_TOL):
-    """Reference search: its own grid, then coordinate descent that tries one
-    step per iteration and halves it after a failed try."""
+    """Reference search: its own hemisphere grid, then coordinate descent
+    that tries one step per iteration and halves it after a failed try."""
     stack = np.asarray(rho, dtype=complex).reshape(-1, 4, 4)
-    rho_bd, rho_a = _search_operands(stack)
+    ops, rho_a = _search_operands(stack)
     entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
-    thetas = np.linspace(0.0, np.pi, theta_steps)
-    phis = np.arange(phi_steps) * (2 * np.pi / phi_steps)
-    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    grid = _projectors(tg, pg)
+    tg, pg = full_grid(theta_steps, phi_steps)
+    # theta up to pi/2, in (theta, phi) order, and the theta = 0 pole once
+    keep = (tg <= np.pi / 2 + 1e-12) & ((tg > 0) | (pg == 0))
+    tg, pg = tg[keep], pg[keep]
+    grid = _bloch_columns(tg, pg)
     n = len(stack)
     best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
-        values = _conditional_entropies(rho_bd[i], rho_a[i], grid)
+        values = _conditional_entropies(ops[i], grid)
         j = np.argmin(values)
         best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
     scale = np.ones(n)
@@ -91,8 +123,7 @@ def one_step_descent(rho, theta_steps=THETA_STEPS, phi_steps=PHI_STEPS,
         st, sp = np.pi / theta_steps * scale[live], 2 * np.pi / phi_steps * scale[live]
         cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], 1)
         cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], 1)
-        vals = _conditional_entropies(
-            rho_bd[live], rho_a[live], _projectors(cand_t, cand_p))
+        vals = _conditional_entropies(ops[live], _bloch_columns(cand_t, cand_p))
         rows, pick = np.arange(live.size), np.argmin(vals, axis=1)
         low = vals[rows, pick]
         better = low < best_val[live]
@@ -294,9 +325,10 @@ class TestBruteForce:
         assert np.array_equal(stack.basis, basis)
 
     def test_cached_grid_is_read_only(self):
-        for steps in [(THETA_STEPS, PHI_STEPS), (16, 32)]:
+        # the upper hemisphere: T/2 rows of theta, the pole once
+        for steps, points in [((THETA_STEPS, PHI_STEPS), 3969), ((16, 32), 225)]:
             arrays = _search_grid(*steps)
-            assert arrays[2].shape == (steps[0] * steps[1], 4)
+            assert arrays[2].shape == (4, points)
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -317,6 +349,38 @@ class TestBruteForce:
             overlap = abs(float(result.basis @ axes[axis]))
             assert np.arccos(min(overlap, 1.0)) <= 1e-3
             checked += 1
+
+
+def kernel_states():
+    """20 general states, 50 Bell-diagonal ones and three edge states."""
+    rng = np.random.default_rng(73)
+    rhos = [random_two_qubit_state(rng) for _ in range(20)]
+    rhos += [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
+    rhos += [bell_to_density(c) for c in
+             [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]]
+    return rhos
+
+
+class TestBlochKernel:
+    def test_matches_complex_reference(self):
+        rng = np.random.default_rng(79)
+        tg, pg = full_grid()
+        tg = np.concatenate([tg, np.arccos(rng.uniform(-1, 1, 2000))])
+        pg = np.concatenate([pg, rng.uniform(0, 2 * np.pi, 2000)])
+        cols, proj = _bloch_columns(tg, pg), reference_projectors(tg, pg)
+        for rho in kernel_states():
+            ops, _ = _search_operands(rho[None])
+            real, reference = (_conditional_entropies(ops[0], cols),
+                               reference_conditional_entropies(rho, proj))
+            assert np.max(np.abs(real - reference)) <= 2e-15
+
+    def test_hemisphere_keeps_the_full_grid_minimum(self):
+        tg, pg, _ = _search_grid(THETA_STEPS, PHI_STEPS)
+        hemisphere = reference_projectors(tg, pg)
+        full = reference_projectors(*full_grid())
+        for rho in kernel_states():
+            low = np.min(reference_conditional_entropies(rho, hemisphere))
+            assert abs(low - np.min(reference_conditional_entropies(rho, full))) <= 2e-15
 
 
 class TestDiscord:
@@ -364,6 +428,11 @@ class TestDiscord:
         # built-in types, so correlations --format json can dump the report
         assert [type(v) for v in payload.values()] == [float] * 4 + [str]
         assert json.loads(json.dumps(payload)) == payload
+
+
+def dephase(c, axis):
+    """c with the two components orthogonal to the axis erased."""
+    return tuple(v if name == axis else 0.0 for name, v in zip(AXES, c))
 
 
 def closest(c):
@@ -414,6 +483,34 @@ class TestRelativeEntropyDiscord:
     def test_other_branch_value(self):
         result = relative_entropy_discord((0.1, 0.16, -0.1))
         assert result.value == pytest.approx(D_SUDDEN_MINUS, abs=1e-10)
+
+    def test_batch_equals_one_triple_loop(self):
+        rng = np.random.default_rng(83)
+        states = [random_bell_coefficients(rng) for _ in range(60)]
+        states += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1), (0.5, 0.0, 0.0)]
+        batch = relative_entropy_discord(np.array(states))
+        assert batch.value.shape == batch.axis.shape == (len(states),)
+        for c, value, axis in zip(states, batch.value, batch.axis):
+            rho = bell_to_density(c)
+            loop = [relative_entropy(rho, bell_to_density(dephase(c, name)))
+                    for name in AXES]
+            assert value == min(loop)
+            assert axis == loop.index(min(loop))
+            assert relative_entropy_discord(c) == (value, AXES[axis])
+
+    def test_identity_error_names_the_index(self, monkeypatch):
+        real = correlations.correlation_ledger
+
+        def off_at_two(c):
+            ledger = real(c)
+            shift = np.where(np.arange(len(c)) == 2, 1e-6, 0.0)
+            return ledger._replace(D=ledger.D + shift)
+
+        monkeypatch.setattr(correlations, "correlation_ledger", off_at_two)
+        rng = np.random.default_rng(89)
+        states = np.array([random_bell_coefficients(rng) for _ in range(4)])
+        with pytest.raises(AccuracyError, match="discord at index 2 "):
+            relative_entropy_discord(states)
 
     def test_identity_on_random_states(self):
         rng = np.random.default_rng(67)

@@ -201,7 +201,37 @@ class TestEntropy:
             assert total == pytest.approx(parts, abs=1e-10)
 
 
+def reference_relative_entropy(rho, sigma):
+    """One pair through the kept eigenvalues only, summed as they come."""
+    rho_vals = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    t1 = float(np.sum(rho_vals[rho_vals > 1e-15] * np.log2(rho_vals[rho_vals > 1e-15])))
+    sig_vals, sig_vecs = np.linalg.eigh(sigma)
+    weights = np.real(np.einsum("ij,jk,ki->i", sig_vecs.conj().T, rho, sig_vecs))
+    on_support = sig_vals > 1e-12
+    t2 = float(np.sum(weights[on_support] * np.log2(sig_vals[on_support])))
+    return max(t1 - t2, 0.0)
+
+
 class TestRelativeEntropy:
+    def test_stack_equals_one_pair_reference(self):
+        rng = np.random.default_rng(17)
+        c = np.array([random_bell_coefficients(rng) for _ in range(40)]
+                     + [(-1.0, -1.0, -1.0), (0.6, 0.6, -1.0), (0.0, 0.0, 0.0)])
+        rho = bell_to_density(c)
+        # each state against its three axis dephasings, some of them singular
+        dephased = np.where(np.eye(3, dtype=bool), c[:, None], 0.0)
+        sigma = bell_to_density(dephased.reshape(-1, 3)).reshape(-1, 3, 4, 4)
+        stack = relative_entropy(rho[:, None], sigma)
+        assert stack.shape == (len(c), 3)
+        for i, j in np.ndindex(stack.shape):
+            assert stack[i, j] == reference_relative_entropy(rho[i], sigma[i, j])
+            assert stack[i, j] == relative_entropy(rho[i], sigma[i, j])
+
+    def test_support_violation_names_the_pair(self):
+        sigma = np.stack([MIXED, MIXED, SINGLET])
+        with pytest.raises(SupportViolationError, match=r"at index \(2,\) has weight"):
+            relative_entropy(MIXED, sigma)
+
     def test_self_is_zero(self):
         rho = bell_to_density((0.3, -0.2, 0.1))
         assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
