@@ -5,7 +5,11 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 I/O error.
 
 All times on the command line are dimensionless a*t; tables report a*t so
 runs with different decay rates overlay. Floats are printed with %.9g so
-identical configurations produce byte-identical files.
+identical configurations produce byte-identical files. Tables are written in
+blocks of cells by one vectorised writer, `_format_rows`, which prints exactly
+what %.9g prints; the few cells it cannot decide on its integer path (near a
+rounding tie, NaN, inf, or |x| outside [1e-290, 1e290)) go through Python's
+% one at a time.
 """
 
 from __future__ import annotations
@@ -285,24 +289,133 @@ def _write_text(out: str | None, text: str) -> None:
 _TABLE_META = ("a", "A", "gamma", "channel_a", "channel_b", "t_max", "t_steps",
                "markovian")
 
+# The table writer lays each cell out in 29 byte slots, dropped slots 0:
+# sign | "0.000" prefix | 9 digits with a point slot between each two |
+# "e+hhh" | separator
+_SLOTS = 29
+_BLOCK_CELLS = 8192  # cells per block: the slot array stays at 232 KiB
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])  # 10^k at [300 + k]
+_PLACES = [10**i for i in range(8, -1, -1)]
+_DIGIT_ROWS = np.arange(9, dtype=np.int8)[:, None]
+
+
+def _exponent_layouts():
+    """For each decimal exponent X in [-300, 300], as %.9g prints X: the
+    prefix and exponent slots, the digit the point precedes (99: none) and
+    the last digit of the integer part (-1: none)."""
+    slots = np.zeros((10, 601), np.uint8)
+    point = np.zeros(601, np.int8)
+    whole = np.zeros(601, np.int8)
+    for j, x in enumerate(range(-300, 301)):
+        if -4 <= x < 0:
+            text, point[j], whole[j] = "0." + "0" * (-x - 1), 99, -1
+        elif 0 <= x < 9:
+            text, point[j], whole[j] = "", x + 1, x
+        else:
+            text, point[j], whole[j] = "\0" * 5 + f"e{x:+03d}", 1, 0
+        slots[:len(text), j] = np.frombuffer(text.encode(), np.uint8)
+    return slots, point, whole
+
+
+_EXP_SLOTS, _EXP_POINT, _EXP_WHOLE = _exponent_layouts()
+
+
+def _exact_cells(values: np.ndarray) -> list[str]:
+    """The cells the fast path cannot decide, through Python's %.9g."""
+    return ["%.9g" % v for v in values.tolist()]
+
+
+def _format_block(cells: np.ndarray, seps: np.ndarray, ch: np.ndarray) -> str:
+    """The %.9g text of each cell followed by its separator byte; `ch` is
+    scratch space of at least (_SLOTS, cells.size) bytes. A cell outside
+    [1e-290, 1e290) (zero aside), NaN, inf, or one whose scaled mantissa
+    lies within 1e-6 of a rounding tie goes through _exact_cells."""
+    ch = ch[:, :cells.size]
+    mag = np.abs(cells)
+    zero = mag == 0
+    fast = (mag >= 1e-290) & (mag < 1e290)  # False for NaN and inf
+    v = np.where(fast, mag, 1.0)  # log10 of a safe value warns of nothing
+    # exponent from log10, corrected by one from the scaled value; with
+    # 10^k correctly rounded, the mantissa m is within 3e-7 of |x| 10^(8-e)
+    e = np.floor(np.log10(v)).astype(np.intp)
+    m = v * _POW10[308 - e]
+    e += m >= 1e9
+    e -= m < 1e8
+    m = v * _POW10[308 - e]
+    # so m rounds as the exact value does, unless it lies near a tie; m = 1e9
+    # carries below, as the exact value does whichever side of 1e9 it is
+    exact = ~(fast | zero) | (np.abs(m - np.floor(m) - 0.5) < 1e-6) | (
+        m < 1e8) | (m > 1e9)
+    d = np.rint(m)
+    carry = d == 1e9
+    d[carry] = 1e8
+    e += carry
+    d[zero | exact] = 0.0
+    e[zero] = 0  # zero prints as one integer digit
+    d = d.astype(np.int32)
+    digits = ch[6:23:2]
+    above = 0
+    for row, place in enumerate(_PLACES):
+        below = d // place
+        digits[row] = below - 10 * above
+        above = below
+    # a digit is significant if it or a later digit is nonzero; the digits
+    # of the integer part print even when they are not
+    significant = digits != 0
+    for row in range(7, -1, -1):
+        significant[row] |= significant[row + 1]
+    e += 300
+    digits += np.uint8(ord("0"))
+    digits *= significant | (_DIGIT_ROWS <= _EXP_WHOLE[e])
+    point = significant[1:] & (_DIGIT_ROWS[1:] == _EXP_POINT[e])
+    ch[7:22:2] = point * np.uint8(ord("."))
+    layout = _EXP_SLOTS.take(e, axis=1)
+    ch[1:6] = layout[:5]
+    ch[23:28] = layout[5:]
+    ch[0] = np.signbit(cells).view(np.uint8) * np.uint8(ord("-"))
+    ch[28] = seps
+    fallback = np.flatnonzero(exact)
+    if fallback.size:
+        ch[:28, fallback] = 0
+        ch[0, fallback] = 1  # a marker, replaced below
+    text = ch.T.tobytes().translate(None, b"\0").decode("ascii")
+    if fallback.size:
+        parts = text.split("\x01")
+        exact_text = _exact_cells(cells[fallback])
+        text = parts[0] + "".join(map(str.__add__, exact_text, parts[1:]))
+    return text
+
+
+def _format_rows(rows) -> str:
+    """Each row as its cells' %.9g text, comma-separated, one line per row:
+    byte for byte what "%.9g" % v prints for each cell v, in blocks of at
+    most _BLOCK_CELLS cells."""
+    rows = np.asarray(rows, dtype=float)
+    n_rows, n_cols = rows.shape
+    seps = np.full(n_cols, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    step = max(1, _BLOCK_CELLS // n_cols)
+    ch = np.empty((_SLOTS, min(n_rows, step) * n_cols), np.uint8)
+    return "".join(
+        _format_block(block.ravel(), np.tile(seps, len(block)), ch)
+        for block in (rows[i:i + step] for i in range(0, n_rows, step)))
+
 
 def _table_text(cfg, command, columns, rows, extra=None) -> str:
     meta = {key: getattr(cfg, key) for key in _TABLE_META}
     meta.update(extra or {})
-    # one %.9g template per row prints what _fmt prints for each value;
     # adding 0.0 turns -0.0 into 0.0 as _fmt does
-    template = ",".join(["%.9g"] * len(columns))
-    lines = [template % tuple(row) for row in (np.asarray(rows) + 0.0).tolist()]
+    body = _format_rows(np.asarray(rows, dtype=float) + 0.0)
     if cfg.format == "json":
         payload = {
             "meta": meta,
             "columns": list(columns),
-            "rows": [[float(v) for v in line.split(",")] for line in lines],
+            "rows": [[float(v) for v in line.split(",")]
+                     for line in body.splitlines()],
         }
         return json.dumps(payload, indent=1) + "\n"
     shown = " ".join(f"{key}={_show(value)}" for key, value in meta.items())
-    lines[:0] = [f"# belldyn {command} {shown}", ",".join(columns)]
-    return "\n".join(lines) + "\n"
+    return f"# belldyn {command} {shown}\n{','.join(columns)}\n{body}"
 
 
 def cmd_evolve(cfg: RunConfig) -> int:

@@ -17,7 +17,9 @@ baseline exp(-2at), two independent numerical oracles, and root finding on
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,18 +64,36 @@ class KernelParams:
                 f"kernel amplitude A too large: 2aA overflows, "
                 f"got a = {self.a}, A = {self.A}")
 
+    @cached_property
+    def _regime(self) -> tuple[str, float, float]:
+        """(tag, omega0^2, omega), worked out once per kernel, as decay_factor
+        reads it on every call. The tag is decided on omega0^2 / a^2 = 2A/a -
+        ((2 + gamma/a)/2)^2, which does not underflow at tiny rates where
+        omega0^2 does; there omega = sqrt|omega0^2| is a sqrt|omega0^2 / a^2|."""
+        w2 = 2 * self.a * self.A - ((2 * self.a + self.gamma) / 2) ** 2
+        half = (2 + self.gamma / self.a) / 2
+        scaled = 2 * self.A / self.a - half * half
+        if math.isnan(scaled):  # both terms overflow; omega0^2 itself cannot
+            scaled = math.copysign(math.inf, w2)
+        if scaled > REGIME_REL_TOL:
+            tag = "oscillatory"
+        elif scaled < -REGIME_REL_TOL:
+            tag = "overdamped"
+        else:
+            tag = "critical"
+        if abs(w2) >= sys.float_info.min:
+            omega = np.sqrt(abs(w2))
+        else:
+            omega = self.a * math.sqrt(abs(scaled))
+        return tag, w2, omega
+
 
 def damping_regime(k: KernelParams) -> tuple[str, float]:
     """(tag, omega0^2): "oscillatory", "critical" or "overdamped", and the
-    discriminant 2aA - ((2a + gamma)/2)^2 of the damped-oscillator equation."""
-    w2 = 2 * k.a * k.A - ((2 * k.a + k.gamma) / 2) ** 2
-    band = REGIME_REL_TOL * k.a * k.a
-    if w2 > band:
-        tag = "oscillatory"
-    elif w2 < -band:
-        tag = "overdamped"
-    else:
-        tag = "critical"
+    discriminant 2aA - ((2a + gamma)/2)^2 of the damped-oscillator equation.
+    The tag compares omega0^2 / a^2 with REGIME_REL_TOL, so it holds however
+    small the rates are."""
+    tag, w2, _ = k._regime
     return tag, w2
 
 
@@ -85,12 +105,10 @@ def decay_factor(k: KernelParams, t):
     """
     t_arr = np.asarray(t, dtype=float)
     b = (2 * k.a + k.gamma) / 2
-    tag, w2 = damping_regime(k)
+    tag, _, w = k._regime
     if tag == "oscillatory":
-        w = np.sqrt(w2)
         out = np.exp(-b * t_arr) * (np.cos(w * t_arr) + (b / w) * np.sin(w * t_arr))
     elif tag == "overdamped":
-        w = np.sqrt(-w2)
         if w < 1e-3 * b:
             # near-critical: the hyperbolic form is accurate. Past w*t = 1,
             # b*t > 1000 and exp(-b*t) is already 0, the true limit; capping
@@ -202,7 +220,7 @@ def _oscillatory_scan(k: KernelParams, t_end: float):
     with RootNotFoundError.
     """
     b = (2 * k.a + k.gamma) / 2
-    w = np.sqrt(damping_regime(k)[1])
+    w = k._regime[2]
     step = np.pi / (8 * w)
     n_scan = math.ceil((t_end + step) / step)
     phase = np.pi - np.arctan(w / b)
@@ -297,15 +315,14 @@ def solve_decay_time(k: KernelParams, target,
     t_end = SEARCH_WINDOW / k.a
     if tag == "oscillatory":
         prev_t, prev_f = 0.0, 1.0 - target
-        for block in _oscillatory_scan(k, t_end):
-            for t in block:
-                ft = f(t)
-                if prev_f > 0 >= ft:
-                    return float(_bisect_abs_crossing(f, prev_t, t))
-                prev_t, prev_f = t, ft
-        raise RootNotFoundError(
-            f"|p(t)| never crosses {target} within t <= {t_end:g}"
-        )
+        for t in next(_oscillatory_scan(k, t_end)):
+            ft = f(t)
+            if prev_f > 0 >= ft:
+                return float(_bisect_abs_crossing(f, prev_t, t))
+            prev_t, prev_f = t, ft
+        # past the first block, the array path scans a block per call; its
+        # roots are bitwise equal to this loop's
+        return float(_solve_decay_times(k, np.array(target), markovian))
     # monotone decay from 1 toward 0: bracket by doubling
     hi = 1.0 / k.a
     for _ in range(64):

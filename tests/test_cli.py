@@ -568,6 +568,22 @@ def test_huge_kernel_parameters_exit_2(tmp_path, capsys, flag, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "evolve --a {a} --A {a} --gamma {ten_a} --t-max 2 --t-steps 5",
+    "figure 3 c --a {a}",
+], ids=["evolve", "figure-3c"])
+def test_tiny_rates_give_the_unit_rate_table(capsys, command):
+    # at a = 1e-200, 2aA - ((2a + gamma)/2)^2 underflows to 0 and the kernel
+    # was treated as critical; each table is in units of a, so only the
+    # header, which names the rates, may differ from the a = 1 table
+    tables = []
+    for a in (1e-200, 1.0):
+        assert main(command.format(a=a, ten_a=10 * a).split()) == 0
+        tables.append(capsys.readouterr().out.split("\n", 1))
+    assert "a=1e-200 " in tables[0][0]
+    assert tables[0][1] == tables[1][1]
+
+
 def test_import_builds_no_parser():
     code = (
         "import os\n"
@@ -609,10 +625,46 @@ def test_output_to_unwritable_path_exits_3(tmp_path):
     assert main(["evolve", "--t-steps", "16", "--out", str(target)]) == 3
 
 
-# SHA-256 of stdout, pinned from outputs captured before panel 3c moved onto
-# one lockstep root solve; tc covers the four decay_factor branches
+# SHA-256 of stdout. figure 3 c and tc were pinned from outputs captured
+# before panel 3c moved onto one lockstep root solve, the other panels,
+# evolve and trajectory from outputs of the per-row %.9g table writer; tc,
+# evolve and trajectory cover the four decay_factor branches
 GOLDEN_STDOUT = {
+    "figure 1 a":
+        "2a58287f3d4d2934c5718c597823554a0158d92245b698a0a03b50ebfbe15b90",
+    "figure 1 b":
+        "785270a7290d61d2fd5d85e83277a4571209ec7b14278647eb26b1f9199e2853",
+    "figure 2 a":
+        "f3d557240c4c17980bc031e9b0da2eacc39158961f9475cf339de9a20920e1a5",
+    "figure 2 b":
+        "8a356b0b78ce0debbdebb3f54a9c8fab77a20476036ed93aa7918e95adfe6bda",
+    "figure 3 a":
+        "cef346e6813c898228cad5108f162d002732a0626eb2558f9e96bf7e59bc5e77",
+    "figure 3 b":
+        "d4a341b4e302b6318cf146e999e8d49db173580a7b07727ac556b493e819a26b",
     "figure 3 c": "505be442587422783050c0a5b0560e46839fb98413ec9c8e80d9e486b811a215",
+    "figure 2 a --format json":
+        "0c89df6b240affe87133e14c802d45b598dd89ce86758a28fee3413361ddb6d8",
+    "evolve --A 10 --gamma 0.01 --format csv":
+        "6d7f8a45506cce1d4fef35c3d717de77bba383a42d034e674027489740153a3b",
+    "trajectory --A 10 --gamma 0.01 --format csv":
+        "94c7329c970c4ed66207fdd55fbac9e31fceaf2846683af0302f25d22ef1f74b",
+    "evolve --A 1 --gamma 1 --format csv":
+        "a29bc022a062329c3d6cbf8afd16a829718617d3a73792db275d22798809d68e",
+    "trajectory --A 1 --gamma 1 --format csv":
+        "8e645f0a557e7a9aff55acbccd9ffa3df387af8b9ee6bea372227ccd13553528",
+    "evolve --A 0.5 --gamma 0 --format csv":
+        "9e014095cd454690185d119b592a0162171c3850efa7e6bbab82d6a650d51163",
+    "trajectory --A 0.5 --gamma 0 --format csv":
+        "66f3980be605aafbb61707333d121baefc33129b9e263e8e0343515fd2380eba",
+    "evolve --A 0.49999999 --gamma 0 --format csv":
+        "dcc33e84406f77bc92a1df7616ce0afc33c2f942275f5e3a8e9f1be08e602937",
+    "trajectory --A 0.49999999 --gamma 0 --format csv":
+        "93f77cd99a5535c437e5a23366c6f1609ff8c847d620408f1e031a1d75cf1500",
+    "evolve --A 10 --gamma 0.01 --format json":
+        "b4e663d0367d65ecd8b6a53519b78f37303e3f061e632823fba88bc4ba01c4e7",
+    "trajectory --A 10 --gamma 0.01 --format json":
+        "b10e4c3236e1a656a62f8f82d48b67a2fdf734b13ad52a13735ce49a93c8465e",
     "tc --A 10 --gamma 0.01 --format csv":
         "42409b98412107348145417d23f641f5a220604ef8e903317d5de8448aa06793",
     "tc --A 10 --gamma 0.01 --format json":

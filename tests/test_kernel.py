@@ -41,6 +41,26 @@ class TestRegimes:
     def test_critical_boundary(self):
         assert damping_regime(CRITICAL) == ("critical", 0.0)
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+    @pytest.mark.parametrize("A, gamma, tag", [
+        (1.0, 10.0, "overdamped"), (10.0, 0.01, "oscillatory"), (0.5, 0.0, "critical")])
+    def test_regime_holds_at_tiny_rates(self, scale, A, gamma, tag):
+        # past scale 1e-154, 2aA - ((2a + gamma)/2)^2 underflows to 0: the
+        # regime and omega0 come from omega0^2 / a^2, so p(t) in units of a
+        # is the scale-1 kernel's
+        k = KernelParams(scale, A * scale, gamma * scale)
+        assert damping_regime(k)[0] == tag
+        t = np.linspace(0.0, 5.0, 11)
+        unit = decay_factor(KernelParams(1.0, A, gamma), t)
+        assert np.allclose(decay_factor(k, t / scale), unit, rtol=1e-12, atol=1e-15)
+
+    def test_regime_when_both_scaled_terms_overflow(self):
+        # 2A/a and ((2 + gamma/a)/2)^2 are both inf; omega0^2 = 2e-292 -
+        # 2.5e-281 is not
+        k = KernelParams(1e-300, 1e8, 1e-140)
+        assert damping_regime(k)[0] == "overdamped"
+        assert 0.0 < decay_factor(k, 1e140) < 1.0
+
     def test_params_validated(self):
         with pytest.raises(ValueError):
             KernelParams(0.0, 1.0, 1.0)
@@ -303,6 +323,9 @@ class TestSolveDecayTimeArray:
         expected = [_hex([solve_decay_time(k, x) for x in t.tolist()]) for k, t in cases]
         monkeypatch.setattr(kernel, "SCAN_CHUNK", chunk)
         assert [_hex(solve_decay_time(k, t)) for k, t in cases] == expected
+        # a scalar target hands its search to the array path after one block
+        assert [_hex([solve_decay_time(k, x) for x in t.tolist()])
+                for k, t in cases] == expected
 
     def test_empty_array(self):
         for k in (WIDE, EQUAL):
@@ -332,6 +355,23 @@ class TestSolveDecayTimeArray:
             solve_decay_time(WIDE, np.array([0.5, 1e-40, 1e-50]))
         with pytest.raises(RootNotFoundError, match="never crosses 1e-40 within t <= 50$"):
             solve_decay_time(WIDE, 1e-40)
+
+
+def test_unreachable_scalar_target_scans_in_blocks(monkeypatch):
+    # omega0 ~ 1.4e150 a: the scan holds 2^20 points short of the horizon;
+    # one scalar decay_factor call per point took seconds
+    scalar_calls = []
+    real = kernel.decay_factor
+
+    def counting(k, t):
+        if np.ndim(t) == 0:
+            scalar_calls.append(t)
+        return real(k, t)
+
+    monkeypatch.setattr(kernel, "decay_factor", counting)
+    with pytest.raises(RootNotFoundError, match="limit of 1048576 points"):
+        solve_decay_time(KernelParams(1.0, 1e300, 1.0), 1e-30)
+    assert len(scalar_calls) <= kernel.SCAN_CHUNK + 100
 
 
 @pytest.mark.parametrize("A, gamma", [(1e8, 0.0), (1e300, 1.0)])
