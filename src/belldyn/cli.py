@@ -492,15 +492,11 @@ def cmd_tc(cfg: RunConfig) -> int:
     return 0
 
 
+# (column, title, style) of each curve: figure 1 against figures 2 and 3
 _GNUPLOT_CURVES = {
-    (1, "a"): [(4, "C = D (memory kernel)", "lines lw 2"),
-               (6, "C = D (Markovian)", "lines dt 3")],
-    (1, "b"): [(4, "C = D (memory kernel)", "lines lw 2"),
-               (6, "C = D (Markovian)", "lines dt 3")],
-    (2, "a"): [(5, "D", "lines lw 2"), (4, "C", "lines dt 2")],
-    (2, "b"): [(5, "D", "lines lw 2"), (4, "C", "lines dt 2")],
-    (3, "a"): [(5, "D", "lines lw 2"), (4, "C", "lines dt 2")],
-    (3, "b"): [(5, "D", "lines lw 2"), (4, "C", "lines dt 2")],
+    True: [(4, "C = D (memory kernel)", "lines lw 2"),
+           (6, "C = D (Markovian)", "lines dt 3")],
+    False: [(5, "D", "lines lw 2"), (4, "C", "lines dt 2")],
 }
 
 
@@ -521,7 +517,7 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
         lines += ["set xlabel 'a t'", "set ylabel 'correlations (bits)'"]
         plots = ", \\\n     ".join(
             f"'{csv_name}' using 1:{col} with {style} title '{title}'"
-            for col, title, style in _GNUPLOT_CURVES[(figure, panel)]
+            for col, title, style in _GNUPLOT_CURVES[figure == 1]
         )
         lines.append("plot " + plots)
     return "\n".join(lines) + "\n"
@@ -665,7 +661,7 @@ def main(argv=None) -> int:
         panel = (args.figure_id, args.panel) if args.command == "figure" else ()
         return _COMMANDS[args.command][0](cfg, *panel)
     except (InvalidStateError, NonCPTPError, AccuracyError, RootNotFoundError,
-            ValueError, configparser.Error) as exc:
+            ValueError, MemoryError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

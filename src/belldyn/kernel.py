@@ -28,9 +28,7 @@ from .errors import AccuracyError, RootNotFoundError
 REGIME_REL_TOL = 1e-12
 ODE_MAX_STEP = 0.01  # in units of 1/a
 CONVOLUTION_MAX_STEP = 0.005  # in units of 1/a
-SEARCH_WINDOW = 50.0  # root search horizon in units of 1/a
-SCAN_CHUNK = 1024  # oscillatory scan points generated and searched per block
-SCAN_LIMIT = 2**20  # oscillatory scan points searched at most
+SEARCH_WINDOW = 50.0  # monotone root search horizon in units of 1/a
 
 
 @dataclass(frozen=True)
@@ -209,41 +207,27 @@ def decay_factor_convolution(k: KernelParams, t_grid) -> np.ndarray:
     return p
 
 
-def _oscillatory_scan(k: KernelParams, t_end: float):
-    """Scan times t > 0 of the oscillatory root search, in sorted blocks.
+def _oscillatory_scan(k: KernelParams) -> np.ndarray:
+    """Scan times of the oscillatory root search: the multiples i*step of
+    step = pi/(8 omega0) below the first zero z0 = (pi - arctan(omega0/b))/omega0
+    of p, then z0 itself.
 
-    The blocks concatenate to the sorted union of the multiples i*step of
-    step = pi/(8 omega0) up to t_end + step (the values np.arange(0, t_end +
-    step, step) holds) and the zeros z0 + (m*pi)/omega0 <= t_end of p. Each
-    block holds at most SCAN_CHUNK multiples, so a search that stops early
-    never builds the whole horizon; past SCAN_LIMIT multiples the scan ends
-    with RootNotFoundError.
+    z0 lies in (pi/(2 omega0), pi/omega0], so at most 7 multiples precede it,
+    and |p| falls to any target in (0, 1) at or before z0.
     """
     b = (2 * k.a + k.gamma) / 2
     w = k._regime[2]
     step = np.pi / (8 * w)
-    n_scan = math.ceil((t_end + step) / step)
-    phase = np.pi - np.arctan(w / b)
-    first = phase / w
-    n_zeros = 0 if first > t_end else int((t_end * w - phase) // np.pi) + 1
-    m = 0
-    for i in range(1, n_scan, SCAN_CHUNK):
-        if i > SCAN_LIMIT:
-            raise RootNotFoundError(
-                f"|p(t)| scan stopped at its limit of {SCAN_LIMIT} points, "
-                f"at t = {i * step:g} < {t_end:g}")
-        end = min(i + SCAN_CHUNK, n_scan)
-        # SCAN_CHUNK zeros span 8 * SCAN_CHUNK steps, past this block's end
-        zeros = first + np.arange(m, n_zeros if end == n_scan else
-                                  min(m + SCAN_CHUNK, n_zeros)) * np.pi / w
-        if end < n_scan:
-            zeros = zeros[:np.searchsorted(zeros, end * step)]
-        m += zeros.size
-        yield np.unique(np.concatenate([np.arange(i, end) * step, zeros]))
+    first = (np.pi - np.arctan(w / b)) / w
+    multiples = np.arange(1, 8) * step
+    return np.append(multiples[multiples < first], first)
 
 
 def _bisect_abs_crossing(f, lo: float, hi: float) -> float:
-    """Bisection holding the invariant f(lo) > 0 >= f(hi); 1e-10 relative."""
+    """Bisection holding the invariant f(lo) > 0 >= f(hi); 1e-10 relative.
+
+    hi may instead be the exact zero of p, where the float f(hi) can read
+    above 0: every mid then moves lo, and the result lands next to hi."""
     for _ in range(200):
         if hi - lo <= 1e-10 * hi:
             break
@@ -293,10 +277,11 @@ def solve_decay_time(k: KernelParams, target,
     `target` is a scalar (the root is returned as a float) or an array of
     targets (an array of roots of the same shape is returned, bitwise equal
     to the scalar roots; all targets are bracketed in one pass and bisected
-    in lockstep). In the oscillatory regime the scan resolves pi/(8 omega0)
-    and additionally visits the zeros of p so dips of |p| below target
-    between scan points cannot be skipped. Raises ValueError, before any
-    decay_factor call, when the search horizon SEARCH_WINDOW/a overflows.
+    in lockstep). In the oscillatory regime the root lies at or before the
+    first zero z0 of p: the scan steps by pi/(8 omega0) up to z0 and brackets
+    at z0 a target that no earlier point reaches. Monotone decay is bracketed
+    by doubling up to the horizon SEARCH_WINDOW/a; ValueError is raised,
+    before any decay_factor call, when that horizon overflows.
     """
     if not SEARCH_WINDOW / k.a < np.inf:
         raise ValueError(f"root search horizon {SEARCH_WINDOW:g}/a overflows: "
@@ -312,18 +297,18 @@ def solve_decay_time(k: KernelParams, target,
         return abs(decay_factor(k, t)) - target
 
     tag, _ = damping_regime(k)
-    t_end = SEARCH_WINDOW / k.a
     if tag == "oscillatory":
+        scan = _oscillatory_scan(k)
         prev_t, prev_f = 0.0, 1.0 - target
-        for t in next(_oscillatory_scan(k, t_end)):
+        for t in scan[:-1]:
             ft = f(t)
             if prev_f > 0 >= ft:
                 return float(_bisect_abs_crossing(f, prev_t, t))
             prev_t, prev_f = t, ft
-        # past the first block, the array path scans a block per call; its
-        # roots are bitwise equal to this loop's
-        return float(_solve_decay_times(k, np.array(target), markovian))
+        # p vanishes at z0 whatever its float reads
+        return float(_bisect_abs_crossing(f, prev_t, scan[-1]))
     # monotone decay from 1 toward 0: bracket by doubling
+    t_end = SEARCH_WINDOW / k.a
     hi = 1.0 / k.a
     for _ in range(64):
         if f(hi) <= 0:
@@ -344,24 +329,14 @@ def _solve_decay_times(k: KernelParams, targets: np.ndarray,
     if markovian:
         return -np.log(targets) / (2 * k.a)
     tag, _ = damping_regime(k)
-    t_end = SEARCH_WINDOW / k.a
-    lo, hi = np.zeros(flat.size), np.zeros(flat.size)
     if tag == "oscillatory":
-        pending = np.arange(flat.size)
-        prev_t = 0.0
-        for block in _oscillatory_scan(k, t_end):
-            if pending.size == 0:
-                break
-            idx = _first_at_or_below(np.abs(decay_factor(k, block)), flat[pending])
-            hit = idx < block.size
-            hi[pending[hit]] = block[idx[hit]]
-            lo[pending[hit]] = np.concatenate([[prev_t], block])[idx[hit]]
-            pending, prev_t = pending[~hit], block[-1]
-        if pending.size:
-            raise RootNotFoundError(
-                f"|p(t)| never crosses {float(flat[pending[0]])} within t <= {t_end:g}")
+        scan = _oscillatory_scan(k)
+        # a target that no point before z0 reaches lands on z0
+        idx = _first_at_or_below(np.abs(decay_factor(k, scan[:-1])), flat)
+        lo, hi = np.append(0.0, scan)[idx], scan[idx]
     else:
         # the scalar loop's doubling ladder, as one array
+        t_end = SEARCH_WINDOW / k.a
         rungs = [1.0 / k.a]
         while len(rungs) < 64 and rungs[-1] * 2 <= t_end * 1e6:
             rungs.append(rungs[-1] * 2)
@@ -370,5 +345,5 @@ def _solve_decay_times(k: KernelParams, targets: np.ndarray,
         missing = np.flatnonzero(idx == ladder.size)
         if missing.size:
             raise RootNotFoundError(f"|p(t)| never crosses {float(flat[missing[0]])}")
-        hi = ladder[idx]
+        lo, hi = np.zeros(flat.size), ladder[idx]
     return _bisect_abs_crossings(k, flat, lo, hi).reshape(targets.shape)

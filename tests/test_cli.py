@@ -191,6 +191,18 @@ class TestTrajectoryCommand:
         assert len(payload["rows"]) == 20
 
 
+# each panel's gnuplot script for a table written to panel.csv
+GNUPLOT_SHA256 = {
+    ("1", "a"): "11cae463c1b2b53ce6dd0d81f87caa870608428a64d741edf7ae16b4d2a0c181",
+    ("1", "b"): "4dd5f78a95768d9bba4cbef99b7271d7bba2cc602061643d824e3e5ff7f11bd5",
+    ("2", "a"): "6fe24e49047366b238881c580469b6657d25deebd9ac3826bace682e559fca9b",
+    ("2", "b"): "c2417f44fed7b9357ecea7bad98d46da29768b8cab9193779d41840b82fc9621",
+    ("3", "a"): "46c61941167478d0704eb56398c04440a98d39e41a575edfa71cf8be39118407",
+    ("3", "b"): "8b54b3ac68249f518a32a822068e6b91ae1f5f71efc283fa407941bb023f91ad",
+    ("3", "c"): "7ec7f9f80f0e85eebd1920e8474dc2404fc913988e912ab47f3840683ac407b2",
+}
+
+
 class TestFigureCommand:
     def test_byte_identical_runs(self, tmp_path):
         first = tmp_path / "one.csv"
@@ -217,6 +229,12 @@ class TestFigureCommand:
         main(["figure", "2", "b", "--out", str(path)])
         script = (tmp_path / "f2b.gp").read_text()
         assert "plot" in script and "f2b.csv" in script
+
+    @pytest.mark.parametrize("figure, panel", sorted(GNUPLOT_SHA256))
+    def test_gnuplot_script_bytes(self, tmp_path, figure, panel):
+        main(["figure", figure, panel, "--out", str(tmp_path / "panel.csv")])
+        script = (tmp_path / "panel.gp").read_bytes()
+        assert hashlib.sha256(script).hexdigest() == GNUPLOT_SHA256[figure, panel]
 
     @pytest.mark.parametrize("flag, source", from_both_sources([(flag,) for flag in [
         ("--A", "2"), ("--gamma", "0.5"), ("--t-max", "3"), ("--t-steps", "100"),
@@ -568,6 +586,16 @@ def test_huge_kernel_parameters_exit_2(tmp_path, capsys, flag, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_unallocatable_grid_exits_2(tmp_path, capsys, command):
+    # 2**54 float64 points are 128 PiB, past any 64-bit address space, so the
+    # allocation fails at once without touching memory
+    path = tmp_path / "out.txt"
+    assert main([command, "--t-steps", str(2**54), "--out", str(path)]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("command", [
     "evolve --a {a} --A {a} --gamma {ten_a} --t-max 2 --t-steps 5",
     "figure 3 c --a {a}",
@@ -701,7 +729,6 @@ def test_tc_at_large_rates(capsys, a):
 
 
 def test_tc_with_huge_amplitude(capsys):
-    # omega0 ~ 1.4e150 a: the scan stops at the root instead of building
-    # ~1e152 points
+    # omega0 ~ 1.4e150 a: the scan ends at p's first zero, ~1e-150 / a
     assert main(["tc", "--A", "1e300", "--c", "0.1,0.16,0.1"]) == 0
     assert capsys.readouterr().out == "a*t_c = 6.33330649e-151\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from belldyn import kernel
-from belldyn.errors import AccuracyError, RootNotFoundError
+from belldyn.errors import AccuracyError
 from belldyn.kernel import (
     KernelParams,
     damping_regime,
@@ -273,6 +273,11 @@ def _one_shot_scan(k, t_end):
     return np.unique(np.concatenate([scan, zeros]))[1:]
 
 
+# targets below the float |p(z0)|: a kernel drawn at a = 1, A in [1, 1e4],
+# gamma in [0, 2]; the wide kernel; omega0 ~ 1.4e150 a
+BELOW_FLOOR = [(KernelParams(1.0, 1659.6315985408394, 1.6158815794729875),
+                7.119535322085519e-17),
+               (WIDE, 1e-40), (KernelParams(1.0, 1e300, 1.0), 1e-30)]
 BRANCH_NAMES = ("oscillatory", "overdamped", "critical", "near_critical")
 
 
@@ -302,30 +307,24 @@ class TestSolveDecayTimeArray:
             assert type(zero_d) is float
             assert zero_d.hex() == root.hex()
 
-    @pytest.mark.parametrize("chunk", [2, 7, 1024])
-    def test_blocks_equal_the_one_shot_scan(self, monkeypatch, chunk):
-        monkeypatch.setattr(kernel, "SCAN_CHUNK", chunk)
+    def test_scan_ends_at_the_first_zero(self):
         rng = np.random.default_rng(29)
         kernels = [_branch_kernel(rng, "oscillatory") for _ in range(8)]
-        # zeros of p beyond the horizon; many points per period of 1/a
-        kernels += [KernelParams(1.0, 0.5000001, 0.0), KernelParams(0.7, 300.0, 0.2)]
+        # many points per period of 1/a; z0 past the horizon; omega0 ~ 1.4e150 a
+        kernels += [KernelParams(1.0, 0.5000001, 0.0), KernelParams(0.7, 300.0, 0.2),
+                    KernelParams(1.0, 1e300, 1.0), KernelParams(1.0, 0.5 * (1 + 1e-11), 0.0)]
         for k in kernels:
+            b = (2 * k.a + k.gamma) / 2
+            w = np.sqrt(damping_regime(k)[1])
+            z0 = (np.pi - np.arctan(w / b)) / w
+            scan = kernel._oscillatory_scan(k)
+            assert scan.size <= 8
+            assert scan[-1] == z0
             t_end = kernel.SEARCH_WINDOW / k.a
-            blocks = list(kernel._oscillatory_scan(k, t_end))
-            assert _hex(np.concatenate(blocks)) == _hex(_one_shot_scan(k, t_end))
-
-    @pytest.mark.parametrize("chunk", [2, 7])
-    def test_brackets_across_blocks(self, monkeypatch, chunk):
-        # small blocks put crossings at block edges and in later blocks
-        rng = np.random.default_rng(31)
-        cases = [(_branch_kernel(rng, "oscillatory"), rng.uniform(1e-12, 1.0, 20))
-                 for _ in range(10)]
-        expected = [_hex([solve_decay_time(k, x) for x in t.tolist()]) for k, t in cases]
-        monkeypatch.setattr(kernel, "SCAN_CHUNK", chunk)
-        assert [_hex(solve_decay_time(k, t)) for k, t in cases] == expected
-        # a scalar target hands its search to the array path after one block
-        assert [_hex([solve_decay_time(k, x) for x in t.tolist()])
-                for k, t in cases] == expected
+            if z0 <= t_end:
+                # a horizon of 2 z0 holds the same points up to z0
+                one_shot = _one_shot_scan(k, min(t_end, 2 * z0))
+                assert _hex(scan) == _hex(one_shot[one_shot <= z0])
 
     def test_empty_array(self):
         for k in (WIDE, EQUAL):
@@ -338,59 +337,39 @@ class TestSolveDecayTimeArray:
         with pytest.raises(ValueError, match="got nan$"):
             solve_decay_time(k, [0.5, np.nan], markovian=True)
 
-    def test_scan_stops_at_its_limit(self, monkeypatch):
-        root = solve_decay_time(WIDE, 0.9)
-        monkeypatch.setattr(kernel, "SCAN_CHUNK", 2)
-        monkeypatch.setattr(kernel, "SCAN_LIMIT", 4)
-        # the 0.9 crossing lies within the first four scan points
-        assert solve_decay_time(WIDE, 0.9).hex() == root.hex()
-        assert _hex(solve_decay_time(WIDE, [0.9])) == [root.hex()]
-        for target in (1e-40, [0.9, 1e-40]):
-            with pytest.raises(RootNotFoundError, match="limit of 4 points"):
-                solve_decay_time(WIDE, target)
-
-    def test_unreachable_target_is_named(self):
-        # |p| stays above 1e-36 on every scan point up to a*t = 50
-        with pytest.raises(RootNotFoundError, match="never crosses 1e-40 within t <= 50$"):
-            solve_decay_time(WIDE, np.array([0.5, 1e-40, 1e-50]))
-        with pytest.raises(RootNotFoundError, match="never crosses 1e-40 within t <= 50$"):
-            solve_decay_time(WIDE, 1e-40)
+    def test_target_below_the_float_floor_gets_the_first_crossing(self):
+        for k, target in BELOW_FLOOR:
+            # no scan point reaches the target, not even z0, where p vanishes
+            scan = kernel._oscillatory_scan(k)
+            assert np.all(np.abs(decay_factor(k, scan)) > target)
+            root = _high_precision_root(k, target)
+            assert abs(solve_decay_time(k, target) - root) <= 1e-10 * root
+            roots = solve_decay_time(k, np.array([0.5, target, target]))
+            assert abs(roots[1:] - root).max() <= 1e-10 * root
 
 
-def test_unreachable_scalar_target_scans_in_blocks(monkeypatch):
-    # omega0 ~ 1.4e150 a: the scan holds 2^20 points short of the horizon;
-    # one scalar decay_factor call per point took seconds
-    scalar_calls = []
-    real = kernel.decay_factor
+def _high_precision_root(k, target):
+    """The first t with |p(t)| = target, to 60 digits, for an oscillatory k.
 
-    def counting(k, t):
-        if np.ndim(t) == 0:
-            scalar_calls.append(t)
-        return real(k, t)
-
-    monkeypatch.setattr(kernel, "decay_factor", counting)
-    with pytest.raises(RootNotFoundError, match="limit of 1048576 points"):
-        solve_decay_time(KernelParams(1.0, 1e300, 1.0), 1e-30)
-    assert len(scalar_calls) <= kernel.SCAN_CHUNK + 100
-
-
-@pytest.mark.parametrize("A, gamma", [(1e8, 0.0), (1e300, 1.0)])
-def test_huge_amplitude_root_matches_high_precision(A, gamma):
-    # omega0 / a up to 1e150: the scan is built only as far as the root
+    p falls monotonically from 1 to 0 on [0, z0], so the root is the one
+    bracketed there; it is found in the phase u = omega0 t, which is O(1)."""
     mpmath = pytest.importorskip("mpmath")
-    k = KernelParams(1.0, A, gamma)
-    t = solve_decay_time(k, 0.625)
     with mpmath.workdps(60):
         a, A, gamma = (mpmath.mpf(x) for x in (k.a, k.A, k.gamma))
         b = (2 * a + gamma) / 2
         w = mpmath.sqrt(2 * a * A - b * b)
 
-        def excess(u):  # in the phase u = w t
-            s = u / w
-            return mpmath.exp(-b * s) * (mpmath.cos(u) + b / w * mpmath.sin(u)) - 0.625
+        def excess(u):
+            return mpmath.exp(-b * u / w) * (mpmath.cos(u) + b / w * mpmath.sin(u)) - target
 
-        # the first crossing: cos(u) = 0.625 near u = 0.896
-        phase = mpmath.findroot(excess, mpmath.acos(mpmath.mpf(0.625)))
-        assert 0.8 < phase < 1.0
-        root = float(phase / w)
-        assert abs(t - root) <= 1e-9 * root
+        phase = mpmath.findroot(excess, (0, mpmath.pi - mpmath.atan(w / b)),
+                                solver="anderson")
+        return float(phase / w)
+
+
+@pytest.mark.parametrize("A, gamma", [(1e8, 0.0), (1e300, 1.0)])
+def test_huge_amplitude_root_matches_high_precision(A, gamma):
+    # omega0 / a up to 1e150: the scan ends at z0 ~ 1e-150 / a
+    k = KernelParams(1.0, A, gamma)
+    root = _high_precision_root(k, 0.625)
+    assert abs(solve_decay_time(k, 0.625) - root) <= 1e-9 * root
