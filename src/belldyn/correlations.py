@@ -4,12 +4,14 @@ The closed forms (mutual information, classical correlation and discord, in
 correlation_ledger and discord) operate on Bell-diagonal coefficient
 triples. Two oracles check them by independent paths through density
 matrices: the brute-force classical correlation minimizes the conditional
-entropy over a hemisphere grid of Bloch vectors measured on B, then refines;
-the relative-entropy discord finds the nearest of the three axis dephasings.
+entropy over a hemisphere grid of Bloch vectors measured on B, then refines
+with Newton steps on the sphere and a final coordinate descent; the
+relative-entropy discord finds the nearest of the three axis dephasings.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,18 +33,26 @@ AXES = ("x", "y", "z")
 ZERO_PROBABILITY = 1e-12
 IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 
-# brute-force search resolution: 64 x 128 grid, then coordinate descent
+# brute-force search resolution: 64 x 128 grid, then Newton refinement and
+# coordinate descent
 THETA_STEPS = 64
 PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
-# scales the descent tries per iteration: the current one and its next seven
-# halvings. A state then takes ~6.6 iterations, against ~9.6 at depth 4 and
-# ~27.8 trying one step at a time; blocks of BLOCK_ROWS bound the memory
+# scales the coordinate descent tries per iteration: the current one and its
+# next seven halvings. From a Newton point it starts at the eighth-last scale
+# above angle_tol, so one iteration that improves nothing ends it; a state
+# that falls back starts at the grid spacing and takes ~6.6 iterations,
+# against ~9.6 at depth 4 and ~27.8 trying one step at a time
 DESCENT_LEVELS = 8
-# most candidates one _conditional_entropies call evaluates: its largest
-# temporary, the (8, K) feature block, is then 128 KiB, small enough for malloc
-# to reuse rather than map and zero fresh pages on every call
+# most candidates one _conditional_entropies call evaluates, in the grid pass,
+# at the Newton points and in the descent: its largest temporary, the (8, K)
+# feature block, is then 128 KiB, small enough for malloc to reuse rather than
+# map and zero fresh pages on every call
 BLOCK_ROWS = 2048
+# trials one state's Newton descent may take before it falls back to the
+# coordinate descent from its grid minimum; a converging state takes ~2
+NEWTON_STEPS = 32
+_LN2 = math.log(2.0)
 
 
 class CorrelationReport(NamedTuple):
@@ -205,6 +215,159 @@ def _blocked_entropies(ops, cols) -> np.ndarray:
         for i in range(0, len(cols), group)])
 
 
+def _grid_minima(ops, theta_steps: int, phi_steps: int) -> tuple:
+    """Each state's lowest conditional entropy on the cached hemisphere grid
+    and its angles, as three (N,) arrays; ties go to the first grid point."""
+    tg, pg, grid = _search_grid(theta_steps, phi_steps)
+    n = len(ops)
+    best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        values = _blocked_entropies(ops[i], grid)
+        j = np.argmin(values)
+        best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
+    return best_val, theta, phi
+
+
+def _coordinate_descent(ops, best_val, theta, phi, scale, theta_steps: int,
+                        phi_steps: int, angle_tol: float) -> None:
+    """Coordinate descent over the whole sphere, all states in lockstep,
+    refining best_val, theta and phi in place.
+
+    State i's theta and phi steps are scale[i] * pi/theta_steps and
+    scale[i] * 2 pi/phi_steps; a state stops once its larger step is at most
+    angle_tol. Each iteration evaluates the four moves at a state's step and
+    its next DESCENT_LEVELS - 1 halvings in one batch and takes the largest
+    step that improves: exactly the move of a descent trying one step at a
+    time and halving after each failure, because halving a scale by 2 is
+    exact. No call evaluates more than BLOCK_ROWS candidates at once.
+    """
+    reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
+    halvings = 0.5 ** np.arange(DESCENT_LEVELS)
+    # theta up, theta down, phi up, phi down at scale 1, as (angle, move):
+    # adding 0 or clipping an unmoved angle leaves it as it is, so these are
+    # the one-step moves, and scaling them by powers of 2 is exact
+    moves = np.array([[np.pi / theta_steps], [2 * np.pi / phi_steps]]) * [
+        [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+    while (live := np.flatnonzero(reach * scale > angle_tol)).size:
+        levels = scale[live, None] * halvings  # (live, levels)
+        step = levels[..., None, None] * moves  # (live, levels, angle, move)
+        cand_t = np.minimum(np.maximum(theta[live, None, None] + step[..., 0, :], 0.0),
+                            np.pi)
+        cand_p = phi[live, None, None] + step[..., 1, :]
+        cand_p[..., 2:] %= 2 * np.pi  # (live, levels, moves)
+        vals = _blocked_entropies(ops[live], _bloch_columns(
+            cand_t.reshape(live.size, -1), cand_p.reshape(live.size, -1)),
+        ).reshape(cand_t.shape)
+        pick, low = np.argmin(vals, axis=2), np.min(vals, axis=2)
+        better = (low < best_val[live, None]) & (reach * levels > angle_tol)
+        hit = better.any(axis=1)
+        if (rows := np.flatnonzero(hit)).size:
+            level = np.argmax(better[rows], axis=1)
+            move, moved = pick[rows, level], live[rows]
+            best_val[moved] = low[rows, level]
+            theta[moved] = cand_t[rows, level, move]
+            phi[moved] = cand_p[rows, level, move]
+            scale[moved] = levels[rows, level]
+        # no scale improved: go on from the first one not yet tried
+        scale[live[~hit]] = levels[~hit, -1] / 2
+
+
+def _newton_model(op, theta: float, phi: float):
+    """Conditional entropy at n(theta, phi) with its gradient and Hessian in
+    the tangent frame (e_theta, e_phi), as scalars (H, H_u, H_v, H_uu, H_uv,
+    H_vv); None where a second derivative is singular.
+
+    op @ (1, n), (0, e_theta), (0, e_phi), (0, n) gives each outcome's w and
+    f with their derivatives along u and v: n_uu = n_vv = -n and n_uv = 0 on
+    the geodesics from n. An outcome adds S(w, d) = w log2 w - l+ log2 l+
+    - l- log2 l-, l+- = (w +- d) / 2, d = |f|; with x = d / w, S_w = 1
+    - log2(1 - x^2) / 2, S_d = -atanh(x) / ln 2 and the second partials
+    -k (x, -1) (x, -1)^T, k = 1 / (w (1 - x^2) ln 2). Singular: w at most
+    ZERO_PROBABILITY, or x within ZERO_PROBABILITY of 0 or 1 (d or l- ~ 0).
+    """
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    n = (sin_t * cos_p, sin_t * sin_p, cos_t)
+    feats = (op @ np.array([[1.0, 0.0, 0.0, 0.0],
+                            [n[0], cos_t * cos_p, -sin_p, n[0]],
+                            [n[1], cos_t * sin_p, cos_p, n[1]],
+                            [n[2], -sin_t, 0.0, n[2]]])).tolist()
+    value = h_u = h_v = h_uu = h_uv = h_vv = 0.0
+    for outcome in (0, 1):
+        # rows w, f_x, f_y, f_z; columns the value, d/du, d/dv and -d2/du2
+        (w, w_u, w_v, w_n), (fx, fx_u, fx_v, fx_n), (fy, fy_u, fy_v, fy_n), \
+            (fz, fz_u, fz_v, fz_n) = feats[outcome::2]
+        ff = fx * fx + fy * fy + fz * fz
+        f_u = fx * fx_u + fy * fy_u + fz * fz_u
+        f_v = fx * fx_v + fy * fy_v + fz * fz_v
+        f_n = fx * fx_n + fy * fy_n + fz * fz_n
+        uu = fx_u * fx_u + fy_u * fy_u + fz_u * fz_u
+        uv = fx_u * fx_v + fy_u * fy_v + fz_u * fz_v
+        vv = fx_v * fx_v + fy_v * fy_v + fz_v * fz_v
+        d = math.sqrt(ff)
+        x = d / w if w > ZERO_PROBABILITY else 0.0
+        if not ZERO_PROBABILITY < x < 1.0 - ZERO_PROBABILITY:
+            return None
+        up, down = (w + d) / 2, (w - d) / 2
+        value -= up * math.log2(up / w) + down * math.log2(down / w)
+        s_w = 1.0 - math.log1p(-x * x) / (2 * _LN2)
+        s_d = -math.atanh(x) / _LN2
+        k = 1.0 / (w * (1.0 - x * x) * _LN2)
+        d_u, d_v = f_u / d, f_v / d
+        m_u, m_v = x * w_u - d_u, x * w_v - d_v
+        s_dd = s_d / d  # times d d_ij = f_i . f_j + f . f_ij - d_i d_j
+        h_u += s_w * w_u + s_d * d_u
+        h_v += s_w * w_v + s_d * d_v
+        h_uu += s_dd * (uu - f_n - d_u * d_u) - k * m_u * m_u - s_w * w_n
+        h_uv += s_dd * (uv - d_u * d_v) - k * m_u * m_v
+        h_vv += s_dd * (vv - f_n - d_v * d_v) - k * m_v * m_v - s_w * w_n
+    return value, h_u, h_v, h_uu, h_uv, h_vv
+
+
+def _newton_refine(op, theta: float, phi: float, radius: float, angle_tol: float):
+    """Safeguarded Newton descent on the sphere from n(theta, phi), in scalar
+    floats: the final (theta, phi), or None when the model is singular at the
+    start or the descent takes NEWTON_STEPS trials.
+
+    Steps are taken in the tangent frame and mapped along the geodesic. Where
+    the Hessian is not positive definite the step is steepest descent. Each
+    step is clipped to the trust radius, which starts at the grid spacing and
+    halves on every step that does not strictly lower the entropy; the
+    descent stops once a step is at most angle_tol.
+    """
+    model = _newton_model(op, theta, phi)
+    if model is None:
+        return None
+    for _ in range(NEWTON_STEPS):
+        value, h_u, h_v, h_uu, h_uv, h_vv = model
+        det = h_uu * h_vv - h_uv * h_uv
+        newton = h_uu > 0.0 and det > 0.0
+        if newton:
+            su, sv = (h_uv * h_v - h_vv * h_u) / det, (h_uv * h_u - h_uu * h_v) / det
+        else:
+            su, sv = -h_u, -h_v
+        length = math.hypot(su, sv)
+        if length > radius or (length and not newton):
+            su, sv, length = su * radius / length, sv * radius / length, radius
+        if length <= angle_tol:
+            return theta, phi
+        # n cos|s| + (su e_theta + sv e_phi) sin|s| / |s|
+        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        sin_p, cos_p = math.sin(phi), math.cos(phi)
+        along, across = math.cos(length), math.sin(length) / length
+        lift = sin_t * along + cos_t * su * across
+        m = (lift * cos_p - sin_p * sv * across, lift * sin_p + cos_p * sv * across,
+             cos_t * along - sin_t * su * across)
+        trial_t = math.atan2(math.hypot(m[0], m[1]), m[2])
+        trial_p = math.atan2(m[1], m[0]) % (2 * math.pi)
+        trial = _newton_model(op, trial_t, trial_p)
+        if trial and trial[0] < value:
+            theta, phi, model = trial_t, trial_p, trial
+        else:
+            radius = length / 2
+    return None
+
+
 def classical_correlation_bruteforce(
     rho: np.ndarray,
     theta_steps: int = THETA_STEPS,
@@ -216,15 +379,26 @@ def classical_correlation_bruteforce(
     Takes one (4, 4) density matrix or an (N, 4, 4) stack; a stack returns
     values (N,) and bases (N, 3), each row equal to the single-state call.
     Scans the cached upper hemisphere of a theta_steps x phi_steps grid one
-    state at a time, then runs coordinate descent over the whole sphere with
-    step halving down to angle_tol on all states in lockstep, each keeping
-    its own step and stopping on its own; neither evaluates more than
-    BLOCK_ROWS candidates at once. Each iteration evaluates the four moves at
-    a state's step and its next DESCENT_LEVELS - 1 halvings in one batch and
-    takes the largest step that improves, exactly the move of a descent
-    trying one step at a time, halving after each failure. Ties on the grid
+    state at a time. From each state's grid minimum a safeguarded Newton
+    descent in scalar floats (_newton_refine) finds the stationary point to
+    angle_tol; the kernel then evaluates that point, which is kept where it
+    is lower than the grid minimum. A coordinate descent (_coordinate_descent)
+    over all states in lockstep finishes: from the Newton point it tries only
+    the last DESCENT_LEVELS step halvings above angle_tol, and a state whose
+    Newton model is singular (a zero-probability outcome, a maximally mixed
+    or a pure conditional state) or that does not converge descends from its
+    grid minimum at the grid spacing, halving down to angle_tol. Every
+    comparison in that descent uses the kernel's own values. Ties on the grid
     resolve to the smallest angles, so results are run-to-run identical.
+    Raises ValueError unless theta_steps >= 2, phi_steps >= 1 and angle_tol
+    is finite and positive.
     """
+    if theta_steps < 2:
+        raise ValueError(f"theta_steps must be at least 2, got {theta_steps}")
+    if phi_steps < 1:
+        raise ValueError(f"phi_steps must be at least 1, got {phi_steps}")
+    if not 0.0 < angle_tol < math.inf:
+        raise ValueError(f"angle_tol must be finite and positive, got {angle_tol}")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(
@@ -232,45 +406,26 @@ def classical_correlation_bruteforce(
     stack = require_valid_state(rho.reshape(-1, 4, 4))
     ops, rho_a = _search_operands(stack)
     entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
+    best_val, theta, phi = _grid_minima(ops, theta_steps, phi_steps)
 
-    tg, pg, grid = _search_grid(theta_steps, phi_steps)
-    n = len(stack)
-    best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
-    for i in range(n):
-        values = _blocked_entropies(ops[i], grid)
-        j = np.argmin(values)
-        best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
-
-    # the theta and phi steps start at pi/theta_steps and 2 pi/phi_steps and
-    # halve together; halving a scale by 2 is exact, so each level's steps
-    # equal those the one-step descent reaches after as many halvings
-    scale = np.ones(n)
     reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
-    halvings = 0.5 ** np.arange(DESCENT_LEVELS)
-    while (live := np.flatnonzero(reach * scale > angle_tol)).size:
-        levels = scale[live, None] * halvings  # (live, levels)
-        # moves theta up, theta down, phi up, phi down: adding 0 or clipping an
-        # unmoved angle leaves it as it is, so these are the one-step moves
-        st = (np.pi / theta_steps * levels)[..., None] * [1.0, -1.0, 0.0, 0.0]
-        sp = (2 * np.pi / phi_steps * levels)[..., None] * [0.0, 0.0, 1.0, -1.0]
-        cand_t = np.minimum(np.maximum(theta[live, None, None] + st, 0.0), np.pi)
-        cand_p = phi[live, None, None] + sp
-        cand_p[..., 2:] %= 2 * np.pi  # (live, levels, moves)
-        vals = _blocked_entropies(ops[live], _bloch_columns(
-            cand_t.reshape(live.size, -1), cand_p.reshape(live.size, -1)),
-        ).reshape(cand_t.shape)
-        pick, low = np.argmin(vals, axis=2), np.min(vals, axis=2)
-        better = (low < best_val[live, None]) & (reach * levels > angle_tol)
-        hit = better.any(axis=1)
-        rows = np.flatnonzero(hit)
-        level = np.argmax(better[rows], axis=1)
-        move, moved = pick[rows, level], live[rows]
-        best_val[moved] = low[rows, level]
-        theta[moved] = cand_t[rows, level, move]
-        phi[moved] = cand_p[rows, level, move]
-        scale[moved] = levels[rows, level]
-        # no scale improved: go on from the first one not yet tried
-        scale[live[~hit]] = levels[~hit, -1] / 2
+    scale = np.ones(len(stack))
+    points = [(i, point) for i in range(len(stack)) if (point := _newton_refine(
+        ops[i], float(theta[i]), float(phi[i]), reach, angle_tol))]
+    if points:
+        rows = np.array([i for i, _ in points])
+        at_t, at_p = np.array([point for _, point in points]).T
+        values = _blocked_entropies(ops[rows], _bloch_columns(
+            at_t[:, None], at_p[:, None]))[:, 0]
+        lower = values < best_val[rows]
+        best_val[rows[lower]] = values[lower]
+        theta[rows[lower]], phi[rows[lower]] = at_t[lower], at_p[lower]
+        fine = 1.0  # the scale of the last step above angle_tol
+        while reach * fine / 2 > angle_tol:
+            fine /= 2
+        scale[rows] = min(1.0, fine * 2.0 ** (DESCENT_LEVELS - 1))
+    _coordinate_descent(ops, best_val, theta, phi, scale, theta_steps, phi_steps,
+                        angle_tol)
 
     value = entropy_a - best_val
     basis = _bloch_columns(theta, phi)[1:].T

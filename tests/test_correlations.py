@@ -3,19 +3,26 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from belldyn import correlations
 from belldyn.correlations import (
     AXES,
+    NEWTON_STEPS,
     PHI_STEPS,
     REFINE_ANGLE_TOL,
     THETA_STEPS,
     _bloch_columns,
     _conditional_entropies,
+    _coordinate_descent,
+    _grid_minima,
+    _newton_refine,
     _search_grid,
     _search_operands,
     binary_information,
     classical_correlation_bruteforce,
+    correlation_ledger,
     discord,
     relative_entropy_discord,
 )
@@ -67,10 +74,10 @@ def reference_projectors(theta, phi):
     return np.stack([k0 * k0, cross, cross.conj(), k1.conj() * k1], axis=-1)
 
 
-def reference_conditional_entropies(rho, proj):
-    """Conditional entropies of A after measuring B with (K, 4) projector
-    rows, through complex 2 x 2 matrices: M+ = proj @ rho_bd, M- = rho_A - M+,
-    each adding w * S(M/w), w = Tr M, or zero when w < 1e-12."""
+def reference_spectra(rho, proj):
+    """A's conditional states after measuring B with (K, 4) projector rows,
+    through complex 2 x 2 matrices M+ = proj @ rho_bd and M- = rho_A - M+:
+    their traces w, shape (2, K), and eigenvalues (l+, l-), (2, 2, K)."""
     rho_bd = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).transpose(
         1, 3, 0, 2).reshape(4, 4)
     m_plus = proj @ rho_bd
@@ -78,11 +85,44 @@ def reference_conditional_entropies(rho, proj):
     w = np.real(m[..., 0] + m[..., 3])
     disc = np.sqrt(np.maximum(
         np.real(m[..., 0] - m[..., 3]) ** 2 + 4 * np.abs(m[..., 1]) ** 2, 0.0))
-    eig = np.clip(np.stack([w + disc, w - disc]) / 2, 0.0, None)
+    return w, np.clip(np.stack([w + disc, w - disc]) / 2, 0.0, None)
+
+
+def reference_conditional_entropies(rho, proj):
+    """Conditional entropies of A after measuring B with (K, 4) projector
+    rows, each outcome adding w * S(M/w), or zero when w < 1e-12."""
+    w, eig = reference_spectra(rho, proj)
     q = np.divide(eig, w, out=np.zeros_like(eig), where=w > 1e-12)
     terms = eig * np.log2(np.where(q > 1e-15, q, 1.0))
     outcome = (0.0 - terms[0]) - terms[1]
     return outcome[0] + outcome[1]
+
+
+def basis_projector(basis):
+    """The (1, 4) reference projector row of a unit Bloch vector."""
+    theta = np.arctan2(np.hypot(basis[0], basis[1]), basis[2])
+    return reference_projectors(theta, np.arctan2(basis[1], basis[0]))[None]
+
+
+def reference_value(rho, basis):
+    """S(rho_A) minus the reference conditional entropy after measuring B
+    along the unit Bloch vector."""
+    rho_a = np.trace(np.asarray(rho).reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    return entropy(rho_a) - reference_conditional_entropies(rho, basis_projector(basis))[0]
+
+
+def rounding_allowance(rho, basis):
+    """2 eps sum_outcomes w log2(l+ / l-) at the basis: twice the entropy
+    change from a rounding error eps * w in l- = (w - |f|) / 2, since the
+    outcome's -l+ log2(l+/w) - l- log2(l-/w), with l+ = w - l-, has slope
+    log2(l+/l-) in l-. It exceeds the fixed value gates only near a pure
+    conditional state: at a rank-2 state's optimum l-/w ~ 1e-4, and there the
+    kernel and the reference differ by up to 3e-15 at either search's basis."""
+    w, (up, down) = reference_spectra(rho, basis_projector(basis))
+    eps = np.finfo(float).eps
+    live = w > 1e-12
+    ratio = up[live] / np.maximum(down[live], eps * w[live])
+    return 2 * eps * float(np.sum(w[live] * np.log2(ratio)))
 
 
 def full_grid(theta_steps=THETA_STEPS, phi_steps=PHI_STEPS):
@@ -233,18 +273,47 @@ class TestConditionalEntropy:
         assert got == pytest.approx(entropy(rho_a), abs=1e-10)
 
 
+def edge_states():
+    """The maximally mixed state, the singlet, an exact tie |c_x| = |c_y|,
+    an optimum at the theta = 0 pole, and B in |0><0|, where measuring along
+    z gives an outcome of probability zero."""
+    rhos = [bell_to_density(c) for c in
+            [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1), (0.1, 0.1, 0.5)]]
+    rho_a = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
+    return rhos + [np.kron(rho_a, np.diag([1.0, 0.0]))]
+
+
 @lru_cache(maxsize=2)
 def lookahead_reference(steps):
-    """50 seeded Bell-diagonal and 20 general states, the maximally mixed
-    state, the singlet and an exact tie |c_x| = |c_y|, with the values and
-    bases of one_step_descent on them."""
+    """50 seeded Bell-diagonal and 20 general states and the edge states,
+    with the values and bases of one_step_descent on them."""
     rng = np.random.default_rng(71)
     rhos = [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
     rhos += [random_two_qubit_state(rng) for _ in range(20)]
-    rhos += [bell_to_density(c) for c in
-             [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]]
-    rhos = np.stack(rhos)
+    rhos = np.stack(rhos + edge_states())
     return (rhos, *one_step_descent(rhos, *steps))
+
+
+def descent_from_grid(rhos, steps):
+    """The search's grid pass and coordinate descent at full scale, without
+    the Newton refinement: (values, bases) as one_step_descent gives them."""
+    ops, rho_a = _search_operands(rhos)
+    entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
+    best_val, theta, phi = _grid_minima(ops, *steps)
+    _coordinate_descent(ops, best_val, theta, phi, np.ones(len(rhos)), *steps,
+                        REFINE_ANGLE_TOL)
+    return entropy_a - best_val, _bloch_columns(theta, phi)[1:].T
+
+
+def assert_value_gates(rhos, steps, value, basis):
+    """The returned value is the reference's at the returned basis to
+    2e-15 and no lower than one_step_descent's by more than 1e-15, or by
+    more than the rounding allowance where that is larger."""
+    ref_value, _ = one_step_descent(rhos, *steps)
+    for rho, got, at, ref in zip(rhos, value, basis, ref_value):
+        slack = rounding_allowance(rho, at)
+        assert abs(got - reference_value(rho, at)) <= max(2e-15, slack)
+        assert got >= ref - max(1e-15, slack)
 
 
 # (grid, BLOCK_ROWS, DESCENT_LEVELS). Blocks of 1 and 7 rows divide neither
@@ -258,6 +327,8 @@ BLOCK_CASES = [
       for steps in ((THETA_STEPS, PHI_STEPS), (16, 32))
       for block_rows in (1024, 8192) for levels in (1, 4, 8)),
 ]
+GRIDS = pytest.mark.parametrize("steps", [(THETA_STEPS, PHI_STEPS), (16, 32)],
+                                ids=["64x128", "16x32"])
 
 
 class TestBruteForce:
@@ -293,25 +364,43 @@ class TestBruteForce:
             assert single.value == value
             assert np.array_equal(single.basis, basis)
 
-    @pytest.mark.parametrize("steps", [(THETA_STEPS, PHI_STEPS), (16, 32)],
-                             ids=["64x128", "16x32"])
-    def test_lookahead_equals_one_step_descent(self, steps):
-        rng = np.random.default_rng(71)
-        rhos = [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
-        rhos += [random_two_qubit_state(rng) for _ in range(20)]
-        # maximally mixed, singlet, and an exact tie |c_x| = |c_y|
-        rhos += [bell_to_density(c) for c in
-                 [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]]
-        rhos = np.stack(rhos)
-        value, basis = one_step_descent(rhos, *steps)
+    def test_agrees_with_closed_form_to_rounding(self):
+        rng = np.random.default_rng(67)
+        states = np.array([random_bell_coefficients(rng) for _ in range(100)])
+        brute = classical_correlation_bruteforce(
+            np.stack([bell_to_density(c) for c in states]))
+        assert np.max(np.abs(brute.value - correlation_ledger(states).C)) <= 1e-14
+
+    @GRIDS
+    def test_value_gates_and_stack_rows(self, steps):
+        rhos, _, _ = lookahead_reference(steps)
         stack = classical_correlation_bruteforce(rhos, *steps)
-        assert np.array_equal(stack.value, value)
-        assert np.array_equal(stack.basis, basis)
-        for rho in rhos:
+        assert_value_gates(rhos, steps, stack.value, stack.basis)
+        for rho, value, basis in zip(rhos, stack.value, stack.basis):
             single = classical_correlation_bruteforce(rho, *steps)
-            ref_value, ref_basis = one_step_descent(rho, *steps)
-            assert single.value == ref_value[0]
-            assert np.array_equal(single.basis, ref_basis[0])
+            assert single.value == value
+            assert np.array_equal(single.basis, basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda rank: st.lists(
+        st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank)))
+    def test_value_gates_on_general_states(self, entries):
+        # rho = v v^dagger from a complex 4 x rank matrix v, of that rank
+        v = np.reshape(entries, (2, 4, -1))
+        v = v[0] + 1j * v[1]
+        rho = v @ v.conj().T
+        assume(np.linalg.matrix_rank(rho, tol=1e-6) == v.shape[1])
+        rho /= np.trace(rho)
+        result = classical_correlation_bruteforce(rho)
+        assert_value_gates(rho[None], (THETA_STEPS, PHI_STEPS),
+                           np.array([result.value]), result.basis[None])
+
+    @GRIDS
+    def test_descent_equals_one_step_descent(self, steps):
+        rhos, value, basis = lookahead_reference(steps)
+        got_value, got_basis = descent_from_grid(rhos, steps)
+        assert np.array_equal(got_value, value)
+        assert np.array_equal(got_basis, basis)
 
     @pytest.mark.parametrize("steps, block_rows, levels", BLOCK_CASES,
                              ids=[f"{t}x{p}-{b}-{d}" for (t, p), b, d in BLOCK_CASES])
@@ -320,9 +409,32 @@ class TestBruteForce:
         monkeypatch.setattr(correlations, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(correlations, "DESCENT_LEVELS", levels)
         rhos, value, basis = lookahead_reference(steps)
-        stack = classical_correlation_bruteforce(rhos, *steps)
-        assert np.array_equal(stack.value, value)
-        assert np.array_equal(stack.basis, basis)
+        got_value, got_basis = descent_from_grid(rhos, steps)
+        assert np.array_equal(got_value, value)
+        assert np.array_equal(got_basis, basis)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"angle_tol": -1.0}, "angle_tol"), ({"angle_tol": 0.0}, "angle_tol"),
+        ({"angle_tol": float("nan")}, "angle_tol"),
+        ({"angle_tol": float("inf")}, "angle_tol"),
+        ({"phi_steps": 0}, "phi_steps"), ({"theta_steps": 0}, "theta_steps"),
+        ({"theta_steps": 1}, "theta_steps"),
+    ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "phi-0", "theta-0",
+            "theta-1"])
+    def test_rejects_bad_search_arguments(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            classical_correlation_bruteforce(bell_to_density((0.1, 0.16, 0.1)), **kwargs)
+
+    @pytest.mark.parametrize("angle_tol", [-1.0, 0.0, float("nan")])
+    def test_newton_refinement_is_bounded(self, monkeypatch, angle_tol):
+        # no step is ever at most such a tolerance: the trial count ends it
+        calls = []
+        model = correlations._newton_model
+        monkeypatch.setattr(correlations, "_newton_model",
+                            lambda *args: calls.append(args) or model(*args))
+        ops, _ = _search_operands(bell_to_density((0.1, 0.16, 0.1))[None])
+        assert _newton_refine(ops[0], 1.0, 1.0, np.pi / THETA_STEPS, angle_tol) is None
+        assert len(calls) == NEWTON_STEPS + 1
 
     def test_cached_grid_is_read_only(self):
         # the upper hemisphere: T/2 rows of theta, the pole once
