@@ -552,6 +552,8 @@ def _verify_checks(cfg: RunConfig):
         ("A=a=gamma", KernelParams(a, a, a)),
         ("A=10a", KernelParams(a, 10 * a, a / 100)),
         ("critical", KernelParams(a, a / 2, 0.0)),
+        # omega < 1e-3 b: decay_factor's near-critical hyperbolic branch
+        ("near-critical", KernelParams(a, a / 2 * (1 - 1e-8), 0.0)),
     ]
     grid = cfg.time_grid()
     rng = np.random.default_rng(VERIFY_SEED)

@@ -99,30 +99,38 @@ def decay_factor(k: KernelParams, t):
     """Closed-form p(t); accepts a scalar or an array of times t >= 0.
 
     The overdamped branch is the cosh/sinh analytic continuation of the
-    oscillatory form; the critical branch is its omega0 -> 0 limit.
+    oscillatory form; the critical branch is its omega0 -> 0 limit. A scalar
+    t is evaluated as a Python float through the same expressions, so the
+    root search's scalar calls skip numpy's array path and return the bits
+    that t as a one-element array gives.
     """
-    t_arr = np.asarray(t, dtype=float)
+    scalar = np.ndim(t) == 0
+    t = float(t) if scalar else np.asarray(t, dtype=float)
     b = (2 * k.a + k.gamma) / 2
     tag, _, w = k._regime
     if tag == "oscillatory":
-        out = np.exp(-b * t_arr) * (np.cos(w * t_arr) + (b / w) * np.sin(w * t_arr))
+        out = np.exp(-b * t) * (np.cos(w * t) + (b / w) * np.sin(w * t))
     elif tag == "overdamped":
         if w < 1e-3 * b:
             # near-critical: the hyperbolic form is accurate. Past w*t = 1,
             # b*t > 1000 and exp(-b*t) is already 0, the true limit; capping
             # w*t there keeps cosh/sinh from overflowing to inf (inf * 0 is
             # NaN) and changes no other value
-            wt = np.minimum(w * t_arr, 1.0)
-            out = np.exp(-b * t_arr) * (np.cosh(wt) + (b / w) * np.sinh(wt))
+            wt = np.minimum(w * t, 1.0)
+            out = np.exp(-b * t) * (np.cosh(wt) + (b / w) * np.sinh(wt))
         else:
             # same continuation through decaying exponentials (0 < w < b),
-            # so large w*t cannot overflow cosh/sinh
-            out = 0.5 * (1 + b / w) * np.exp(-(b - w) * t_arr) + 0.5 * (
-                1 - b / w
-            ) * np.exp(-(b + w) * t_arr)
+            # so large w*t cannot overflow cosh/sinh. The slow rate b - w is
+            # 2aA/(b + w): where 2aA lies below the last bit of b^2, w
+            # rounds to b and the difference would be 0. a/(b + w) <= 1, so
+            # the product neither underflows at tiny rates nor overflows
+            slow = 2 * k.A * (k.a / (b + w))
+            out = 0.5 * (1 + b / w) * np.exp(-slow * t) - 0.5 * (
+                slow / w
+            ) * np.exp(-(b + w) * t)
     else:
-        out = np.exp(-b * t_arr) * (1 + b * t_arr)
-    return float(out) if np.ndim(t) == 0 else out
+        out = np.exp(-b * t) * (1 + b * t)
+    return float(out) if scalar else out
 
 
 def markovian_decay_factor(a: float, t):
@@ -263,9 +271,9 @@ def _bisect_abs_crossings(k: KernelParams, targets, lo, hi) -> np.ndarray:
 def _first_at_or_below(abs_p: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of the first |p| <= target for each target; len(abs_p) if none.
 
-    f = |p| - target is positive at t = 0, so this is the point where the
-    scalar scans first see prev_f > 0 >= f; fmin skips a NaN |p| as their
-    comparisons do."""
+    f = |p| - target is positive at t = 0, so this is the first point with
+    f <= 0 after f > 0; fmin skips a NaN |p|, as a comparison with NaN is
+    false."""
     running_min = np.fmin.accumulate(abs_p)
     return np.searchsorted(-running_min, -targets, side="left")
 
@@ -275,59 +283,29 @@ def solve_decay_time(k: KernelParams, target,
     """Smallest t > 0 with |p(t)| = target, for target in (0, 1).
 
     `target` is a scalar (the root is returned as a float) or an array of
-    targets (an array of roots of the same shape is returned, bitwise equal
-    to the scalar roots; all targets are bracketed in one pass and bisected
-    in lockstep). In the oscillatory regime the root lies at or before the
-    first zero z0 of p: the scan steps by pi/(8 omega0) up to z0 and brackets
-    at z0 a target that no earlier point reaches. Monotone decay is bracketed
-    by doubling up to the horizon SEARCH_WINDOW/a; ValueError is raised,
-    before any decay_factor call, when that horizon overflows.
+    targets (an array of roots of the same shape is returned). Every target
+    is bracketed by one decay_factor call on an array of times. In the
+    oscillatory regime the root lies at or before the first zero z0 of p:
+    the scan steps by pi/(8 omega0) up to z0 and brackets at z0 a target that
+    no earlier point reaches. Monotone decay is bracketed on the doubling
+    ladder 2^j/a up to the horizon SEARCH_WINDOW/a. A scalar target is then
+    bisected with scalar decay_factor calls, and an array in lockstep, one
+    array call per step; both stop at the same rule, so an array's roots
+    equal the scalar roots bit for bit. ValueError is raised, before any
+    decay_factor call, when the horizon overflows.
     """
     if not SEARCH_WINDOW / k.a < np.inf:
         raise ValueError(f"root search horizon {SEARCH_WINDOW:g}/a overflows: "
                          f"a = {k.a} too small")
-    if np.ndim(target) != 0:
-        return _solve_decay_times(k, np.asarray(target, dtype=float), markovian)
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must lie strictly in (0, 1), got {target}")
-    if markovian:
-        return float(-np.log(target) / (2 * k.a))
-
-    def f(t):
-        return abs(decay_factor(k, t)) - target
-
-    tag, _ = damping_regime(k)
-    if tag == "oscillatory":
-        scan = _oscillatory_scan(k)
-        prev_t, prev_f = 0.0, 1.0 - target
-        for t in scan[:-1]:
-            ft = f(t)
-            if prev_f > 0 >= ft:
-                return float(_bisect_abs_crossing(f, prev_t, t))
-            prev_t, prev_f = t, ft
-        # p vanishes at z0 whatever its float reads
-        return float(_bisect_abs_crossing(f, prev_t, scan[-1]))
-    # monotone decay from 1 toward 0: bracket by doubling
-    t_end = SEARCH_WINDOW / k.a
-    hi = 1.0 / k.a
-    for _ in range(64):
-        if f(hi) <= 0:
-            return float(_bisect_abs_crossing(f, 0.0, hi))
-        hi *= 2
-        if hi > t_end * 1e6:
-            break
-    raise RootNotFoundError(f"|p(t)| never crosses {target}")
-
-
-def _solve_decay_times(k: KernelParams, targets: np.ndarray,
-                       markovian: bool) -> np.ndarray:
+    targets = np.asarray(target, dtype=float)
     flat = targets.ravel()
     outside = ~((0.0 < flat) & (flat < 1.0))
     if outside.any():
         raise ValueError(
             f"target must lie strictly in (0, 1), got {float(flat[outside][0])}")
     if markovian:
-        return -np.log(targets) / (2 * k.a)
+        roots = -np.log(targets) / (2 * k.a)
+        return float(roots) if targets.ndim == 0 else roots
     tag, _ = damping_regime(k)
     if tag == "oscillatory":
         scan = _oscillatory_scan(k)
@@ -335,7 +313,6 @@ def _solve_decay_times(k: KernelParams, targets: np.ndarray,
         idx = _first_at_or_below(np.abs(decay_factor(k, scan[:-1])), flat)
         lo, hi = np.append(0.0, scan)[idx], scan[idx]
     else:
-        # the scalar loop's doubling ladder, as one array
         t_end = SEARCH_WINDOW / k.a
         rungs = [1.0 / k.a]
         while len(rungs) < 64 and rungs[-1] * 2 <= t_end * 1e6:
@@ -346,4 +323,8 @@ def _solve_decay_times(k: KernelParams, targets: np.ndarray,
         if missing.size:
             raise RootNotFoundError(f"|p(t)| never crosses {float(flat[missing[0]])}")
         lo, hi = np.zeros(flat.size), ladder[idx]
+    if targets.ndim == 0:
+        x = float(flat[0])
+        return float(_bisect_abs_crossing(lambda t: abs(decay_factor(k, t)) - x,
+                                          float(lo[0]), float(hi[0])))
     return _bisect_abs_crossings(k, flat, lo, hi).reshape(targets.shape)

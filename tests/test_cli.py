@@ -360,13 +360,15 @@ class TestVerifyCommand:
         assert lines[-1] == "verify: FAIL (5/6)"
 
     @pytest.mark.parametrize("oracle, check, call, poison", [
-        # decay-ode calls its oracle once per kernel: poison the second call
+        # decay-ode calls its oracle once per kernel: poison the second call,
+        # then the fourth, the near-critical kernel
         ("decay_factor_ode", "decay-ode", 2, lambda out: out * np.nan),
+        ("decay_factor_ode", "decay-ode", 4, lambda out: out * np.nan),
         # one call for the whole batch: poison its second state
         ("relative_entropy_discord", "relative-entropy-identity", 1,
          lambda out: out._replace(value=np.where(np.arange(out.value.size) == 1,
                                                  np.nan, out.value))),
-    ], ids=["decay-ode", "relative-entropy-identity"])
+    ], ids=["decay-ode", "decay-ode-near-critical", "relative-entropy-identity"])
     def test_nan_deviation_propagates(self, monkeypatch, oracle, check, call, poison):
         real, calls = getattr(cli, oracle), []
 
@@ -732,3 +734,10 @@ def test_tc_with_huge_amplitude(capsys):
     # omega0 ~ 1.4e150 a: the scan ends at p's first zero, ~1e-150 / a
     assert main(["tc", "--A", "1e300", "--c", "0.1,0.16,0.1"]) == 0
     assert capsys.readouterr().out == "a*t_c = 6.33330649e-151\n"
+
+
+def test_tc_at_a_tiny_rate(capsys):
+    # 2aA = 2e-300 lies below the last bit of b^2 = 0.25: the overdamped
+    # slow rate b - omega must not be taken by subtraction
+    assert main(["tc", "--a", "1e-300", "--c", "0.1,0.16,0.1"]) == 0
+    assert capsys.readouterr().out == "a*t_c = 0.235001815\n"

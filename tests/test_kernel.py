@@ -25,6 +25,24 @@ T_CROSS_0625 = 0.9477102861581741
 # frozen: scipy.optimize.brentq on |p| - 0.625 for the wide kernel
 T_CROSS_0625_WIDE = 0.21563509959783556
 
+# (A/a, gamma/a, eps) of the benchmark's tc-sweep kernels, one per
+# decay_factor branch; eps moves A to (a/2)(1 - eps), the near-critical
+# hyperbolic branch
+BENCH_SHAPES = {"oscillatory": (10.0, 0.01, 0.0), "overdamped": (1.0, 1.0, 0.0),
+                "critical": (0.5, 0.0, 0.0), "near_critical": (0.5, 0.0, 1e-8)}
+
+
+def _shaped_kernel(shape, a):
+    A, gamma, eps = shape
+    return KernelParams(a, a * A * (1 - eps), a * gamma)
+
+
+def _reference():
+    """tests/reference_mp.py, which needs mpmath."""
+    pytest.importorskip("mpmath")
+    import reference_mp
+    return reference_mp
+
 
 class TestRegimes:
     def test_equal_kernel_is_overdamped(self):
@@ -124,6 +142,19 @@ class TestDecayFactor:
             k = KernelParams(a, amp, gamma)
             p = decay_factor(k, t / a)
             assert np.max(np.abs(p)) <= 1 + 1e-12, f"violation at {k}"
+
+    @pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+    def test_scalar_time_kinds_give_the_array_bits(self, shape):
+        # a scalar t runs as a Python float; every kind of scalar, and t as
+        # a one-element array, must give the same bits
+        k = _shaped_kernel(BENCH_SHAPES[shape], a=0.8)
+        w = k._regime[2]  # 0 at critical damping
+        past_cap = 2.0 / w if w > 0 else 1e6 / k.a  # w*t = 2 on the hyperbolic branch
+        for t in (0.0, 0.7 / k.a, 3.0 / k.a, past_cap):
+            kinds = [decay_factor(k, t), decay_factor(k, np.float64(t)),
+                     decay_factor(k, np.array(t)), decay_factor(k, np.array([t]))[0]]
+            assert [type(v) for v in kinds[:3]] == [float] * 3
+            assert len({float(v).hex() for v in kinds}) == 1, (shape, t)
 
 
 class TestMarkovian:
@@ -286,8 +317,11 @@ class TestSolveDecayTimeArray:
     @pytest.mark.parametrize("branch", BRANCH_NAMES)
     def test_roots_equal_the_scalar_path(self, branch, markovian):
         rng = np.random.default_rng(BRANCH_NAMES.index(branch) + 11)
-        for _ in range(50):
-            k = _branch_kernel(rng, branch)
+        # seeded kernels of the branch, then the benchmark's shape at ten rates
+        kernels = [_branch_kernel(rng, branch) for _ in range(50)]
+        kernels += [_shaped_kernel(BENCH_SHAPES[branch], float(a))
+                    for a in rng.uniform(0.5, 2.0, 10)]
+        for k in kernels:
             drawn = rng.uniform(1e-12, 1.0, 10)
             # unsorted, with repeats and a target next to 1
             targets = np.concatenate([drawn, [1 - 1e-12], drawn[:3]]).reshape(2, 7)
@@ -349,22 +383,8 @@ class TestSolveDecayTimeArray:
 
 
 def _high_precision_root(k, target):
-    """The first t with |p(t)| = target, to 60 digits, for an oscillatory k.
-
-    p falls monotonically from 1 to 0 on [0, z0], so the root is the one
-    bracketed there; it is found in the phase u = omega0 t, which is O(1)."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        a, A, gamma = (mpmath.mpf(x) for x in (k.a, k.A, k.gamma))
-        b = (2 * a + gamma) / 2
-        w = mpmath.sqrt(2 * a * A - b * b)
-
-        def excess(u):
-            return mpmath.exp(-b * u / w) * (mpmath.cos(u) + b / w * mpmath.sin(u)) - target
-
-        phase = mpmath.findroot(excess, (0, mpmath.pi - mpmath.atan(w / b)),
-                                solver="anderson")
-        return float(phase / w)
+    """The first t with |p(t)| = target, from tests/reference_mp.py."""
+    return _reference().crossing_time(k.a, k.A, k.gamma, target)
 
 
 @pytest.mark.parametrize("A, gamma", [(1e8, 0.0), (1e300, 1.0)])
@@ -373,3 +393,42 @@ def test_huge_amplitude_root_matches_high_precision(A, gamma):
     k = KernelParams(1.0, A, gamma)
     root = _high_precision_root(k, 0.625)
     assert abs(solve_decay_time(k, 0.625) - root) <= 1e-9 * root
+
+
+# the benchmark's kernel shapes, and a = 1e-300 with A = gamma = 1, where 2aA
+# lies below the last bit of b^2: a slow rate b - omega taken by subtraction
+# is 0 there, so p(t) stayed 1 and no root was found
+HIGH_PRECISION_KERNELS = [*BRANCH_NAMES, "tiny_rate"]
+
+
+def _high_precision_kernels(kernel_id, rng):
+    if kernel_id == "tiny_rate":
+        return [KernelParams(1e-300, 1.0, 1.0)]
+    return [_shaped_kernel(BENCH_SHAPES[kernel_id], float(a))
+            for a in rng.uniform(0.5, 2.0, 2)]
+
+
+@pytest.mark.parametrize("kernel_id", HIGH_PRECISION_KERNELS)
+def test_decay_factor_matches_high_precision(kernel_id):
+    # error scaled by max(|p|, exp(-b t)), so that it stays relative where p
+    # crosses zero; the critical band's edges (ROADMAP item 10) are not sampled
+    rng = np.random.default_rng(len(kernel_id))
+    reference = _reference()
+    for k in _high_precision_kernels(kernel_id, rng):
+        t = np.concatenate([np.linspace(0.0, 20.0, 41), rng.uniform(0.0, 5.0, 20)]) / k.a
+        exact = np.array([reference.decay_factor(k.a, k.A, k.gamma, x) for x in t.tolist()])
+        scale = np.maximum(np.abs(exact), np.exp(-(2 * k.a + k.gamma) / 2 * t))
+        assert np.max(np.abs(decay_factor(k, t) - exact) / scale) <= 1e-13
+
+
+@pytest.mark.parametrize("kernel_id", HIGH_PRECISION_KERNELS)
+def test_roots_match_high_precision(kernel_id):
+    # scalar and array targets; targets near 1 are ill-conditioned (the root
+    # moves by ~eps / (1 - target) relative), so they stay below 1 - 1e-4
+    rng = np.random.default_rng(len(kernel_id) + 41)
+    for k in _high_precision_kernels(kernel_id, rng):
+        targets = np.concatenate([rng.uniform(1e-12, 1 - 1e-4, 4), [1e-12, 0.625]])
+        roots = np.array([_high_precision_root(k, x) for x in targets])
+        scalar = np.array([solve_decay_time(k, x) for x in targets.tolist()])
+        assert np.max(np.abs(scalar - roots) / roots) <= 1e-9
+        assert np.max(np.abs(solve_decay_time(k, targets) - roots) / roots) <= 1e-9
