@@ -13,7 +13,6 @@ from .errors import (
     AccuracyError,
     InvalidStateError,
     NonCPTPError,
-    RootNotFoundError,
     SupportViolationError,
 )
 from .kernel import (

@@ -31,12 +31,7 @@ from .correlations import (
     discord,
     relative_entropy_discord,
 )
-from .errors import (
-    AccuracyError,
-    InvalidStateError,
-    NonCPTPError,
-    RootNotFoundError,
-)
+from .errors import AccuracyError, InvalidStateError, NonCPTPError
 from .kernel import (
     KernelParams,
     decay_factor,
@@ -662,8 +657,8 @@ def main(argv=None) -> int:
             dump_config_file(cfg, args.dump_config, args.command)
         panel = (args.figure_id, args.panel) if args.command == "figure" else ()
         return _COMMANDS[args.command][0](cfg, *panel)
-    except (InvalidStateError, NonCPTPError, AccuracyError, RootNotFoundError,
-            ValueError, MemoryError, configparser.Error) as exc:
+    except (InvalidStateError, NonCPTPError, AccuracyError, ValueError,
+            MemoryError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,7 +15,3 @@ class SupportViolationError(ValueError):
 
 class AccuracyError(ValueError):
     """A numerical routine cannot meet its accuracy contract (e.g. step too large)."""
-
-
-class RootNotFoundError(RuntimeError):
-    """No crossing of the requested level was found in the search window."""

@@ -23,12 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AccuracyError, RootNotFoundError
+from .errors import AccuracyError
 
-REGIME_REL_TOL = 1e-12
 ODE_MAX_STEP = 0.01  # in units of 1/a
 CONVOLUTION_MAX_STEP = 0.005  # in units of 1/a
-SEARCH_WINDOW = 50.0  # monotone root search horizon in units of 1/a
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,9 @@ class KernelParams:
         scaled = 2 * self.A / self.a - half * half
         if math.isnan(scaled):  # both terms overflow; omega0^2 itself cannot
             scaled = math.copysign(math.inf, w2)
-        if scaled > REGIME_REL_TOL:
+        if scaled > 0:
             tag = "oscillatory"
-        elif scaled < -REGIME_REL_TOL:
+        elif scaled < 0:
             tag = "overdamped"
         else:
             tag = "critical"
@@ -89,8 +87,9 @@ class KernelParams:
 def damping_regime(k: KernelParams) -> tuple[str, float]:
     """(tag, omega0^2): "oscillatory", "critical" or "overdamped", and the
     discriminant 2aA - ((2a + gamma)/2)^2 of the damped-oscillator equation.
-    The tag compares omega0^2 / a^2 with REGIME_REL_TOL, so it holds however
-    small the rates are."""
+    The tag is the sign of omega0^2 / a^2, so it holds however small the
+    rates are; "critical" only where that is exactly 0, as the oscillatory
+    and hyperbolic forms stay accurate for any omega0 > 0."""
     tag, w2, _ = k._regime
     return tag, w2
 
@@ -215,27 +214,13 @@ def decay_factor_convolution(k: KernelParams, t_grid) -> np.ndarray:
     return p
 
 
-def _oscillatory_scan(k: KernelParams) -> np.ndarray:
-    """Scan times of the oscillatory root search: the multiples i*step of
-    step = pi/(8 omega0) below the first zero z0 = (pi - arctan(omega0/b))/omega0
-    of p, then z0 itself.
-
-    z0 lies in (pi/(2 omega0), pi/omega0], so at most 7 multiples precede it,
-    and |p| falls to any target in (0, 1) at or before z0.
-    """
-    b = (2 * k.a + k.gamma) / 2
-    w = k._regime[2]
-    step = np.pi / (8 * w)
-    first = (np.pi - np.arctan(w / b)) / w
-    multiples = np.arange(1, 8) * step
-    return np.append(multiples[multiples < first], first)
-
-
-def _bisect_abs_crossing(f, lo: float, hi: float) -> float:
-    """Bisection holding the invariant f(lo) > 0 >= f(hi); 1e-10 relative.
+def _bisect_abs_crossing(f, hi: float) -> float:
+    """Bisection on [0, hi] holding the invariant f(lo) > 0 >= f(hi); 1e-10
+    relative.
 
     hi may instead be the exact zero of p, where the float f(hi) can read
     above 0: every mid then moves lo, and the result lands next to hi."""
+    lo = 0.0
     for _ in range(200):
         if hi - lo <= 1e-10 * hi:
             break
@@ -249,10 +234,10 @@ def _bisect_abs_crossing(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bisect_abs_crossings(k: KernelParams, targets, lo, hi) -> np.ndarray:
+def _bisect_abs_crossings(k: KernelParams, targets, hi) -> np.ndarray:
     """_bisect_abs_crossing for many targets in lockstep, one decay_factor
     call per step; each target stops on its own, at the scalar rule."""
-    lo, hi = lo.copy(), hi.copy()
+    lo, hi = np.zeros(hi.size), hi.copy()
     live = np.arange(targets.size)
     for _ in range(200):
         lo_live, hi_live = lo[live], hi[live]
@@ -268,14 +253,24 @@ def _bisect_abs_crossings(k: KernelParams, targets, lo, hi) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _first_at_or_below(abs_p: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the first |p| <= target for each target; len(abs_p) if none.
+def _bracket_end(k: KernelParams, targets: np.ndarray) -> np.ndarray:
+    """A time t_hi with |p| falling to each target in (0, t_hi], from p's
+    closed form; the same numpy expression for a 0-d or an n-d array, so
+    scalar and array roots share their brackets' bits.
 
-    f = |p| - target is positive at t = 0, so this is the first point with
-    f <= 0 after f > 0; fmin skips a NaN |p|, as a comparison with NaN is
-    false."""
-    running_min = np.fmin.accumulate(abs_p)
-    return np.searchsorted(-running_min, -targets, side="left")
+    Oscillatory: p falls monotonically from 1 to its first zero
+    z0 = (pi - arctan(omega0/b))/omega0. Overdamped: p stays below its slow
+    exponential (1 + b/omega0)/2 * exp(-s t), s = 2aA/(b + omega0); and at
+    critical damping below 2 exp(-b t/2). t_hi puts those bounds at
+    target/2. An overflowing t_hi is inf, without a warning."""
+    b = (2 * k.a + k.gamma) / 2
+    tag, _, w = k._regime
+    with np.errstate(over="ignore", divide="ignore"):
+        if tag == "oscillatory":
+            return np.broadcast_to((np.pi - np.arctan(w / b)) / w, targets.shape)
+        if tag == "overdamped":
+            return np.log((1 + b / w) / targets) / (2 * k.A * (k.a / (b + w)))
+        return (2 / b) * np.log(4 / targets)
 
 
 def solve_decay_time(k: KernelParams, target,
@@ -283,20 +278,15 @@ def solve_decay_time(k: KernelParams, target,
     """Smallest t > 0 with |p(t)| = target, for target in (0, 1).
 
     `target` is a scalar (the root is returned as a float) or an array of
-    targets (an array of roots of the same shape is returned). Every target
-    is bracketed by one decay_factor call on an array of times. In the
-    oscillatory regime the root lies at or before the first zero z0 of p:
-    the scan steps by pi/(8 omega0) up to z0 and brackets at z0 a target that
-    no earlier point reaches. Monotone decay is bracketed on the doubling
-    ladder 2^j/a up to the horizon SEARCH_WINDOW/a. A scalar target is then
+    targets (an array of roots of the same shape is returned). The Markovian
+    root is -ln(target)/(2a). Otherwise each root is bracketed on
+    [0, t_hi] in closed form (see _bracket_end): p's first zero when p
+    oscillates, else a time where |p| <= target/2. A scalar target is then
     bisected with scalar decay_factor calls, and an array in lockstep, one
     array call per step; both stop at the same rule, so an array's roots
     equal the scalar roots bit for bit. ValueError is raised, before any
-    decay_factor call, when the horizon overflows.
+    decay_factor call, when a bracket end or a Markovian root overflows.
     """
-    if not SEARCH_WINDOW / k.a < np.inf:
-        raise ValueError(f"root search horizon {SEARCH_WINDOW:g}/a overflows: "
-                         f"a = {k.a} too small")
     targets = np.asarray(target, dtype=float)
     flat = targets.ravel()
     outside = ~((0.0 < flat) & (flat < 1.0))
@@ -304,27 +294,19 @@ def solve_decay_time(k: KernelParams, target,
         raise ValueError(
             f"target must lie strictly in (0, 1), got {float(flat[outside][0])}")
     if markovian:
-        roots = -np.log(targets) / (2 * k.a)
-        return float(roots) if targets.ndim == 0 else roots
-    tag, _ = damping_regime(k)
-    if tag == "oscillatory":
-        scan = _oscillatory_scan(k)
-        # a target that no point before z0 reaches lands on z0
-        idx = _first_at_or_below(np.abs(decay_factor(k, scan[:-1])), flat)
-        lo, hi = np.append(0.0, scan)[idx], scan[idx]
+        with np.errstate(over="ignore"):
+            ends = -np.log(targets) / (2 * k.a)
     else:
-        t_end = SEARCH_WINDOW / k.a
-        rungs = [1.0 / k.a]
-        while len(rungs) < 64 and rungs[-1] * 2 <= t_end * 1e6:
-            rungs.append(rungs[-1] * 2)
-        ladder = np.array(rungs)
-        idx = _first_at_or_below(np.abs(decay_factor(k, ladder)), flat)
-        missing = np.flatnonzero(idx == ladder.size)
-        if missing.size:
-            raise RootNotFoundError(f"|p(t)| never crosses {float(flat[missing[0]])}")
-        lo, hi = np.zeros(flat.size), ladder[idx]
+        ends = _bracket_end(k, targets)
+    overflow = ~(ends < np.inf)
+    if overflow.any():
+        raise ValueError(
+            f"decay-time search for |p(t)| = {float(targets[overflow].flat[0])} "
+            f"overflows at a = {k.a}, A = {k.A}")
+    if markovian:
+        return float(ends) if targets.ndim == 0 else ends
     if targets.ndim == 0:
-        x = float(flat[0])
+        x = float(targets)
         return float(_bisect_abs_crossing(lambda t: abs(decay_factor(k, t)) - x,
-                                          float(lo[0]), float(hi[0])))
-    return _bisect_abs_crossings(k, flat, lo, hi).reshape(targets.shape)
+                                          float(ends)))
+    return _bisect_abs_crossings(k, flat, ends.ravel()).reshape(targets.shape)

@@ -20,17 +20,18 @@ import mpmath
 DIGITS = 60  # decimal digits kept beyond every cancellation
 
 
-def _digits(a: float, A: float, gamma: float, t_max: float = 0.0) -> int:
+def _digits(a: float, A: float, gamma: float, t_max=0.0) -> int:
     """Working precision: DIGITS plus the most digits that one step loses at
     these magnitudes: 2a + gamma, b^2 - 2aA, or exp(-b t) cosh(d t) with
     b t up to b t_max. Each step's error is relative to the working
-    precision, so the losses do not add up. Logs, so no float overflows."""
+    precision, so the losses do not add up. Logs, so no float overflows;
+    t_max may be an mpf past the float range."""
     log_b = math.log10(a + gamma / 2)
     lost = [abs(2 * log_b - math.log10(2 * a) - math.log10(A))]
     if gamma > 0:
         lost.append(abs(math.log10(2 * a) - math.log10(gamma)))
     if t_max > 0:
-        lost.append(log_b + math.log10(t_max))
+        lost.append(log_b + float(mpmath.log10(t_max)))
     return DIGITS + max(0, math.ceil(max(lost)))
 
 
@@ -72,7 +73,7 @@ def crossing_time(a: float, A: float, gamma: float, target: float) -> float:
         end = _bracket_end(*(mpmath.mpf(x) for x in (a, A, gamma)))
     # room for six doublings of the end (p ~ exp(-64) past them); each
     # further one costs b t a third of a digit of the DIGITS margin
-    with mpmath.workdps(_digits(a, A, gamma, float(end) * 64)):
+    with mpmath.workdps(_digits(a, A, gamma, end * 64)):
         a, A, gamma, target = (mpmath.mpf(x) for x in (a, A, gamma, target))
         lo, hi = mpmath.mpf(0), _bracket_end(a, A, gamma)
         while _p(a, A, gamma, hi) > target:

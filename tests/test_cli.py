@@ -308,8 +308,10 @@ class TestTcCommand:
 # SHA-256 of the default verify stdout. The Kraus check's stacked pass left
 # it as it was; the hemisphere grid and the Bloch-vector kernel moved the
 # last bits of the brute-force values, and with them the printed
-# bruteforce-vs-analytic deviation from 9.992e-16 to 5.551e-16
-VERIFY_STDOUT = "4fb5bb02f720d604039a77f3317c7baee1ce75d4c4d6fb81003a9178082fc0a2"
+# bruteforce-vs-analytic deviation from 9.992e-16 to 5.551e-16. The
+# closed-form root bracket [0, t_hi] moved the bisection's last bits, and the
+# tc-root-vs-closed-form deviation from 1.667e-12 to 1.910e-11 (tol 1e-8)
+VERIFY_STDOUT = "4db54235ea2ea28533cf53d401e76619b4f6b81c63c90178a3014018700e2f42"
 
 
 class TestVerifyCommand:
@@ -559,7 +561,7 @@ def test_overflowing_grid_end_exits_2(tmp_path, capsys, command):
     assert not path.exists()
 
 
-# commands whose root search ends at 50/a; the Markovian root overflowed too
+# commands whose root bracket end (or Markovian root) overflows at a = 1e-310
 ROOT_HORIZON = [("figure", "3", "c"), ("tc",), ("tc", "--markovian")]
 
 
@@ -570,7 +572,7 @@ def test_overflowing_root_search_horizon_exits_2(tmp_path, capsys, command):
         warnings.simplefilter("error")  # no overflow or invalid-value warning
         assert main([*command, "--a", "1e-310", "--out", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "root search horizon" in err and "a = 1e-310" in err
+    assert "decay-time search" in err and "overflows at a = 1e-310, A = " in err
     assert not path.exists()
 
 
@@ -658,7 +660,11 @@ def test_output_to_unwritable_path_exits_3(tmp_path):
 # SHA-256 of stdout. figure 3 c and tc were pinned from outputs captured
 # before panel 3c moved onto one lockstep root solve, the other panels,
 # evolve and trajectory from outputs of the per-row %.9g table writer; tc,
-# evolve and trajectory cover the four decay_factor branches
+# evolve and trajectory cover the four decay_factor branches. The
+# closed-form root bracket moved the roots within the bisection's 1e-10: the
+# JSON a_tc values in their 11th-12th digit, and two figure 3 c rows in the
+# 9th (cy = 0.15: 0.861211502 -> 0.861211503, cy = 0.97: 2.93844225 ->
+# 2.93844224); the text and CSV tc outputs did not move
 GOLDEN_STDOUT = {
     "figure 1 a":
         "2a58287f3d4d2934c5718c597823554a0158d92245b698a0a03b50ebfbe15b90",
@@ -672,7 +678,7 @@ GOLDEN_STDOUT = {
         "cef346e6813c898228cad5108f162d002732a0626eb2558f9e96bf7e59bc5e77",
     "figure 3 b":
         "d4a341b4e302b6318cf146e999e8d49db173580a7b07727ac556b493e819a26b",
-    "figure 3 c": "505be442587422783050c0a5b0560e46839fb98413ec9c8e80d9e486b811a215",
+    "figure 3 c": "f5cbbf37c624c58c1083cbbc7a402329b42aaa91f8e68ec6cf07f90ef8e95356",
     "figure 2 a --format json":
         "0c89df6b240affe87133e14c802d45b598dd89ce86758a28fee3413361ddb6d8",
     "evolve --A 10 --gamma 0.01 --format csv":
@@ -698,19 +704,19 @@ GOLDEN_STDOUT = {
     "tc --A 10 --gamma 0.01 --format csv":
         "42409b98412107348145417d23f641f5a220604ef8e903317d5de8448aa06793",
     "tc --A 10 --gamma 0.01 --format json":
-        "6d67eef96b5fd4b7c9853d6e4573b24e8ea46e56aba8f38fe43e92e14abc4365",
+        "5f6c5848284d4d787bfa07e7455e0ef7202bfb0d3f9751ca102883d39e94ae10",
     "tc --A 1 --gamma 1 --format csv":
         "583c0445876a9f1f94345ee36947fc1c18236dbaf626b1f4f9609b86bef9babf",
     "tc --A 1 --gamma 1 --format json":
-        "9408283466788030cc83458f760cb3366eb51cd052dddd31e5a3e96cae6bf859",
+        "043082afba462de4fd1de8155636a94e8849ce7d7d4099ea727e0785982bb43a",
     "tc --A 0.5 --gamma 0 --format csv":
         "e269da81df9f9e36704de8443ed0f2f3b9462d182a7dedd0357143eb952e759b",
     "tc --A 0.5 --gamma 0 --format json":
-        "0ef4c6458fc10e30e3f0e8d593c4a06c8f2afc5e298ba5d11e29940081402133",
+        "d8346ed0a59ac9fd604ad201bedac4ab7b43ec47af5c0407f682246d0062443e",
     "tc --A 0.49999999 --gamma 0 --format csv":
         "8475c229c91b9f7bbe456216a58b6b15fd278d0933ac5ba24a587eb157e5f785",
     "tc --A 0.49999999 --gamma 0 --format json":
-        "858ed7e8e286b99147b3a588496eceb9ec453b32efed43c8ae5bc91d61a50079",
+        "10cb8298b11c88150f445ae1b6609bdc432025e88b96a85d14c2c0714f66553b",
 }
 
 
@@ -731,7 +737,7 @@ def test_tc_at_large_rates(capsys, a):
 
 
 def test_tc_with_huge_amplitude(capsys):
-    # omega0 ~ 1.4e150 a: the scan ends at p's first zero, ~1e-150 / a
+    # omega0 ~ 1.4e150 a: the bracket ends at p's first zero, ~1e-150 / a
     assert main(["tc", "--A", "1e300", "--c", "0.1,0.16,0.1"]) == 0
     assert capsys.readouterr().out == "a*t_c = 6.33330649e-151\n"
 
@@ -741,3 +747,11 @@ def test_tc_at_a_tiny_rate(capsys):
     # slow rate b - omega must not be taken by subtraction
     assert main(["tc", "--a", "1e-300", "--c", "0.1,0.16,0.1"]) == 0
     assert capsys.readouterr().out == "a*t_c = 0.235001815\n"
+
+
+def test_tc_root_past_any_fixed_horizon(capsys):
+    # A = gamma = 1 at a = 1e20: the slow rate 2aA/(b + omega) ~ 2 puts the
+    # root at a*t ~ 4.7e19, far past any horizon in units of 1/a; the
+    # closed-form bracket ends where |p| <= target/2, however slow p is
+    assert main(["tc", "--a", "1e20", "--c", "0.1,0.16,0.1"]) == 0
+    assert capsys.readouterr().out == "a*t_c = 4.70003629e+19\n"

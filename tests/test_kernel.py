@@ -1,7 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldyn import kernel
 from belldyn.errors import AccuracyError
@@ -289,21 +292,6 @@ def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def _one_shot_scan(k, t_end):
-    """The oscillatory scan as one array: multiples of pi/(8 omega0) and the
-    zeros of p, merged, without t = 0."""
-    b = (2 * k.a + k.gamma) / 2
-    w = np.sqrt(damping_regime(k)[1])
-    step = np.pi / (8 * w)
-    scan = np.arange(0.0, t_end + step, step)
-    first = (np.pi - np.arctan(w / b)) / w
-    zeros = np.empty(0)
-    if first <= t_end:
-        count = int((t_end * w - (np.pi - np.arctan(w / b))) // np.pi) + 1
-        zeros = first + np.arange(count) * np.pi / w
-    return np.unique(np.concatenate([scan, zeros]))[1:]
-
-
 # targets below the float |p(z0)|: a kernel drawn at a = 1, A in [1, 1e4],
 # gamma in [0, 2]; the wide kernel; omega0 ~ 1.4e150 a
 BELOW_FLOOR = [(KernelParams(1.0, 1659.6315985408394, 1.6158815794729875),
@@ -341,25 +329,6 @@ class TestSolveDecayTimeArray:
             assert type(zero_d) is float
             assert zero_d.hex() == root.hex()
 
-    def test_scan_ends_at_the_first_zero(self):
-        rng = np.random.default_rng(29)
-        kernels = [_branch_kernel(rng, "oscillatory") for _ in range(8)]
-        # many points per period of 1/a; z0 past the horizon; omega0 ~ 1.4e150 a
-        kernels += [KernelParams(1.0, 0.5000001, 0.0), KernelParams(0.7, 300.0, 0.2),
-                    KernelParams(1.0, 1e300, 1.0), KernelParams(1.0, 0.5 * (1 + 1e-11), 0.0)]
-        for k in kernels:
-            b = (2 * k.a + k.gamma) / 2
-            w = np.sqrt(damping_regime(k)[1])
-            z0 = (np.pi - np.arctan(w / b)) / w
-            scan = kernel._oscillatory_scan(k)
-            assert scan.size <= 8
-            assert scan[-1] == z0
-            t_end = kernel.SEARCH_WINDOW / k.a
-            if z0 <= t_end:
-                # a horizon of 2 z0 holds the same points up to z0
-                one_shot = _one_shot_scan(k, min(t_end, 2 * z0))
-                assert _hex(scan) == _hex(one_shot[one_shot <= z0])
-
     def test_empty_array(self):
         for k in (WIDE, EQUAL):
             assert solve_decay_time(k, np.empty((0, 3))).shape == (0, 3)
@@ -373,9 +342,13 @@ class TestSolveDecayTimeArray:
 
     def test_target_below_the_float_floor_gets_the_first_crossing(self):
         for k, target in BELOW_FLOOR:
-            # no scan point reaches the target, not even z0, where p vanishes
-            scan = kernel._oscillatory_scan(k)
-            assert np.all(np.abs(decay_factor(k, scan)) > target)
+            # the bracket ends at p's first zero z0, where p vanishes but the
+            # float |p| still reads above the target
+            b = (2 * k.a + k.gamma) / 2
+            w = np.sqrt(damping_regime(k)[1])
+            z0 = (np.pi - np.arctan(w / b)) / w
+            assert kernel._bracket_end(k, np.array(target)) == z0
+            assert abs(decay_factor(k, z0)) > target
             root = _high_precision_root(k, target)
             assert abs(solve_decay_time(k, target) - root) <= 1e-10 * root
             roots = solve_decay_time(k, np.array([0.5, target, target]))
@@ -389,21 +362,25 @@ def _high_precision_root(k, target):
 
 @pytest.mark.parametrize("A, gamma", [(1e8, 0.0), (1e300, 1.0)])
 def test_huge_amplitude_root_matches_high_precision(A, gamma):
-    # omega0 / a up to 1e150: the scan ends at z0 ~ 1e-150 / a
+    # omega0 / a up to 1e150: the bracket ends at z0 ~ 1e-150 / a
     k = KernelParams(1.0, A, gamma)
     root = _high_precision_root(k, 0.625)
     assert abs(solve_decay_time(k, 0.625) - root) <= 1e-9 * root
 
 
-# the benchmark's kernel shapes, and a = 1e-300 with A = gamma = 1, where 2aA
-# lies below the last bit of b^2: a slow rate b - omega taken by subtraction
-# is 0 there, so p(t) stayed 1 and no root was found
-HIGH_PRECISION_KERNELS = [*BRANCH_NAMES, "tiny_rate"]
+# the benchmark's kernel shapes, and A = gamma = 1 at two extreme rates.
+# At a = 1e-300, 2aA lies below the last bit of b^2: a slow rate b - omega
+# taken by subtraction is 0 there, so p(t) stayed 1 and no root was found.
+# At a = 1e20 the slow rate 2aA/(b + omega) ~ 2 puts the root at a*t ~ 4.7e19,
+# past any search horizon in units of 1/a
+HIGH_PRECISION_KERNELS = [*BRANCH_NAMES, "tiny_rate", "huge_rate"]
 
 
 def _high_precision_kernels(kernel_id, rng):
     if kernel_id == "tiny_rate":
         return [KernelParams(1e-300, 1.0, 1.0)]
+    if kernel_id == "huge_rate":
+        return [KernelParams(1e20, 1.0, 1.0)]
     return [_shaped_kernel(BENCH_SHAPES[kernel_id], float(a))
             for a in rng.uniform(0.5, 2.0, 2)]
 
@@ -411,7 +388,7 @@ def _high_precision_kernels(kernel_id, rng):
 @pytest.mark.parametrize("kernel_id", HIGH_PRECISION_KERNELS)
 def test_decay_factor_matches_high_precision(kernel_id):
     # error scaled by max(|p|, exp(-b t)), so that it stays relative where p
-    # crosses zero; the critical band's edges (ROADMAP item 10) are not sampled
+    # crosses zero
     rng = np.random.default_rng(len(kernel_id))
     reference = _reference()
     for k in _high_precision_kernels(kernel_id, rng):
@@ -432,3 +409,54 @@ def test_roots_match_high_precision(kernel_id):
         scalar = np.array([solve_decay_time(k, x) for x in targets.tolist()])
         assert np.max(np.abs(scalar - roots) / roots) <= 1e-9
         assert np.max(np.abs(solve_decay_time(k, targets) - roots) / roots) <= 1e-9
+
+
+@pytest.mark.parametrize("a", [0.01, 1.0, 33.8, 500.0])
+def test_decay_factor_at_the_critical_band_edges(a):
+    # A = (a/2)(1 + eps), gamma = 0: omega0^2 / a^2 = eps. Only eps = 0 is
+    # critical; the limit exp(-b t)(1 + b t) is off by ~omega0^2 t^2 / 6
+    # relative, 3.9e-10 at eps = 9e-13 and a t = 50, if used for eps != 0
+    reference = _reference()
+    t = np.linspace(0.0, 50.0 / a, 101)
+    for eps in (1e-13, -1e-13, 5e-13, -5e-13, 9e-13, -9e-13):
+        k = KernelParams(a, a / 2 * (1 + eps), 0.0)
+        assert damping_regime(k)[0] == ("oscillatory" if eps > 0 else "overdamped")
+        exact = np.array([reference.decay_factor(k.a, k.A, k.gamma, x) for x in t.tolist()])
+        scale = np.maximum(np.abs(exact), np.exp(-a * t))
+        assert np.max(np.abs(decay_factor(k, t) - exact) / scale) <= 1e-13, eps
+
+
+@st.composite
+def _kernels(draw):
+    """Kernels on both sides of omega0^2 = 0, |omega0^2 / a^2| in
+    [1e-16, 1e4], a in [1e-300, 1e20]. omega0^2 = 0 with gamma = 0 gives
+    A = a/2, the exactly critical kernel; with gamma > 0 rounding puts
+    omega0^2 / a^2 at 0 or a few ulps off it."""
+    a = 10.0 ** draw(st.floats(-300.0, 20.0))
+    g = draw(st.one_of(st.just(0.0), st.floats(0.0, 200.0)))  # gamma / a
+    half2 = (1 + g / 2) ** 2
+    scaled = 10.0 ** draw(st.floats(-16.0, 4.0)) * draw(st.sampled_from((-1, 0, 1)))
+    scaled = max(scaled, -0.99 * half2)  # A > 0
+    return KernelParams(a, a * ((half2 + scaled) / 2), a * g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(k=_kernels(), target=st.floats(1e-15, 1 - 1e-4))
+def test_bracket_and_root_properties(k, target):
+    # the closed-form bracket end either overflows, and the call says so, or
+    # brackets the first crossing, which matches the mpmath root
+    t_hi = float(kernel._bracket_end(k, np.array(target)))
+    if not t_hi < np.inf:
+        with pytest.raises(ValueError, match=re.escape(f"overflows at a = {k.a}, A = {k.A}")):
+            solve_decay_time(k, target)
+        return
+    if damping_regime(k)[0] == "oscillatory":
+        b, w = (2 * k.a + k.gamma) / 2, k._regime[2]
+        assert t_hi == (np.pi - np.arctan(w / b)) / w
+    else:
+        assert abs(decay_factor(k, t_hi)) <= target
+    root = solve_decay_time(k, target)
+    roots = solve_decay_time(k, np.array([target, 0.5, target]))
+    assert _hex(roots[::2]) == _hex([root, root])
+    expected = _high_precision_root(k, target)
+    assert abs(root - expected) <= 1e-9 * expected
