@@ -5,8 +5,9 @@ correlation_ledger and discord) operate on Bell-diagonal coefficient
 triples. Two oracles check them by independent paths through density
 matrices: the brute-force classical correlation minimizes the conditional
 entropy over a hemisphere grid of Bloch vectors measured on B, then refines
-with Newton steps on the sphere and a final coordinate descent; the
-relative-entropy discord finds the nearest of the three axis dephasings.
+with Newton steps on the sphere, or with a coordinate descent where Newton
+falls back; the relative-entropy discord finds the nearest of the three axis
+dephasings.
 """
 
 from __future__ import annotations
@@ -33,24 +34,19 @@ AXES = ("x", "y", "z")
 ZERO_PROBABILITY = 1e-12
 IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 
-# brute-force search resolution: 64 x 128 grid, then Newton refinement and
-# coordinate descent
+# brute-force search resolution: 64 x 128 grid, then Newton refinement, or
+# coordinate descent where Newton falls back
 THETA_STEPS = 64
 PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
-# scales the coordinate descent tries per iteration: the current one and its
-# next seven halvings. From a Newton point it starts at the eighth-last scale
-# above angle_tol, so one iteration that improves nothing ends it; a state
-# that falls back starts at the grid spacing and takes ~6.6 iterations,
-# against ~9.6 at depth 4 and ~27.8 trying one step at a time
-DESCENT_LEVELS = 8
 # most candidates one _conditional_entropies call evaluates, in the grid pass,
-# at the Newton points and in the descent: its largest temporary, the (8, K)
-# feature block, is then 128 KiB, small enough for malloc to reuse rather than
-# map and zero fresh pages on every call
+# at the Newton points and in the fallback descent: its largest temporary, the
+# (8, K) feature block, is then 128 KiB, small enough for malloc to reuse
+# rather than map and zero fresh pages on every call
 BLOCK_ROWS = 2048
 # trials one state's Newton descent may take before it falls back to the
-# coordinate descent from its grid minimum; a converging state takes ~2
+# coordinate descent from its grid minimum; a converging state takes ~2, and
+# its converged point ends its search
 NEWTON_STEPS = 32
 _LN2 = math.log(2.0)
 
@@ -228,48 +224,48 @@ def _grid_minima(ops, theta_steps: int, phi_steps: int) -> tuple:
     return best_val, theta, phi
 
 
-def _coordinate_descent(ops, best_val, theta, phi, scale, theta_steps: int,
+def _coordinate_descent(ops, best_val, theta, phi, live, theta_steps: int,
                         phi_steps: int, angle_tol: float) -> None:
-    """Coordinate descent over the whole sphere, all states in lockstep,
-    refining best_val, theta and phi in place.
+    """Coordinate descent over the whole sphere from the grid minima of the
+    states in live, all in lockstep, refining best_val, theta and phi in place.
 
-    State i's theta and phi steps are scale[i] * pi/theta_steps and
-    scale[i] * 2 pi/phi_steps; a state stops once its larger step is at most
-    angle_tol. Each iteration evaluates the four moves at a state's step and
-    its next DESCENT_LEVELS - 1 halvings in one batch and takes the largest
-    step that improves: exactly the move of a descent trying one step at a
-    time and halving after each failure, because halving a scale by 2 is
-    exact. No call evaluates more than BLOCK_ROWS candidates at once.
+    Steps start at the grid spacing, pi/theta_steps and 2 pi/phi_steps, and
+    halve down to angle_tol. Each iteration evaluates the four moves at a
+    state's step and at every halving of it above angle_tol in one batch and
+    takes the largest step that improves: exactly the move of a descent trying
+    one step at a time and halving after each failure, because halving by 2 is
+    exact. A state stops once no step improves. No call evaluates more than
+    BLOCK_ROWS candidates at once.
     """
     reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
-    halvings = 0.5 ** np.arange(DESCENT_LEVELS)
-    # theta up, theta down, phi up, phi down at scale 1, as (angle, move):
-    # adding 0 or clipping an unmoved angle leaves it as it is, so these are
-    # the one-step moves, and scaling them by powers of 2 is exact
-    moves = np.array([[np.pi / theta_steps], [2 * np.pi / phi_steps]]) * [
-        [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
-    while (live := np.flatnonzero(reach * scale > angle_tol)).size:
-        levels = scale[live, None] * halvings  # (live, levels)
-        step = levels[..., None, None] * moves  # (live, levels, angle, move)
-        cand_t = np.minimum(np.maximum(theta[live, None, None] + step[..., 0, :], 0.0),
+    count = 0  # steps above angle_tol: the grid spacing and its halvings
+    while reach * 0.5 ** count > angle_tol:
+        count += 1
+    levels = np.arange(count)
+    # theta up, theta down, phi up, phi down at each step, as (step, angle,
+    # move): adding 0 or clipping an unmoved angle leaves it as it is, so
+    # these are the one-step moves, and scaling them by powers of 2 is exact
+    steps = 0.5 ** levels[:, None, None] * (
+        np.array([[np.pi / theta_steps], [2 * np.pi / phi_steps]])
+        * [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+    start = np.zeros(len(ops), dtype=int)  # the level of each state's step
+    while count and live.size:
+        cand_t = np.minimum(np.maximum(theta[live, None, None] + steps[:, 0], 0.0),
                             np.pi)
-        cand_p = phi[live, None, None] + step[..., 1, :]
-        cand_p[..., 2:] %= 2 * np.pi  # (live, levels, moves)
+        cand_p = phi[live, None, None] + steps[:, 1]
+        cand_p[..., 2:] %= 2 * np.pi  # (live, step, move)
         vals = _blocked_entropies(ops[live], _bloch_columns(
             cand_t.reshape(live.size, -1), cand_p.reshape(live.size, -1)),
         ).reshape(cand_t.shape)
         pick, low = np.argmin(vals, axis=2), np.min(vals, axis=2)
-        better = (low < best_val[live, None]) & (reach * levels > angle_tol)
-        hit = better.any(axis=1)
-        if (rows := np.flatnonzero(hit)).size:
-            level = np.argmax(better[rows], axis=1)
-            move, moved = pick[rows, level], live[rows]
-            best_val[moved] = low[rows, level]
-            theta[moved] = cand_t[rows, level, move]
-            phi[moved] = cand_p[rows, level, move]
-            scale[moved] = levels[rows, level]
-        # no scale improved: go on from the first one not yet tried
-        scale[live[~hit]] = levels[~hit, -1] / 2
+        better = (low < best_val[live, None]) & (levels >= start[live, None])
+        rows = np.flatnonzero(better.any(axis=1))
+        level = np.argmax(better[rows], axis=1)
+        move, live = pick[rows, level], live[rows]
+        best_val[live] = low[rows, level]
+        theta[live] = cand_t[rows, level, move]
+        phi[live] = cand_p[rows, level, move]
+        start[live] = level
 
 
 def _newton_model(op, theta: float, phi: float):
@@ -382,12 +378,11 @@ def classical_correlation_bruteforce(
     state at a time. From each state's grid minimum a safeguarded Newton
     descent in scalar floats (_newton_refine) finds the stationary point to
     angle_tol; the kernel then evaluates that point, which is kept where it
-    is lower than the grid minimum. A coordinate descent (_coordinate_descent)
-    over all states in lockstep finishes: from the Newton point it tries only
-    the last DESCENT_LEVELS step halvings above angle_tol, and a state whose
-    Newton model is singular (a zero-probability outcome, a maximally mixed
-    or a pure conditional state) or that does not converge descends from its
-    grid minimum at the grid spacing, halving down to angle_tol. Every
+    is lower than the grid minimum, and that ends the state's search. Only
+    the states whose Newton model is singular (a zero-probability outcome, a
+    maximally mixed or a pure conditional state) or that do not converge fall
+    back to a coordinate descent (_coordinate_descent) in lockstep from their
+    grid minima, at every step from the grid spacing down to angle_tol. Every
     comparison in that descent uses the kernel's own values. Ties on the grid
     resolve to the smallest angles, so results are run-to-run identical.
     Raises ValueError unless theta_steps >= 2, phi_steps >= 1 and angle_tol
@@ -409,23 +404,19 @@ def classical_correlation_bruteforce(
     best_val, theta, phi = _grid_minima(ops, theta_steps, phi_steps)
 
     reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
-    scale = np.ones(len(stack))
-    points = [(i, point) for i in range(len(stack)) if (point := _newton_refine(
-        ops[i], float(theta[i]), float(phi[i]), reach, angle_tol))]
-    if points:
-        rows = np.array([i for i, _ in points])
-        at_t, at_p = np.array([point for _, point in points]).T
+    points = [_newton_refine(op, t, p, reach, angle_tol)
+              for op, t, p in zip(ops, theta.tolist(), phi.tolist())]
+    converged = np.array([point is not None for point in points], dtype=bool)
+    if (rows := np.flatnonzero(converged)).size:
+        at_t, at_p = np.array([points[i] for i in rows]).T
         values = _blocked_entropies(ops[rows], _bloch_columns(
             at_t[:, None], at_p[:, None]))[:, 0]
         lower = values < best_val[rows]
         best_val[rows[lower]] = values[lower]
         theta[rows[lower]], phi[rows[lower]] = at_t[lower], at_p[lower]
-        fine = 1.0  # the scale of the last step above angle_tol
-        while reach * fine / 2 > angle_tol:
-            fine /= 2
-        scale[rows] = min(1.0, fine * 2.0 ** (DESCENT_LEVELS - 1))
-    _coordinate_descent(ops, best_val, theta, phi, scale, theta_steps, phi_steps,
-                        angle_tol)
+    if (fallbacks := np.flatnonzero(~converged)).size:
+        _coordinate_descent(ops, best_val, theta, phi, fallbacks, theta_steps,
+                            phi_steps, angle_tol)
 
     value = entropy_a - best_val
     basis = _bloch_columns(theta, phi)[1:].T

@@ -259,18 +259,22 @@ def _bracket_end(k: KernelParams, targets: np.ndarray) -> np.ndarray:
     scalar and array roots share their brackets' bits.
 
     Oscillatory: p falls monotonically from 1 to its first zero
-    z0 = (pi - arctan(omega0/b))/omega0. Overdamped: p stays below its slow
-    exponential (1 + b/omega0)/2 * exp(-s t), s = 2aA/(b + omega0); and at
-    critical damping below 2 exp(-b t/2). t_hi puts those bounds at
-    target/2. An overflowing t_hi is inf, without a warning."""
+    z0 = (pi - arctan(omega0/b))/omega0, and on [0, z0] it stays below
+    exp(-b t)(1 + b t) <= 2 exp(-b t/2), so t_hi is the smaller of z0 and
+    the time that puts that bound at target/2, which stays finite where z0
+    overflows. Overdamped: p stays below its slow exponential
+    (1 + b/omega0)/2 * exp(-s t), s = 2aA/(b + omega0); and at critical
+    damping below 2 exp(-b t/2). t_hi puts those bounds at target/2. An
+    overflowing t_hi is inf, without a warning."""
     b = (2 * k.a + k.gamma) / 2
     tag, _, w = k._regime
     with np.errstate(over="ignore", divide="ignore"):
-        if tag == "oscillatory":
-            return np.broadcast_to((np.pi - np.arctan(w / b)) / w, targets.shape)
         if tag == "overdamped":
             return np.log((1 + b / w) / targets) / (2 * k.A * (k.a / (b + w)))
-        return (2 / b) * np.log(4 / targets)
+        ends = (2 / b) * np.log(4 / targets)
+        if tag == "oscillatory":
+            return np.minimum((np.pi - np.arctan(w / b)) / w, ends)
+        return ends
 
 
 def solve_decay_time(k: KernelParams, target,
@@ -280,12 +284,13 @@ def solve_decay_time(k: KernelParams, target,
     `target` is a scalar (the root is returned as a float) or an array of
     targets (an array of roots of the same shape is returned). The Markovian
     root is -ln(target)/(2a). Otherwise each root is bracketed on
-    [0, t_hi] in closed form (see _bracket_end): p's first zero when p
-    oscillates, else a time where |p| <= target/2. A scalar target is then
-    bisected with scalar decay_factor calls, and an array in lockstep, one
-    array call per step; both stop at the same rule, so an array's roots
-    equal the scalar roots bit for bit. ValueError is raised, before any
-    decay_factor call, when a bracket end or a Markovian root overflows.
+    [0, t_hi] in closed form (see _bracket_end): a time where |p| <= target/2,
+    or p's first zero when p oscillates and that comes first. A scalar target
+    is then bisected with scalar decay_factor calls, and an array in
+    lockstep, one array call per step; both stop at the same rule, so an
+    array's roots equal the scalar roots bit for bit. ValueError is raised,
+    before any decay_factor call, when a bracket end or a Markovian root
+    overflows.
     """
     targets = np.asarray(target, dtype=float)
     flat = targets.ravel()

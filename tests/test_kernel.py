@@ -368,6 +368,17 @@ def test_huge_amplitude_root_matches_high_precision(A, gamma):
     assert abs(solve_decay_time(k, 0.625) - root) <= 1e-9 * root
 
 
+def test_bracket_ends_before_an_overflowing_first_zero():
+    # omega0 ~ 1.5e-308 at a = 1e-300: p's first zero z0 ~ pi/omega0
+    # overflows, but p <= 2 exp(-b t/2) before it brackets the root
+    k = KernelParams(1e-300, float(np.nextafter(5e-301, 1)), 0.0)
+    assert damping_regime(k)[0] == "oscillatory"
+    root = solve_decay_time(k, 0.5)
+    expected = _high_precision_root(k, 0.5)
+    assert abs(root - expected) <= 1e-9 * expected
+    assert _hex(solve_decay_time(k, np.array([0.5, 0.25, 0.5]))[::2]) == _hex([root, root])
+
+
 # the benchmark's kernel shapes, and A = gamma = 1 at two extreme rates.
 # At a = 1e-300, 2aA lies below the last bit of b^2: a slow rate b - omega
 # taken by subtraction is 0 there, so p(t) stayed 1 and no root was found.
@@ -451,8 +462,11 @@ def test_bracket_and_root_properties(k, target):
             solve_decay_time(k, target)
         return
     if damping_regime(k)[0] == "oscillatory":
+        # p's first zero z0, or an earlier time where |p| <= target
         b, w = (2 * k.a + k.gamma) / 2, k._regime[2]
-        assert t_hi == (np.pi - np.arctan(w / b)) / w
+        with np.errstate(over="ignore"):
+            z0 = (np.pi - np.arctan(w / b)) / w
+        assert t_hi == z0 or (t_hi < z0 and abs(decay_factor(k, t_hi)) <= target)
     else:
         assert abs(decay_factor(k, t_hi)) <= target
     root = solve_decay_time(k, target)

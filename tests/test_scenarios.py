@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldyn import kernel, scenarios
 from belldyn.channels import correlation_multipliers
@@ -9,6 +11,7 @@ from belldyn.correlations import AXES, binary_information, discord
 from belldyn.errors import AccuracyError, InvalidStateError
 from belldyn.kernel import (
     KernelParams,
+    damping_regime,
     decay_factor,
     markovian_decay_factor,
     solve_decay_time,
@@ -43,6 +46,27 @@ PAPER_KERNELS = {
     "critical": lambda a: KernelParams(a, a / 2, 0.0),
     "near_critical": lambda a: KernelParams(a, (a / 2) * (1 - 1e-8), 0.0),
 }
+
+AXIS_PAIRS = list(itertools.product(AXES, AXES))
+
+
+@st.composite
+def _branch_kernels(draw):
+    """(branch, kernel) on one of decay_factor's four branches, a in
+    [1e-3, 1e3]; A and gamma in units of a keep the branch's sign of
+    omega0^2."""
+    a = 10.0 ** draw(st.floats(-3.0, 3.0))
+    branch = draw(st.sampled_from(sorted(PAPER_KERNELS)))
+    if branch == "oscillatory":
+        A, gamma = draw(st.floats(2.5, 50.0)), draw(st.floats(0.0, 1.0))
+    elif branch == "overdamped":
+        A, gamma = draw(st.floats(0.01, 0.4)), draw(st.floats(0.0, 3.0))
+    elif branch == "critical":
+        A, gamma = 0.5, 0.0
+    else:
+        A, gamma = 0.5 * (1 - 10.0 ** draw(st.floats(-9.0, -7.0))), 0.0
+    return branch, KernelParams(a, a * A, a * gamma)
+
 
 T_C = 0.9477102861581741  # -ln(1 - sqrt(0.375)), independently verified
 T_CROSS_WIDE = 0.21563509959783556  # first |p| = 0.625 crossing, wide kernel
@@ -183,6 +207,27 @@ class TestEvolve:
     def test_rejects_unphysical_initial_state(self):
         with pytest.raises(InvalidStateError):
             evolve((1.0, 1.0, 1.0), EQUAL, np.linspace(0, 1, 11))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kernel_draw=_branch_kernels(), pair=st.sampled_from(AXIS_PAIRS),
+           markovian=st.booleans(),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_invariants_on_every_pair(self, kernel_draw, pair, markovian, weights):
+        # |p| <= 1, a physical evolved spectrum, finite I, C, D with
+        # 0 <= D and C <= I, over a*t in [0, 20]
+        branch, k = kernel_draw
+        assert damping_regime(k)[0] == branch.replace("near_critical", "overdamped")
+        lam = np.array(weights) + 1e-3
+        lam /= lam.sum()  # the Bell spectrum of c0
+        c0 = (2 * (lam[0] + lam[1]) - 1, 2 * (lam[0] + lam[2]) - 1,
+              2 * (lam[1] + lam[2]) - 1)
+        run = evolve(c0, k, np.linspace(0.0, 20.0 / k.a, 101), *pair,
+                     markovian=markovian)
+        assert np.all(np.abs(run.p) <= 1 + 1e-12)
+        assert np.all(run.spectrum >= -1e-10)
+        assert np.all(np.isfinite([run.I, run.C, run.D]))
+        assert np.all(run.D >= -1e-12)
+        assert np.all(run.C <= run.I + 1e-12)
 
 
 class TestCharacteristicTime:
