@@ -15,8 +15,6 @@ rounding tie, NaN, inf, or |x| outside [1e-290, 1e290)) go through Python's
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -73,10 +71,15 @@ def _parse_floats(text: str, count: int | None = None) -> tuple:
     return vals
 
 
+# configparser.ConfigParser.BOOLEAN_STATES, without importing configparser
+_BOOLEAN_STATES = {"1": True, "yes": True, "true": True, "on": True,
+                   "0": False, "no": False, "false": False, "off": False}
+
+
 def _parse_bool(text: str) -> bool:
-    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+    if text.lower() not in _BOOLEAN_STATES:
         raise ValueError(f"not a boolean: {text!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    return _BOOLEAN_STATES[text.lower()]
 
 
 _ALL = ("evolve", "correlations", "trajectory", "figure", "tc", "verify")
@@ -134,6 +137,8 @@ class RunConfig:
 
     def initial_state(self) -> BellCoefficients:
         if self.state_file is not None:
+            import json
+
             with open(self.state_file, encoding="utf-8") as fh:
                 rho = density_from_json(json.load(fh))
             c, residual = density_to_bell(rho)
@@ -209,12 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config_file(path: str) -> dict:
     """{option name: (value, source)} for each key of the INI file at `path`;
-    a section or key that names no option raises ValueError."""
+    a section or key that names no option, or a file configparser cannot
+    read, raises ValueError."""
+    import configparser
+
     # no interpolation, so a value holds any text, a % sign included
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # kernel.a and kernel.A must stay distinct
     with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(str(exc)) from None
     if cp.defaults():
         raise ValueError(f"{path}: unknown config section [{cp.default_section}]")
     keys = {(option.metadata["section"], option.name) for option in _OPTIONS.values()}
@@ -232,6 +243,8 @@ def load_config_file(path: str) -> dict:
 
 def dump_config_file(cfg: RunConfig, path: str, command: str) -> None:
     """Write the options `command` reads, so the file loads back into it."""
+    import configparser
+
     layout = {}
     for option in _OPTIONS.values():
         value = getattr(cfg, option.name)
@@ -297,18 +310,25 @@ _DIGIT_ROWS = np.arange(9, dtype=np.int8)[:, None]
 def _exponent_layouts():
     """For each decimal exponent X in [-300, 300], as %.9g prints X: the
     prefix and exponent slots, the digit the point precedes (99: none) and
-    the last digit of the integer part (-1: none)."""
-    slots = np.zeros((10, 601), np.uint8)
-    point = np.zeros(601, np.int8)
-    whole = np.zeros(601, np.int8)
-    for j, x in enumerate(range(-300, 301)):
-        if -4 <= x < 0:
-            text, point[j], whole[j] = "0." + "0" * (-x - 1), 99, -1
-        elif 0 <= x < 9:
-            text, point[j], whole[j] = "", x + 1, x
-        else:
-            text, point[j], whole[j] = "\0" * 5 + f"e{x:+03d}", 1, 0
-        slots[:len(text), j] = np.frombuffer(text.encode(), np.uint8)
+    the last digit of the integer part (-1: none). -4 <= X < 0 prints the
+    prefix "0." and -X - 1 zeros, 0 <= X < 9 a plain integer part, and every
+    other X one integer digit and the exponent "e", sign and two or three
+    digits in slots 5 to 9."""
+    x = np.arange(-300, 301)
+    small, plain = (-4 <= x) & (x < 0), (0 <= x) & (x < 9)
+    wide = ~(small | plain)
+    point = np.select([small, plain], [99, x + 1], 1).astype(np.int8)
+    whole = np.select([small, plain], [-1, x], 0).astype(np.int8)
+    slots = np.zeros((10, x.size), np.uint8)
+    slots[0] = np.where(small, ord("0"), 0)
+    slots[1] = np.where(small, ord("."), 0)
+    slots[2:5] = np.where(small & (np.arange(2, 5)[:, None] < 1 - x), ord("0"), 0)
+    mag, three = np.abs(x), np.abs(x) >= 100
+    exponent = [np.full(x.size, ord("e")), np.where(x < 0, ord("-"), ord("+")),
+                ord("0") + np.where(three, mag // 100, mag // 10 % 10),
+                ord("0") + np.where(three, mag // 10 % 10, mag % 10),
+                np.where(three, ord("0") + mag % 10, 0)]
+    slots[5:] = np.where(wide, exponent, 0)
     return slots, point, whole
 
 
@@ -402,6 +422,8 @@ def _table_text(cfg, command, columns, rows, extra=None) -> str:
     # adding 0.0 turns -0.0 into 0.0 as _fmt does
     body = _format_rows(np.asarray(rows, dtype=float) + 0.0)
     if cfg.format == "json":
+        import json
+
         payload = {
             "meta": meta,
             "columns": list(columns),
@@ -430,7 +452,8 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     c0 = cfg.initial_state()
     k, grid, axes = cfg.kernel(), cfg.time_grid(), cfg.axes()
     run = evolve(c0, k, grid, *axes, markovian=cfg.markovian)
-    twin = evolve(c0, k, grid, *axes, markovian=True)
+    # the Markovian twin; under --markovian it is the run itself
+    twin = run if cfg.markovian else evolve(c0, k, grid, *axes, markovian=True)
     rows = np.column_stack([cfg.a * run.t, run.p, run.c, run.I, run.C, run.D,
                             run.lambda_max, twin.C, twin.D])
     columns = ("a_t", "p", "c_x", "c_y", "c_z", "I", "C", "D",
@@ -452,6 +475,8 @@ def cmd_correlations(cfg: RunConfig) -> int:
         payload["relative_entropy_discord"] = red.value
         payload["relative_entropy_axis"] = red.axis
     if cfg.format == "json":
+        import json
+
         text = json.dumps(payload, indent=1) + "\n"
     else:
         width = max(len(key) for key in payload)
@@ -472,6 +497,8 @@ def cmd_tc(cfg: RunConfig) -> int:
     if t_c is not None and not cfg.markovian and _is_equal_kernel(k):
         closed = k.a * closed_form_characteristic_time(branch_switch_ratio(c), k.a)
     if cfg.format == "json":
+        import json
+
         payload = {
             "a_tc": None if t_c is None else k.a * t_c,
             "closed_form": closed,
@@ -625,13 +652,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
+# the flags whose value is a comma-separated list, which may start with '-'
+_LIST_FLAGS = frozenset(_flag(option) for option in _OPTIONS.values()
+                        if option.type.startswith("tuple"))
+
+
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join '--c -1,-1,-1' into '--c=-1,-1,-1' so argparse keeps the value."""
-    lists = {_flag(option) for option in _OPTIONS.values()
-             if option.type.startswith("tuple")}
     out = []
     for tok in argv:
-        if out and out[-1] in lists and tok.startswith("-"):
+        if out and out[-1] in _LIST_FLAGS and tok.startswith("-"):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -658,7 +688,7 @@ def main(argv=None) -> int:
         panel = (args.figure_id, args.panel) if args.command == "figure" else ()
         return _COMMANDS[args.command][0](cfg, *panel)
     except (InvalidStateError, NonCPTPError, AccuracyError, ValueError,
-            MemoryError, configparser.Error) as exc:
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

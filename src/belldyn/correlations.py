@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import AccuracyError
 from .states import (
+    EIGENVALUE_FLOOR,
     PAULI,
+    _spectrum,
     as_bell,
     bell_eigenvalues,
     bell_to_density,
@@ -113,13 +115,41 @@ def correlation_ledger(c) -> CorrelationLedger:
     )
 
 
+def _ledger_row(c) -> tuple:
+    """One row of correlation_ledger on Python floats: I, C, D, lambda_max
+    and the axis index.
+
+    The row runs the ledger's expressions in the ledger's order, with one
+    np.log2 call for its six logarithms, so every value carries the ledger
+    row's bits; a triple whose spectrum is not finite or dips below the
+    floor goes through the ledger, which raises its error.
+    """
+    cx, cy, cz = map(float, as_bell(c))
+    spectrum = _spectrum(cx, cy, cz)
+    if not all(EIGENVALUE_FLOOR <= v < math.inf for v in spectrum):
+        return tuple(field.item() for field in correlation_ledger([(cx, cy, cz)]))
+    mags = (abs(cx), abs(cy), abs(cz))
+    lam_max = max(mags)
+    u = min(lam_max, 1.0)
+    # shannon_entropy's clip and cut-off, then binary_information's
+    probs = [min(v, 1.0) for v in spectrum]
+    halves = (1.0 + u, 1.0 - u)
+    logs = np.log2([v if v > 1e-15 else 1.0 for v in (*probs, *halves)]).tolist()
+    entropy = 0.0 - sum(v * lg if v > 1e-15 else 0.0 for v, lg in zip(probs, logs))
+    total = 2.0 - entropy
+    classical = 0.0
+    for v, lg in zip(halves, logs[4:]):
+        classical = classical + ((v / 2) * lg if v > 1e-15 else 0.0)
+    return total, classical, total - classical, lam_max, mags.index(lam_max)
+
+
 def discord(c) -> CorrelationReport:
-    """One-row correlation_ledger.
+    """One row of correlation_ledger, computed on floats (_ledger_row).
 
     The fields are built-in floats and the axis is its name, so the report
     serializes with json.dumps as it stands.
     """
-    i, cl, d, lam, axis = (field.item() for field in correlation_ledger([as_bell(c)]))
+    i, cl, d, lam, axis = _ledger_row(c)
     return CorrelationReport(i, cl, d, lam, AXES[axis])
 
 
@@ -157,7 +187,7 @@ def _search_grid(theta_steps: int, phi_steps: int) -> tuple:
 # = (Tr A sigma_i)_i for any 2 x 2 matrix A
 _PAULI_FLAT = np.array([s.T.ravel() for s in (np.eye(2), *PAULI.values())])
 _FLIP = np.array([1.0, -1.0, -1.0, -1.0])  # (1, n) -> (1, -n)
-_SIGNS = np.array([[1.0], [-1.0]])  # the eigenvalues (w +- |f|) / 2
+_SIGNS = np.array([1.0, -1.0])  # to 1 + x and 1 - x
 
 
 def _search_operands(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,27 +203,41 @@ def _search_operands(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(rho)
     rho_ac = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
     half = np.real(_PAULI_FLAT @ rho_ac @ _PAULI_FLAT.T) / 2
-    ops = np.stack([half, half * _FLIP], axis=2).reshape(n, 8, 4)
-    return ops, rho_ac[..., 0] + rho_ac[..., 3]
+    ops = np.empty((n, 4, 2, 4))
+    ops[:, :, 0] = half
+    np.multiply(half, _FLIP, out=ops[:, :, 1])
+    return ops.reshape(n, 8, 4), rho_ac[..., 0] + rho_ac[..., 3]
 
 
 def _conditional_entropies(ops, cols) -> np.ndarray:
     """Conditional entropies for projective bases on B, batched.
 
     ops @ cols (one real matmul) gives each outcome's w = Tr M and
-    f = Tr M sigma, so M has eigenvalues (w +- |f|) / 2; each outcome adds
-    w * S(M/w), or zero when w < 1e-12. One state's (8, 4) operand against
-    (4, K) Bloch columns gives (K,); N states' against (N, 4, K) gives (N, K).
+    f = Tr M sigma, so M / w has eigenvalues (1 +- x) / 2 with x = |f| / w,
+    and the outcome adds its binary entropy times w:
+    w (1 - [(1 + x) log2(1 + x) + (1 - x) log2(1 - x)] / 2). An outcome with
+    w <= 1e-12 adds zero, and so does a (1 - x) term at or below 1e-15. One
+    state's (8, 4) operand against (4, K) Bloch columns gives (K,); N states'
+    against (N, 4, K) gives (N, K).
     """
     feats = ops @ cols
     w = feats[..., 0:2, :]  # outcomes +, -
-    disc = np.sqrt(feats[..., 2:4, :] ** 2 + feats[..., 4:6, :] ** 2
-                   + feats[..., 6:8, :] ** 2)
-    eig = np.maximum((w[..., None, :] + _SIGNS * disc[..., None, :]) / 2, 0.0)
-    q = eig / np.where(w > ZERO_PROBABILITY, w, np.inf)[..., None, :]
-    terms = eig * np.log2(np.where(q > 1e-15, q, 1.0))
-    outcome = (0.0 - terms[..., 0, :]) - terms[..., 1, :]
-    return outcome[..., 0, :] + outcome[..., 1, :]
+    sq = feats[..., 2:8, :]
+    sq *= sq
+    d = sq[..., 0:2, :] + sq[..., 2:4, :]
+    d += sq[..., 4:6, :]
+    np.sqrt(d, out=d)
+    live = w > ZERO_PROBABILITY
+    x = np.divide(d, w, out=np.zeros_like(d), where=live)
+    pm = np.multiply.outer(_SIGNS, x)
+    pm += 1.0  # 1 + x, 1 - x
+    terms = np.log2(np.where(pm > 1e-15, pm, 1.0))
+    terms *= pm
+    h = terms[0] + terms[1]
+    h *= -0.5
+    h += 1.0
+    h *= np.where(live, w, 0.0)
+    return h[..., 0, :] + h[..., 1, :]
 
 
 def _blocked_entropies(ops, cols) -> np.ndarray:
@@ -425,25 +469,34 @@ def classical_correlation_bruteforce(
     return BruteForceClassical(value, basis)
 
 
+# the components each of four density matrices keeps: the state, then its
+# x, y and z dephasings
+_DEPHASINGS = np.vstack([np.ones(3, dtype=bool), np.eye(3, dtype=bool)])
+
+
 def relative_entropy_discord(c) -> RelativeEntropyDiscord:
     """Minimal relative entropy to the three axis dephasings.
 
     Takes one triple or an (N, 3) batch; a batch gives values (N,) and axes
-    (N,) as indices into AXES. The states and their dephasings (row a keeps
-    c_a) go through density matrices: one eigvalsh over the states and one
-    eigh over the dephasings. For Bell-diagonal states this equals I - C;
-    the identity is enforced to 1e-8 as an internal consistency check, whose
-    error names the first failing index of a batch.
+    (N,) as indices into AXES. The batch's physicality is checked in one
+    pass. The states and their dephasings (row a keeps c_a) go through
+    density matrices built in one bell_to_density call: one eigvalsh over the
+    states and one eigh over the dephasings. For Bell-diagonal states this
+    equals I - C; the identity is enforced to 1e-8 as an internal
+    consistency check, whose error names the first failing index of a batch.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] != 3:
         raise ValueError(f"expected a triple or an (N, 3) batch, got {c.shape}")
-    batch = np.array([require_physical(row) for row in c.reshape(-1, 3)])
-    dephased = np.where(np.eye(3, dtype=bool), batch[:, None], 0.0)
-    values = relative_entropy(bell_to_density(batch)[:, None], bell_to_density(
-        dephased.reshape(-1, 3)).reshape(-1, 3, 4, 4))
+    batch = np.reshape(require_physical(c), (-1, 3))
+    rho = bell_to_density(np.where(_DEPHASINGS, batch[:, None], 0.0).reshape(-1, 3))
+    rho = rho.reshape(-1, 4, 4, 4)
+    values = relative_entropy(rho[:, :1], rho[:, 1:])
     axis = np.argmin(values, axis=1)
-    best, expected = np.min(values, axis=1), correlation_ledger(batch).D
+    best = np.min(values, axis=1)
+    # the ledger's D; one triple takes its row on floats, which has its bits
+    expected = (correlation_ledger(batch).D if c.ndim == 2
+                else np.array([_ledger_row(batch[0])[2]]))
     off = np.flatnonzero(~(np.abs(best - expected) <= IDENTITY_TOL))
     if off.size:
         i, at = off[0], (f" at index {off[0]}" if c.ndim == 2 else "")

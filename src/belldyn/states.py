@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -56,32 +57,41 @@ def as_bell(c) -> BellCoefficients:
     return BellCoefficients(cx, cy, cz)
 
 
+def _spectrum(cx, cy, cz) -> tuple:
+    """The four Bell eigenvalues of floats or of arrays of coefficients,
+    elementwise, in the order of bell_eigenvalues."""
+    return (0.25 * (1 + cx + cy - cz), 0.25 * (1 + cx - cy + cz),
+            0.25 * (1 - cx + cy + cz), 0.25 * (1 - cx - cy - cz))
+
+
 def bell_eigenvalues(c) -> np.ndarray:
     """Spectrum of the Bell-diagonal state, ordered (Psi+, Phi+, Phi-, Psi-).
 
     An (N, 3) array of triples gives the (N, 4) array of their spectra.
     """
-    cx, cy, cz = np.asarray(c, dtype=float).T
-    return 0.25 * np.array(
-        [
-            1 + cx + cy - cz,
-            1 + cx - cy + cz,
-            1 - cx + cy + cz,
-            1 - cx - cy - cz,
-        ]
-    ).T
+    return np.array(_spectrum(*np.asarray(c, dtype=float).T)).T
 
 
-def require_physical(c) -> BellCoefficients:
+def require_physical(c):
+    """c once its Bell spectrum is physical: finite, and no eigenvalue below
+    EIGENVALUE_FLOOR. One triple gives BellCoefficients, checked on floats;
+    an (N, 3) batch is checked in one pass and given back as a float array,
+    and its error is the one-triple error of its first failing triple."""
+    if np.ndim(c) == 2:
+        c = np.asarray(c, dtype=float)
+        finite = np.all(np.isfinite(c), axis=1)
+        lam = bell_eigenvalues(np.where(finite[:, None], c, 0.0))
+        ok = finite & (np.min(lam, axis=1) >= EIGENVALUE_FLOOR)
+        if not ok.all():
+            require_physical(c[np.argmin(ok)])
+        return c
     c = as_bell(c)
-    if not np.all(np.isfinite(c)):
+    if not all(math.isfinite(v) for v in c):
         raise InvalidStateError(f"coefficients {tuple(c)} are not finite")
-    lam = bell_eigenvalues(c)
-    if np.min(lam) < EIGENVALUE_FLOOR:
+    low = min(_spectrum(*c))
+    if low < EIGENVALUE_FLOOR:
         raise InvalidStateError(
-            f"coefficients {tuple(c)} give a negative Bell eigenvalue "
-            f"(min {np.min(lam):.3e})"
-        )
+            f"coefficients {tuple(c)} give a negative Bell eigenvalue (min {low:.3e})")
     return c
 
 
@@ -127,11 +137,11 @@ def require_valid_state(rho: np.ndarray) -> np.ndarray:
     herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
     trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     min_eig = np.min(np.linalg.eigvalsh(0.5 * (rho + adjoint)), axis=-1)
-    values = np.stack([herm, trace, min_eig], axis=-1).reshape(-1, 3)
     # written so that a NaN fails each check
     ok = np.stack([herm <= HERMITICITY_TOL, trace <= TRACE_TOL,
                    min_eig >= EIGENVALUE_FLOOR], axis=-1).reshape(-1, 3)
     if not ok.all():
+        values = np.stack([herm, trace, min_eig], axis=-1).reshape(-1, 3)
         i, j = np.argwhere(~ok)[0]  # the first failing state, its first check
         name = ("Hermiticity error", "trace error", "minimum eigenvalue")[j]
         where = f" at index {i}" if rho.ndim == 3 else ""
@@ -178,9 +188,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
     weights = np.einsum("...ji,...jk,...ki->...i", sig_vecs.conj(), rho, sig_vecs).real
     on_support = sig_vals > SUPPORT_TOL
     leak = np.sum(np.where(on_support, 0.0, weights), axis=-1)
-    bad = np.argwhere(leak > SUPPORT_LEAK_TOL)
-    if len(bad):
-        i = tuple(bad[0].tolist())  # () for one pair
+    if np.any(leak > SUPPORT_LEAK_TOL):
+        i = tuple(np.argwhere(leak > SUPPORT_LEAK_TOL)[0].tolist())  # () for one pair
         raise SupportViolationError(f"state{f' at index {i}' if i else ''} has "
                                     f"weight {leak[i]:.3e} outside the reference support")
     out = np.maximum(t1 - sum_w_log2(weights, sig_vals, on_support), 0.0)

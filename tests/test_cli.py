@@ -190,6 +190,20 @@ class TestTrajectoryCommand:
         assert payload["meta"]["channel_b"] == "phaseflip"
         assert len(payload["rows"]) == 20
 
+    @pytest.mark.parametrize("markovian, runs", [(False, 2), (True, 1)],
+                             ids=["memory-kernel", "markovian"])
+    def test_one_evolution_per_distinct_run(self, tmp_path, monkeypatch,
+                                            markovian, runs):
+        # the Markovian twin is the run itself under --markovian
+        calls = []
+        evolve = cli.evolve
+        monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: calls.append(
+            kwargs["markovian"]) or evolve(*args, **kwargs))
+        argv = ["trajectory", "--t-steps", "40", "--out", str(tmp_path / "t.csv")]
+        assert main(argv + ["--markovian"] * markovian) == 0
+        assert len(calls) == runs
+        assert calls[-1] is True
+
 
 # each panel's gnuplot script for a table written to panel.csv
 GNUPLOT_SHA256 = {
@@ -477,6 +491,27 @@ class TestConfigHandling:
         assert "unknown config" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("body, message", [
+        ("no section header\n", "File contains no section headers.\n"
+         "file: '{path}', line: 1\n'no section header\\n'"),
+        ("[kernel]\na = 1\n[kernel]\nA = 2\n",
+         "While reading from '{path}' [line  3]: section 'kernel' already exists"),
+        ("[kernel]\na = 1\na = 2\n", "While reading from '{path}' [line  3]: "
+         "option 'a' in section 'kernel' already exists"),
+    ], ids=["no-section", "duplicate-section", "duplicate-key"])
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(body)
+        path = tmp_path / "o.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
+        assert not path.exists()
+
+    def test_boolean_words_are_configparsers(self):
+        import configparser
+
+        assert cli._BOOLEAN_STATES == configparser.ConfigParser.BOOLEAN_STATES
+
     def test_values_with_percent_signs_round_trip(self, tmp_path):
         cfg = tmp_path / "run.ini"
         first, second = tmp_path / "a%b.csv", tmp_path / "%(x)s.csv"
@@ -628,6 +663,14 @@ def test_import_builds_no_parser():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.stdout == "0 1 1\n", out.stderr
+
+
+def test_import_loads_neither_configparser_nor_json():
+    # only --config, --dump-config, JSON output and --state-file need them
+    code = ("import sys\nimport belldyn.cli\n"
+            "print([name for name in ('configparser', 'json') if name in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout == "[]\n", out.stderr
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

@@ -29,9 +29,11 @@ from belldyn.correlations import (
 from belldyn.errors import AccuracyError, InvalidStateError
 from belldyn.states import (
     BELL_KETS,
+    bell_eigenvalues,
     bell_to_density,
     random_bell_coefficients,
     relative_entropy,
+    require_physical,
     shannon_entropy,
 )
 
@@ -272,6 +274,16 @@ class TestConditionalEntropy:
         got = conditional_entropy(rho, np.array([0, 0, 1.0]))
         assert got == pytest.approx(entropy(rho_a), abs=1e-10)
 
+    def test_tiny_probability_outcome_adds_zero(self):
+        # outcome '-' has probability 5e-13, at most ZERO_PROBABILITY, so
+        # only outcome '+' adds its w S(rho_A)
+        rng = np.random.default_rng(47)
+        rho_a = random_qubit_state(rng)
+        tiny = 5e-13
+        rho = np.kron(rho_a, np.diag([1.0 - tiny, tiny]))
+        got = conditional_entropy(rho, np.array([0, 0, 1.0]))
+        assert got == pytest.approx((1.0 - tiny) * entropy(rho_a), abs=2e-15)
+
 
 def edge_states():
     """The maximally mixed state, the singlet, an exact tie |c_x| = |c_y|,
@@ -508,6 +520,31 @@ class TestBlochKernel:
                                reference_conditional_entropies(rho, proj))
             assert np.max(np.abs(real - reference)) <= 2e-15
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank),
+        st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24))))
+    def test_matches_complex_reference_on_general_states(self, drawn):
+        # rho = v v^dagger from a complex 4 x rank matrix v, of that rank,
+        # measured along eight directions; near a pure conditional state the
+        # two forms differ by the rounding of l- (rounding_allowance)
+        entries, directions = drawn
+        v = np.reshape(entries, (2, 4, -1))
+        v = v[0] + 1j * v[1]
+        rho = v @ v.conj().T
+        assume(np.linalg.matrix_rank(rho, tol=1e-6) == v.shape[1])
+        rho /= np.trace(rho)
+        n = np.reshape(directions, (8, 3))
+        assume(np.all(np.linalg.norm(n, axis=1) > 0.1))
+        theta = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
+        phi = np.arctan2(n[:, 1], n[:, 0])
+        cols = _bloch_columns(theta, phi)
+        ops, _ = _search_operands(rho[None])
+        got = _conditional_entropies(ops[0], cols)
+        reference = reference_conditional_entropies(rho, reference_projectors(theta, phi))
+        for value, ref, basis in zip(got, reference, cols[1:].T):
+            assert abs(value - ref) <= max(2e-15, rounding_allowance(rho, basis))
+
     def test_hemisphere_keeps_the_full_grid_minimum(self):
         tg, pg, _ = _search_grid(THETA_STEPS, PHI_STEPS)
         hemisphere = reference_projectors(tg, pg)
@@ -555,6 +592,24 @@ class TestDiscord:
             report = discord((x, x * x, -x))
             assert abs(report.D - report.C) <= 1e-9
             assert abs(report.D - report.I / 2) <= 1e-9
+
+    def test_fields_are_the_ledger_row_bits(self):
+        # discord computes its one row on floats; every field must be the
+        # correlation_ledger row's, ties and boundary states included (a
+        # Bell eigenvalue of 1 + 5e-11 and a |c| above 1 are clipped)
+        rng = np.random.default_rng(97)
+        states = [tuple(random_bell_coefficients(rng)) for _ in range(2000)]
+        grid = rng.integers(-4, 5, (400, 3)) / 4  # exact zeros in the spectrum
+        states += [tuple(v) for v in grid[np.min(bell_eigenvalues(grid), axis=1) >= 0]]
+        states += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0),
+                   (0.4, -0.4, 0.1), (0.5, 0.5, -0.5), (1 + 2e-10, 0.0, 0.0), (1.0, 1.0, -1 - 2e-10),
+                   (1e-16, -1e-16, 1e-300), (0.1, 0.16, 0.1)]
+        ledger = correlation_ledger(np.array(states))
+        for k, c in enumerate(states):
+            report = discord(c)
+            assert [type(v) for v in report] == [float] * 4 + [str]
+            assert report[:4] == tuple(field[k].item() for field in ledger[:4])
+            assert report.axis == AXES[ledger.axis[k]]
 
     def test_json_keys(self):
         payload = discord((0.1, 0.16, 0.1))._asdict()
@@ -645,6 +700,18 @@ class TestRelativeEntropyDiscord:
         states = np.array([random_bell_coefficients(rng) for _ in range(4)])
         with pytest.raises(AccuracyError, match="discord at index 2 "):
             relative_entropy_discord(states)
+
+    @pytest.mark.parametrize("bad", [(1.0, 1.0, 1.0), (np.nan, 0.1, 0.1),
+                                     (np.inf, -np.inf, 0.0)],
+                             ids=["negative", "nan", "inf"])
+    def test_batch_names_the_first_unphysical_triple(self, bad):
+        # one vectorised check, and the error of the one-triple check
+        states = np.array([(0.1, 0.16, 0.1), bad, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)])
+        with pytest.raises(InvalidStateError) as expected:
+            require_physical(bad)
+        with pytest.raises(InvalidStateError) as got:
+            relative_entropy_discord(states)
+        assert str(got.value) == str(expected.value)
 
     def test_identity_on_random_states(self):
         rng = np.random.default_rng(67)

@@ -110,3 +110,26 @@ def test_panels_take_the_fast_path(monkeypatch, capsys, figure, panel):
     assert main(["figure", str(figure), panel]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) > 100 and len(exact) <= 5
+
+
+def per_exponent_layouts():
+    """The writer's exponent tables as %.9g lays out each exponent's text,
+    one exponent at a time."""
+    slots = np.zeros((10, 601), np.uint8)
+    point = np.zeros(601, np.int8)
+    whole = np.zeros(601, np.int8)
+    for j, x in enumerate(range(-300, 301)):
+        if -4 <= x < 0:
+            text, point[j], whole[j] = "0." + "0" * (-x - 1), 99, -1
+        elif 0 <= x < 9:
+            text, point[j], whole[j] = "", x + 1, x
+        else:
+            text, point[j], whole[j] = "\0" * 5 + f"e{x:+03d}", 1, 0
+        slots[:len(text), j] = np.frombuffer(text.encode(), np.uint8)
+    return slots, point, whole
+
+
+def test_exponent_layouts_equal_the_per_exponent_text():
+    for got, expected in zip(cli._exponent_layouts(), per_exponent_layouts()):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)

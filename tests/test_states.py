@@ -153,6 +153,27 @@ class TestPhysicality:
             c = random_bell_coefficients(rng)
             assert require_physical(c) == c
 
+    def test_batch_is_checked_in_one_pass(self):
+        rng = np.random.default_rng(5)
+        batch = [random_bell_coefficients(rng) for _ in range(50)] + [(1.0, -1.0, 1.0)]
+        checked = require_physical(batch)
+        assert checked.dtype == float
+        assert np.array_equal(checked, batch)
+
+    @pytest.mark.parametrize("bad", [(1.0, 1.0, 1.0), (np.nan, 0.1, 0.1),
+                                     (np.inf, -np.inf, 0.0), (1.0, -1.0, 1 + 8e-10)],
+                             ids=["negative", "nan", "inf", "just-below-floor"])
+    def test_batch_error_is_the_first_bad_triple_error(self, bad):
+        # non-finite rows are checked without a RuntimeWarning
+        with pytest.raises(InvalidStateError) as expected:
+            require_physical(bad)
+        # a Bell eigenvalue of -5e-11 lies within the floor
+        batch = np.array([(0.1, 0.16, 0.1), (1.0, -1.0, 1 + 2e-10), bad, (2.0, 2.0, 2.0)])
+        with pytest.raises(InvalidStateError) as got:
+            require_physical(batch)
+        assert str(got.value) == str(expected.value)
+        assert str(expected.value).startswith(f"coefficients {tuple(map(float, bad))} ")
+
 
 NON_FINITE = {
     "require_physical": (lambda: require_physical((np.nan, 0.1, 0.1)),
@@ -310,6 +331,12 @@ class TestValidateState:
         rho[0, 1] = 0.1
         message, _ = reported(rho)
         assert "Hermiticity" in message
+
+    def test_nan_fails(self):
+        rho = MIXED.astype(complex).copy()
+        rho[3, 3] = np.nan
+        with pytest.raises(InvalidStateError, match="at index 1: "):
+            require_valid_state(np.stack([MIXED, rho]))
 
     def test_stack_equals_per_state_calls(self):
         rng = np.random.default_rng(19)

@@ -16,6 +16,7 @@ from belldyn.channels import correlation_multipliers
 from belldyn.cli import main
 from belldyn.correlations import _conditional_entropies
 from belldyn.kernel import decay_factor
+from belldyn.states import relative_entropy
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -44,6 +45,11 @@ def shifted_entropies(ops, cols):
     return _conditional_entropies(ops, cols) + 1e-4
 
 
+def shifted_relative_entropy(rho, sigma):
+    """Every relative entropy 1e-6 bits high."""
+    return relative_entropy(rho, sigma) + 1e-6
+
+
 FAULTS = {
     "none": (None, None, set()),
     "decay-array-1e-5": (decay_factor, scaled_array_decay, {"decay-ode"}),
@@ -51,6 +57,8 @@ FAULTS = {
                           {"kraus-vs-coefficients"}),
     "entropy-plus-1e-4": (_conditional_entropies, shifted_entropies,
                           {"bruteforce-vs-analytic"}),
+    "relative-entropy-plus-1e-6": (relative_entropy, shifted_relative_entropy,
+                                   {"relative-entropy-identity"}),
 }
 
 
@@ -67,3 +75,14 @@ def test_verify_fails_exactly_the_named_checks(monkeypatch, capsys, fault):
     assert code == (1 if failing else 0)
     assert lines[-1] == f"verify: {'FAIL' if failing else 'PASS'} ({6 - len(failing)}/6)"
 
+
+
+def test_relative_entropy_fault_trips_the_oracle_identity_check(monkeypatch, capsys):
+    # the oracle's own 1e-8 check against I - C raises, before verify's
+    # comparison of the values
+    patch_everywhere(monkeypatch, relative_entropy, shifted_relative_entropy)
+    assert main(["verify"]) == 1
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.split()[1] == "relative-entropy-identity"]
+    assert "error: relative-entropy discord at index 0 " in line
+    assert line.endswith("beyond 1e-08  FAIL")
