@@ -59,15 +59,16 @@ def correlation_multipliers(axis_a: str, axis_b: str, p) -> tuple:
 
     Each local channel leaves its own axis fixed and scales the other two by
     its retention parameter p, the same for both qubits; the correlation
-    multiplier is the product of the per-qubit factors. For an array of
-    retention parameters, a multiplier that depends on them is an array; one
-    that does not stays 1.0.
+    multiplier is the product of the per-qubit factors. A float p gives three
+    floats, and an array of retention parameters three arrays of its shape,
+    an axis both channels keep included, so the three stack as they are.
     """
     _require_axis(axis_a)
     _require_axis(axis_b)
     p = _require_retention(p)
+    one = np.ones(np.shape(p)) if np.ndim(p) else 1.0
     return tuple(
-        (1.0 if ax == axis_a else p) * (1.0 if ax == axis_b else p)
+        (one if ax == axis_a else p) * (one if ax == axis_b else p)
         for ax in CHANNEL_AXES
     )
 

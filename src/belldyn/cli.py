@@ -514,15 +514,15 @@ def cmd_tc(cfg: RunConfig) -> int:
     return 0
 
 
-# (column, title, style) of each curve: figure 1 against figures 2 and 3
+# (column name, title, style) of each curve: figure 1 against figures 2 and 3
 _GNUPLOT_CURVES = {
-    True: [(4, "C = D (memory kernel)", "lines lw 2"),
-           (6, "C = D (Markovian)", "lines dt 3")],
-    False: [(5, "D", "lines lw 2"), (4, "C", "lines dt 2")],
+    True: [("C", "C = D (memory kernel)", "lines lw 2"),
+           ("C_markov", "C = D (Markovian)", "lines dt 3")],
+    False: [("D", "D", "lines lw 2"), ("C", "C", "lines dt 2")],
 }
 
 
-def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
+def _gnuplot_script(figure: int, panel: str, csv_name: str, columns) -> str:
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
@@ -538,8 +538,9 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str) -> str:
     else:
         lines += ["set xlabel 'a t'", "set ylabel 'correlations (bits)'"]
         plots = ", \\\n     ".join(
-            f"'{csv_name}' using 1:{col} with {style} title '{title}'"
-            for col, title, style in _GNUPLOT_CURVES[figure == 1]
+            f"'{csv_name}' using 1:{columns.index(name) + 1} with {style} "
+            f"title '{title}'"
+            for name, title, style in _GNUPLOT_CURVES[figure == 1]
         )
         lines.append("plot " + plots)
     return "\n".join(lines) + "\n"
@@ -564,7 +565,8 @@ def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     if cfg.out is not None and cfg.format == "csv":
         stem, _ = os.path.splitext(cfg.out)
         _write_text(stem + ".gp",
-                    _gnuplot_script(figure, panel, os.path.basename(cfg.out)))
+                    _gnuplot_script(figure, panel, os.path.basename(cfg.out),
+                                    table.columns))
     return 0
 
 

@@ -36,19 +36,19 @@ AXES = ("x", "y", "z")
 ZERO_PROBABILITY = 1e-12
 IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 
-# brute-force search resolution: 64 x 128 grid, then Newton refinement, or
-# coordinate descent where Newton falls back
+# the brute-force search's fixed resolution: a 64 x 128 grid, then Newton or,
+# where Newton falls back, coordinate descent steps down to REFINE_ANGLE_TOL
 THETA_STEPS = 64
 PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
 # most candidates one _conditional_entropies call evaluates, in the grid pass,
-# at the Newton points and in the fallback descent: its largest temporary, the
-# (8, K) feature block, is then 128 KiB, small enough for malloc to reuse
-# rather than map and zero fresh pages on every call
+# at the Newton points and in the fallback descent's four moves per state:
+# its largest temporary, the (8, K) feature block, is then 128 KiB, small
+# enough for malloc to reuse rather than map and zero fresh pages on every call
 BLOCK_ROWS = 2048
-# trials one state's Newton descent may take before it falls back to the
-# coordinate descent from its grid minimum; a converging state takes ~2, and
-# its converged point ends its search
+# trials one state's Newton descent may take before the state falls back to
+# the plain coordinate descent from its grid minimum; a converging state takes
+# ~2, and its converged point ends its search
 NEWTON_STEPS = 32
 _LN2 = math.log(2.0)
 
@@ -255,10 +255,16 @@ def _blocked_entropies(ops, cols) -> np.ndarray:
         for i in range(0, len(cols), group)])
 
 
-def _grid_minima(ops, theta_steps: int, phi_steps: int) -> tuple:
+def _grid_spacing() -> tuple[float, float]:
+    """The grid's spacing in theta and in phi, pi/THETA_STEPS and
+    2 pi/PHI_STEPS: the first step of both refinements."""
+    return np.pi / THETA_STEPS, 2 * np.pi / PHI_STEPS
+
+
+def _grid_minima(ops) -> tuple:
     """Each state's lowest conditional entropy on the cached hemisphere grid
     and its angles, as three (N,) arrays; ties go to the first grid point."""
-    tg, pg, grid = _search_grid(theta_steps, phi_steps)
+    tg, pg, grid = _search_grid(THETA_STEPS, PHI_STEPS)
     n = len(ops)
     best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
@@ -268,48 +274,32 @@ def _grid_minima(ops, theta_steps: int, phi_steps: int) -> tuple:
     return best_val, theta, phi
 
 
-def _coordinate_descent(ops, best_val, theta, phi, live, theta_steps: int,
-                        phi_steps: int, angle_tol: float) -> None:
+def _coordinate_descent(ops, best_val, theta, phi, live) -> None:
     """Coordinate descent over the whole sphere from the grid minima of the
     states in live, all in lockstep, refining best_val, theta and phi in place.
 
-    Steps start at the grid spacing, pi/theta_steps and 2 pi/phi_steps, and
-    halve down to angle_tol. Each iteration evaluates the four moves at a
-    state's step and at every halving of it above angle_tol in one batch and
-    takes the largest step that improves: exactly the move of a descent trying
-    one step at a time and halving after each failure, because halving by 2 is
-    exact. A state stops once no step improves. No call evaluates more than
-    BLOCK_ROWS candidates at once.
+    Each state's step starts at the grid spacing. Each iteration a state tries
+    the four moves at its step, theta and phi up and down, and takes the best
+    one that lowers its value; where none does, it halves its step. A state
+    stops once its step is at most REFINE_ANGLE_TOL. No call evaluates more
+    than BLOCK_ROWS candidates at once.
     """
-    reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
-    count = 0  # steps above angle_tol: the grid spacing and its halvings
-    while reach * 0.5 ** count > angle_tol:
-        count += 1
-    levels = np.arange(count)
-    # theta up, theta down, phi up, phi down at each step, as (step, angle,
-    # move): adding 0 or clipping an unmoved angle leaves it as it is, so
-    # these are the one-step moves, and scaling them by powers of 2 is exact
-    steps = 0.5 ** levels[:, None, None] * (
-        np.array([[np.pi / theta_steps], [2 * np.pi / phi_steps]])
-        * [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-    start = np.zeros(len(ops), dtype=int)  # the level of each state's step
-    while count and live.size:
-        cand_t = np.minimum(np.maximum(theta[live, None, None] + steps[:, 0], 0.0),
-                            np.pi)
-        cand_p = phi[live, None, None] + steps[:, 1]
-        cand_p[..., 2:] %= 2 * np.pi  # (live, step, move)
-        vals = _blocked_entropies(ops[live], _bloch_columns(
-            cand_t.reshape(live.size, -1), cand_p.reshape(live.size, -1)),
-        ).reshape(cand_t.shape)
-        pick, low = np.argmin(vals, axis=2), np.min(vals, axis=2)
-        better = (low < best_val[live, None]) & (levels >= start[live, None])
-        rows = np.flatnonzero(better.any(axis=1))
-        level = np.argmax(better[rows], axis=1)
-        move, live = pick[rows, level], live[rows]
-        best_val[live] = low[rows, level]
-        theta[live] = cand_t[rows, level, move]
-        phi[live] = cand_p[rows, level, move]
-        start[live] = level
+    spacing = _grid_spacing()
+    scale = np.ones(len(ops))  # each state's step over the grid spacing
+    while (live := live[max(spacing) * scale[live] > REFINE_ANGLE_TOL]).size:
+        t, p = theta[live], phi[live]
+        st, sp = spacing[0] * scale[live], spacing[1] * scale[live]
+        cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], 1)
+        cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], 1)
+        vals = _blocked_entropies(ops[live], _bloch_columns(cand_t, cand_p))
+        rows, pick = np.arange(live.size), np.argmin(vals, axis=1)
+        low = vals[rows, pick]
+        better = low < best_val[live]
+        moved = live[better]
+        best_val[moved] = low[better]
+        theta[moved] = cand_t[rows, pick][better]
+        phi[moved] = cand_p[rows, pick][better]
+        scale[live[~better]] /= 2
 
 
 def _newton_model(op, theta: float, phi: float):
@@ -364,7 +354,7 @@ def _newton_model(op, theta: float, phi: float):
     return value, h_u, h_v, h_uu, h_uv, h_vv
 
 
-def _newton_refine(op, theta: float, phi: float, radius: float, angle_tol: float):
+def _newton_refine(op, theta: float, phi: float):
     """Safeguarded Newton descent on the sphere from n(theta, phi), in scalar
     floats: the final (theta, phi), or None when the model is singular at the
     start or the descent takes NEWTON_STEPS trials.
@@ -373,11 +363,12 @@ def _newton_refine(op, theta: float, phi: float, radius: float, angle_tol: float
     the Hessian is not positive definite the step is steepest descent. Each
     step is clipped to the trust radius, which starts at the grid spacing and
     halves on every step that does not strictly lower the entropy; the
-    descent stops once a step is at most angle_tol.
+    descent stops once a step is at most REFINE_ANGLE_TOL.
     """
     model = _newton_model(op, theta, phi)
     if model is None:
         return None
+    radius = max(_grid_spacing())
     for _ in range(NEWTON_STEPS):
         value, h_u, h_v, h_uu, h_uv, h_vv = model
         det = h_uu * h_vv - h_uv * h_uv
@@ -389,7 +380,7 @@ def _newton_refine(op, theta: float, phi: float, radius: float, angle_tol: float
         length = math.hypot(su, sv)
         if length > radius or (length and not newton):
             su, sv, length = su * radius / length, sv * radius / length, radius
-        if length <= angle_tol:
+        if length <= REFINE_ANGLE_TOL:
             return theta, phi
         # n cos|s| + (su e_theta + sv e_phi) sin|s| / |s|
         sin_t, cos_t = math.sin(theta), math.cos(theta)
@@ -408,36 +399,25 @@ def _newton_refine(op, theta: float, phi: float, radius: float, angle_tol: float
     return None
 
 
-def classical_correlation_bruteforce(
-    rho: np.ndarray,
-    theta_steps: int = THETA_STEPS,
-    phi_steps: int = PHI_STEPS,
-    angle_tol: float = REFINE_ANGLE_TOL,
-) -> BruteForceClassical:
+def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
     """Grid search over measurement bases plus local refinement.
 
     Takes one (4, 4) density matrix or an (N, 4, 4) stack; a stack returns
     values (N,) and bases (N, 3), each row equal to the single-state call.
-    Scans the cached upper hemisphere of a theta_steps x phi_steps grid one
+    Scans the cached upper hemisphere of the THETA_STEPS x PHI_STEPS grid one
     state at a time. From each state's grid minimum a safeguarded Newton
     descent in scalar floats (_newton_refine) finds the stationary point to
-    angle_tol; the kernel then evaluates that point, which is kept where it
-    is lower than the grid minimum, and that ends the state's search. Only
-    the states whose Newton model is singular (a zero-probability outcome, a
-    maximally mixed or a pure conditional state) or that do not converge fall
-    back to a coordinate descent (_coordinate_descent) in lockstep from their
-    grid minima, at every step from the grid spacing down to angle_tol. Every
-    comparison in that descent uses the kernel's own values. Ties on the grid
-    resolve to the smallest angles, so results are run-to-run identical.
-    Raises ValueError unless theta_steps >= 2, phi_steps >= 1 and angle_tol
-    is finite and positive.
+    REFINE_ANGLE_TOL; the kernel then evaluates that point, which is kept
+    where it is lower than the grid minimum, and that ends the state's
+    search. Only the states whose Newton model is singular (a zero-probability
+    outcome, a maximally mixed or a pure conditional state) or that do not
+    converge fall back to a coordinate descent (_coordinate_descent) in
+    lockstep from their grid minima, with steps from the grid spacing down to
+    REFINE_ANGLE_TOL.
+    Every comparison in that descent uses the kernel's own values. Ties on
+    the grid resolve to the smallest angles, so results are run-to-run
+    identical.
     """
-    if theta_steps < 2:
-        raise ValueError(f"theta_steps must be at least 2, got {theta_steps}")
-    if phi_steps < 1:
-        raise ValueError(f"phi_steps must be at least 1, got {phi_steps}")
-    if not 0.0 < angle_tol < math.inf:
-        raise ValueError(f"angle_tol must be finite and positive, got {angle_tol}")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(
@@ -445,10 +425,8 @@ def classical_correlation_bruteforce(
     stack = require_valid_state(rho.reshape(-1, 4, 4))
     ops, rho_a = _search_operands(stack)
     entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
-    best_val, theta, phi = _grid_minima(ops, theta_steps, phi_steps)
-
-    reach = max(np.pi / theta_steps, 2 * np.pi / phi_steps)
-    points = [_newton_refine(op, t, p, reach, angle_tol)
+    best_val, theta, phi = _grid_minima(ops)
+    points = [_newton_refine(op, t, p)
               for op, t, p in zip(ops, theta.tolist(), phi.tolist())]
     converged = np.array([point is not None for point in points], dtype=bool)
     if (rows := np.flatnonzero(converged)).size:
@@ -459,8 +437,7 @@ def classical_correlation_bruteforce(
         best_val[rows[lower]] = values[lower]
         theta[rows[lower]], phi[rows[lower]] = at_t[lower], at_p[lower]
     if (fallbacks := np.flatnonzero(~converged)).size:
-        _coordinate_descent(ops, best_val, theta, phi, fallbacks, theta_steps,
-                            phi_steps, angle_tol)
+        _coordinate_descent(ops, best_val, theta, phi, fallbacks)
 
     value = entropy_a - best_val
     basis = _bloch_columns(theta, phi)[1:].T

@@ -84,8 +84,7 @@ def evolve(
     if t.ndim != 1:
         raise ValueError("time grid must be a 1-D array")
     p = markovian_decay_factor(k.a, t) if markovian else decay_factor(k, t)
-    multipliers = np.broadcast_arrays(*correlation_multipliers(axis_a, axis_b, p))
-    c = np.stack(multipliers, axis=-1) * c0
+    c = np.stack(correlation_multipliers(axis_a, axis_b, p), axis=-1) * c0
     return Evolution(t, p, c, bell_eigenvalues(c), *correlation_ledger(c))
 
 

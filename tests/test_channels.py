@@ -214,6 +214,16 @@ class TestCorrelationMultipliers:
             for b in "xyz":
                 assert correlation_multipliers(a, b, 1.0) == (1.0, 1.0, 1.0)
 
+    def test_array_retention_stacks_on_every_pair(self):
+        # an axis both channels keep is an array of ones, not a bare 1.0
+        p = np.linspace(-1.0, 1.0, 7)
+        for a in "xyz":
+            for b in "xyz":
+                stacked = np.stack(correlation_multipliers(a, b, p), -1)
+                assert stacked.shape == (7, 3)
+                kept = [i for i, ax in enumerate("xyz") if ax == a == b]
+                assert np.all(stacked[:, kept] == 1.0)
+
     def test_matches_kraus_for_all_axis_pairs(self):
         rng = np.random.default_rng(41)
         for axis_a in "xyz":

@@ -296,7 +296,7 @@ def edge_states():
 
 
 @lru_cache(maxsize=2)
-def lookahead_reference(steps):
+def descent_reference(steps):
     """50 seeded Bell-diagonal and 20 general states and the edge states,
     with the values and bases of one_step_descent on them."""
     rng = np.random.default_rng(71)
@@ -306,14 +306,19 @@ def lookahead_reference(steps):
     return (rhos, *one_step_descent(rhos, *steps))
 
 
-def descent_from_grid(rhos, steps):
+def use_grid(monkeypatch, steps):
+    """Run the search on a (THETA_STEPS, PHI_STEPS) = steps grid."""
+    monkeypatch.setattr(correlations, "THETA_STEPS", steps[0])
+    monkeypatch.setattr(correlations, "PHI_STEPS", steps[1])
+
+
+def descent_from_grid(rhos):
     """The search's grid pass and coordinate descent at full scale, without
     the Newton refinement: (values, bases) as one_step_descent gives them."""
     ops, rho_a = _search_operands(rhos)
     entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
-    best_val, theta, phi = _grid_minima(ops, *steps)
-    _coordinate_descent(ops, best_val, theta, phi, np.arange(len(rhos)), *steps,
-                        REFINE_ANGLE_TOL)
+    best_val, theta, phi = _grid_minima(ops)
+    _coordinate_descent(ops, best_val, theta, phi, np.arange(len(rhos)))
     return entropy_a - best_val, _bloch_columns(theta, phi)[1:].T
 
 
@@ -381,16 +386,17 @@ class TestBruteForce:
         assert np.max(np.abs(brute.value - correlation_ledger(states).C)) <= 1e-14
 
     @GRIDS
-    def test_value_gates_and_stack_rows(self, steps):
-        rhos, _, _ = lookahead_reference(steps)
-        stack = classical_correlation_bruteforce(rhos, *steps)
+    def test_value_gates_and_stack_rows(self, monkeypatch, steps):
+        use_grid(monkeypatch, steps)
+        rhos, _, _ = descent_reference(steps)
+        stack = classical_correlation_bruteforce(rhos)
         assert_value_gates(rhos, steps, stack.value, stack.basis)
         for rho, value, basis in zip(rhos, stack.value, stack.basis):
-            single = classical_correlation_bruteforce(rho, *steps)
+            single = classical_correlation_bruteforce(rho)
             assert single.value == value
             assert np.array_equal(single.basis, basis)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 4).flatmap(lambda rank: st.lists(
         st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank)))
     def test_value_gates_on_general_states(self, entries):
@@ -405,9 +411,10 @@ class TestBruteForce:
                            np.array([result.value]), result.basis[None])
 
     @GRIDS
-    def test_descent_equals_one_step_descent(self, steps):
-        rhos, value, basis = lookahead_reference(steps)
-        got_value, got_basis = descent_from_grid(rhos, steps)
+    def test_descent_equals_one_step_descent(self, monkeypatch, steps):
+        use_grid(monkeypatch, steps)
+        rhos, value, basis = descent_reference(steps)
+        got_value, got_basis = descent_from_grid(rhos)
         assert np.array_equal(got_value, value)
         assert np.array_equal(got_basis, basis)
 
@@ -415,8 +422,9 @@ class TestBruteForce:
                              ids=[f"{t}x{p}-{b}" for (t, p), b in BLOCK_CASES])
     def test_independent_of_block_size(self, monkeypatch, steps, block_rows):
         monkeypatch.setattr(correlations, "BLOCK_ROWS", block_rows)
-        rhos, value, basis = lookahead_reference(steps)
-        got_value, got_basis = descent_from_grid(rhos, steps)
+        use_grid(monkeypatch, steps)
+        rhos, value, basis = descent_reference(steps)
+        got_value, got_basis = descent_from_grid(rhos)
         assert np.array_equal(got_value, value)
         assert np.array_equal(got_basis, basis)
 
@@ -439,35 +447,24 @@ class TestBruteForce:
                                                [(0.0, 0.0, 0.0), (0.6, 0.6, -1.0)]])
         rows = []
 
-        def record(ops, best_val, theta, phi, live, *rest):
+        def record(ops, best_val, theta, phi, live):
             rows.append(live.tolist())
-            _coordinate_descent(ops, best_val, theta, phi, live, *rest)
+            _coordinate_descent(ops, best_val, theta, phi, live)
 
         monkeypatch.setattr(correlations, "_coordinate_descent", record)
         classical_correlation_bruteforce(singular)
         assert rows == [[0, 1, 2, 3]]
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"angle_tol": -1.0}, "angle_tol"), ({"angle_tol": 0.0}, "angle_tol"),
-        ({"angle_tol": float("nan")}, "angle_tol"),
-        ({"angle_tol": float("inf")}, "angle_tol"),
-        ({"phi_steps": 0}, "phi_steps"), ({"theta_steps": 0}, "theta_steps"),
-        ({"theta_steps": 1}, "theta_steps"),
-    ], ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "phi-0", "theta-0",
-            "theta-1"])
-    def test_rejects_bad_search_arguments(self, kwargs, name):
-        with pytest.raises(ValueError, match=name):
-            classical_correlation_bruteforce(bell_to_density((0.1, 0.16, 0.1)), **kwargs)
-
     @pytest.mark.parametrize("angle_tol", [-1.0, 0.0, float("nan")])
     def test_newton_refinement_is_bounded(self, monkeypatch, angle_tol):
         # no step is ever at most such a tolerance: the trial count ends it
         calls = []
+        monkeypatch.setattr(correlations, "REFINE_ANGLE_TOL", angle_tol)
         model = correlations._newton_model
         monkeypatch.setattr(correlations, "_newton_model",
                             lambda *args: calls.append(args) or model(*args))
         ops, _ = _search_operands(bell_to_density((0.1, 0.16, 0.1))[None])
-        assert _newton_refine(ops[0], 1.0, 1.0, np.pi / THETA_STEPS, angle_tol) is None
+        assert _newton_refine(ops[0], 1.0, 1.0) is None
         assert len(calls) == NEWTON_STEPS + 1
 
     def test_cached_grid_is_read_only(self):
@@ -520,7 +517,7 @@ class TestBlochKernel:
                                reference_conditional_entropies(rho, proj))
             assert np.max(np.abs(real - reference)) <= 2e-15
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
         st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank),
         st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24))))

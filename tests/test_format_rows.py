@@ -21,20 +21,20 @@ def bits_to_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(st.floats())  # subnormals, +-0.0, NaN and +-inf included
 def test_any_float(x):
     assert _format_rows([[x]]) == "%.9g\n" % x
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.integers(0, 2**64 - 1).map(bits_to_float))
 def test_any_bit_pattern(x):
     # uniform over the bit patterns: every exponent is as likely as any other
     assert _format_rows([[x]]) == "%.9g\n" % x
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=40))
 def test_any_table(rows):
     assert _format_rows(rows) == percent_rows(rows)

@@ -451,7 +451,7 @@ def _kernels(draw):
     return KernelParams(a, a * ((half2 + scaled) / 2), a * g)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(k=_kernels(), target=st.floats(1e-15, 1 - 1e-4))
 def test_bracket_and_root_properties(k, target):
     # the closed-form bracket end either overflows, and the call says so, or

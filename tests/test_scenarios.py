@@ -208,7 +208,7 @@ class TestEvolve:
         with pytest.raises(InvalidStateError):
             evolve((1.0, 1.0, 1.0), EQUAL, np.linspace(0, 1, 11))
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(kernel_draw=_branch_kernels(), pair=st.sampled_from(AXIS_PAIRS),
            markovian=st.booleans(),
            weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from belldyn import correlations
 from belldyn.channels import correlation_multipliers
 from belldyn.cli import main
 from belldyn.correlations import _conditional_entropies
@@ -86,3 +87,14 @@ def test_relative_entropy_fault_trips_the_oracle_identity_check(monkeypatch, cap
              if line.split()[1] == "relative-entropy-identity"]
     assert "error: relative-entropy discord at index 0 " in line
     assert line.endswith("beyond 1e-08  FAIL")
+
+
+def test_verify_never_reaches_the_fallback_descent(monkeypatch, capsys):
+    # each of verify's brute-force states ends at a converged Newton point, so
+    # a fault in the coordinate descent is one that verify cannot see
+    def no_descent(*args):
+        raise AssertionError("verify ran the coordinate descent")
+
+    monkeypatch.setattr(correlations, "_coordinate_descent", no_descent)
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.endswith("verify: PASS (6/6)\n")
