@@ -760,6 +760,28 @@ GOLDEN_STDOUT = {
         "8475c229c91b9f7bbe456216a58b6b15fd278d0933ac5ba24a587eb157e5f785",
     "tc --A 0.49999999 --gamma 0 --format json":
         "10cb8298b11c88150f445ae1b6609bdc432025e88b96a85d14c2c0714f66553b",
+    # correlations --oracle on the default state and four others; (0, 0, 0),
+    # (1, -1, 1) and (-1, -1, -1) reach the brute-force search's fallback descent
+    "correlations --oracle":
+        "2efc65c20440a8744bbe5c1b98c73d64a3673fc7f8a070e9e54e787e7e3d2d57",
+    "correlations --oracle --format json":
+        "ac7561ac10470d7b9a1771f3ae3a76490da423ff97811eec389e8bd9ef220149",
+    "correlations --oracle --c 0.3,-0.2,0.1":
+        "2085a80d470e9eaa1f47702447fa2c0e58ad5ac31bc39f5eede0500af6cb9b75",
+    "correlations --oracle --c 0.3,-0.2,0.1 --format json":
+        "118d27e46e61a8405c78304e7dad63b9337efe34176f34da52851d6c539afda6",
+    "correlations --oracle --c 0,0,0":
+        "25a26a7e8ca867c98d8e66d06f92b675d75eb4f58311f5b95f8928e55764d3ae",
+    "correlations --oracle --c 0,0,0 --format json":
+        "35514ea07d2ba440611c5008baf4740f4e2f95d0756ebce17e02b09e6be4b46d",
+    "correlations --oracle --c 1,-1,1":
+        "7d6c811b2985f007bbdd7e334098e031797a70939b60d4d6378b45686b7429b2",
+    "correlations --oracle --c 1,-1,1 --format json":
+        "220d2634fa54986899571e2f405ed2e8b0204671184084561cc521031ce6b10f",
+    "correlations --oracle --c -1,-1,-1":
+        "7d6c811b2985f007bbdd7e334098e031797a70939b60d4d6378b45686b7429b2",
+    "correlations --oracle --c -1,-1,-1 --format json":
+        "220d2634fa54986899571e2f405ed2e8b0204671184084561cc521031ce6b10f",
 }
 
 
