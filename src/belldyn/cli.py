@@ -294,6 +294,18 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _flat_json(payload: dict) -> str:
+    """json.dumps(payload, indent=1) + "\n", byte for byte, for a dict whose
+    values are scalars (numbers, strings, None, bools), in one call of the C
+    encoder: indent=1 puts each item on its own line after one space, which
+    the item separator writes here."""
+    import json
+
+    if not payload:
+        return "{}\n"
+    return "{\n " + json.dumps(payload, separators=(",\n ", ": "))[1:-1] + "\n}\n"
+
+
 _TABLE_META = ("a", "A", "gamma", "channel_a", "channel_b", "t_max", "t_steps",
                "markovian")
 
@@ -475,9 +487,7 @@ def cmd_correlations(cfg: RunConfig) -> int:
         payload["relative_entropy_discord"] = red.value
         payload["relative_entropy_axis"] = red.axis
     if cfg.format == "json":
-        import json
-
-        text = json.dumps(payload, indent=1) + "\n"
+        text = _flat_json(payload)
     else:
         width = max(len(key) for key in payload)
         lines = []
@@ -497,13 +507,10 @@ def cmd_tc(cfg: RunConfig) -> int:
     if t_c is not None and not cfg.markovian and _is_equal_kernel(k):
         closed = k.a * closed_form_characteristic_time(branch_switch_ratio(c), k.a)
     if cfg.format == "json":
-        import json
-
-        payload = {
+        text = _flat_json({
             "a_tc": None if t_c is None else k.a * t_c,
             "closed_form": closed,
-        }
-        text = json.dumps(payload, indent=1) + "\n"
+        })
     elif t_c is None:
         text = "a*t_c = none (no branch switch: |c_y| does not dominate)\n"
     else:

@@ -191,53 +191,77 @@ _SIGNS = np.array([1.0, -1.0])  # to 1 + x and 1 - x
 
 
 def _search_operands(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 4, 4) states as the kernel takes them: the real (N, 8, 4) operand
-    and rho_A = Tr_B rho as an (N, 4) row over (a c).
+    """(N, 4, 4) states as the kernel takes them: the real operand and rho_A
+    = Tr_B rho as an (N, 4) row over (a c).
 
     With rho[a b, c d] as rows (a c) and columns (b d), T = Re(_PAULI_FLAT @
     rho_ac @ _PAULI_FLAT.T)[j, i] = Tr[rho (s_j x s_i)]. Outcome +-n on B
     leaves A in M = Tr_B[(I x (I +- n.sigma) / 2) rho], and (Tr M sigma_j)_j
-    = T @ (1, +-n) / 2; the operand interleaves the rows of T / 2 for the
-    two outcomes, so operand @ (1, n) gives rows (w+, w-, x+, x-, ..., z-).
+    = T @ (1, +-n) / 2. The (N, 8, 4) operand interleaves the rows of T / 2
+    for the two outcomes, so operand @ (1, n) gives rows (w+, w-, x+, x-, ...,
+    z-). Where every state of the stack has exact-zero marginals Tr[rho (I x
+    s_i)] and Tr[rho (s_j x I)], as every Bell-diagonal state has, outcome -
+    along n has the w and -f of outcome +, and the operand is T / 2 itself,
+    (N, 4, 4): operand @ (1, n) gives the rows (w, x, y, z) of outcome +.
     """
     n = len(rho)
     rho_ac = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
     half = np.real(_PAULI_FLAT @ rho_ac @ _PAULI_FLAT.T) / 2
+    rho_a = rho_ac[..., 0] + rho_ac[..., 3]
+    if not (half[:, 0, 1:].any() or half[:, 1:, 0].any()):
+        return half, rho_a
     ops = np.empty((n, 4, 2, 4))
     ops[:, :, 0] = half
     np.multiply(half, _FLIP, out=ops[:, :, 1])
-    return ops.reshape(n, 8, 4), rho_ac[..., 0] + rho_ac[..., 3]
+    return ops.reshape(n, 8, 4), rho_a
+
+
+def _reduced_entropy(rho_a) -> np.ndarray:
+    """S(rho_A) in bits of (N, 4) rows (a c) of rho_A: the binary entropy of
+    its eigenvalues (1 +- r) / 2, r = |(rho_00 - rho_11, 2 |rho_01|)| the
+    length of its Bloch vector."""
+    r = np.hypot(np.real(rho_a[:, 0] - rho_a[:, 3]), 2 * np.abs(rho_a[:, 1]))
+    return 1.0 - binary_information(r)
 
 
 def _conditional_entropies(ops, cols) -> np.ndarray:
     """Conditional entropies for projective bases on B, batched.
 
-    ops @ cols (one real matmul) gives each outcome's w = Tr M and
-    f = Tr M sigma, so M / w has eigenvalues (1 +- x) / 2 with x = |f| / w,
-    and the outcome adds its binary entropy times w:
+    ops @ cols (one real matmul) gives w = Tr M and f = Tr M sigma of each
+    outcome the operand holds, so M / w has eigenvalues (1 +- x) / 2 with
+    x = |f| / w, and the outcome adds its binary entropy times w:
     w (1 - [(1 + x) log2(1 + x) + (1 - x) log2(1 - x)] / 2). An outcome with
-    w <= 1e-12 adds zero, and so does a (1 - x) term at or below 1e-15. One
-    state's (8, 4) operand against (4, K) Bloch columns gives (K,); N states'
-    against (N, 4, K) gives (N, K).
+    w <= 1e-12 adds zero, and so does a (1 - x) term at or below 1e-15; a
+    call where neither occurs skips both guards. A mirrored (4, 4) operand
+    holds outcome +, and outcome - adds the same. One state's operand against
+    (4, K) Bloch columns gives (K,); N states' against (N, 4, K) gives (N, K).
     """
     feats = ops @ cols
-    w = feats[..., 0:2, :]  # outcomes +, -
-    sq = feats[..., 2:8, :]
+    k = feats.shape[-2] // 4  # outcomes the operand holds
+    w = feats[..., :k, :]
+    sq = feats[..., k:, :]
     sq *= sq
-    d = sq[..., 0:2, :] + sq[..., 2:4, :]
-    d += sq[..., 4:6, :]
+    d = sq[..., :k, :] + sq[..., k:2 * k, :]
+    d += sq[..., 2 * k:, :]
     np.sqrt(d, out=d)
-    live = w > ZERO_PROBABILITY
-    x = np.divide(d, w, out=np.zeros_like(d), where=live)
+    if w.min() > ZERO_PROBABILITY:
+        x, weight = np.divide(d, w, out=d), w
+    else:
+        live = w > ZERO_PROBABILITY
+        x = np.divide(d, w, out=np.zeros_like(d), where=live)
+        weight = np.where(live, w, 0.0)
     pm = np.multiply.outer(_SIGNS, x)
     pm += 1.0  # 1 + x, 1 - x
-    terms = np.log2(np.where(pm > 1e-15, pm, 1.0))
+    if pm[1].min() > 1e-15:  # and 1 + x >= 1
+        terms = np.log2(pm)
+    else:
+        terms = np.log2(np.where(pm > 1e-15, pm, 1.0))
     terms *= pm
     h = terms[0] + terms[1]
     h *= -0.5
     h += 1.0
-    h *= np.where(live, w, 0.0)
-    return h[..., 0, :] + h[..., 1, :]
+    h *= weight
+    return h[..., 0, :] + h[..., -1, :]
 
 
 def _blocked_entropies(ops, cols) -> np.ndarray:
@@ -322,11 +346,12 @@ def _newton_model(op, theta: float, phi: float):
                             [n[0], cos_t * cos_p, -sin_p, n[0]],
                             [n[1], cos_t * sin_p, cos_p, n[1]],
                             [n[2], -sin_t, 0.0, n[2]]])).tolist()
+    outcomes = len(feats) // 4  # 1 for a mirrored operand, else 2
     value = h_u = h_v = h_uu = h_uv = h_vv = 0.0
-    for outcome in (0, 1):
+    for outcome in range(outcomes):
         # rows w, f_x, f_y, f_z; columns the value, d/du, d/dv and -d2/du2
         (w, w_u, w_v, w_n), (fx, fx_u, fx_v, fx_n), (fy, fy_u, fy_v, fy_n), \
-            (fz, fz_u, fz_v, fz_n) = feats[outcome::2]
+            (fz, fz_u, fz_v, fz_n) = feats[outcome::outcomes]
         ff = fx * fx + fy * fy + fz * fz
         f_u = fx * fx_u + fy * fy_u + fz * fz_u
         f_v = fx * fx_v + fy * fy_v + fz * fz_v
@@ -351,6 +376,8 @@ def _newton_model(op, theta: float, phi: float):
         h_uu += s_dd * (uu - f_n - d_u * d_u) - k * m_u * m_u - s_w * w_n
         h_uv += s_dd * (uv - d_u * d_v) - k * m_u * m_v
         h_vv += s_dd * (vv - f_n - d_v * d_v) - k * m_v * m_v - s_w * w_n
+    if outcomes == 1:  # a mirrored operand: outcome - adds what outcome + adds
+        return value * 2, h_u * 2, h_v * 2, h_uu * 2, h_uv * 2, h_vv * 2
     return value, h_u, h_v, h_uu, h_uv, h_vv
 
 
@@ -424,20 +451,21 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
             f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
     stack = require_valid_state(rho.reshape(-1, 4, 4))
     ops, rho_a = _search_operands(stack)
-    entropy_a = shannon_entropy(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)))
+    entropy_a = _reduced_entropy(rho_a)
     best_val, theta, phi = _grid_minima(ops)
-    points = [_newton_refine(op, t, p)
-              for op, t, p in zip(ops, theta.tolist(), phi.tolist())]
-    converged = np.array([point is not None for point in points], dtype=bool)
-    if (rows := np.flatnonzero(converged)).size:
-        at_t, at_p = np.array([points[i] for i in rows]).T
-        values = _blocked_entropies(ops[rows], _bloch_columns(
-            at_t[:, None], at_p[:, None]))[:, 0]
-        lower = values < best_val[rows]
-        best_val[rows[lower]] = values[lower]
-        theta[rows[lower]], phi[rows[lower]] = at_t[lower], at_p[lower]
-    if (fallbacks := np.flatnonzero(~converged)).size:
-        _coordinate_descent(ops, best_val, theta, phi, fallbacks)
+    starts = list(zip(theta.tolist(), phi.tolist()))
+    points = [_newton_refine(op, *start) for op, start in zip(ops, starts)]
+    converged = np.array([point is not None for point in points])
+    # every state's Newton point in one call; a fallback state's row is its
+    # grid point, which is never kept
+    at_t, at_p = np.array([point or start
+                           for point, start in zip(points, starts)]).T
+    values = _blocked_entropies(ops, _bloch_columns(at_t[:, None], at_p[:, None]))
+    lower = converged & (values[:, 0] < best_val)
+    best_val = np.where(lower, values[:, 0], best_val)
+    theta, phi = np.where(lower, at_t, theta), np.where(lower, at_p, phi)
+    if not converged.all():
+        _coordinate_descent(ops, best_val, theta, phi, np.flatnonzero(~converged))
 
     value = entropy_a - best_val
     basis = _bloch_columns(theta, phi)[1:].T

@@ -138,9 +138,9 @@ def require_valid_state(rho: np.ndarray) -> np.ndarray:
     trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     min_eig = np.min(np.linalg.eigvalsh(0.5 * (rho + adjoint)), axis=-1)
     # written so that a NaN fails each check
-    ok = np.stack([herm <= HERMITICITY_TOL, trace <= TRACE_TOL,
-                   min_eig >= EIGENVALUE_FLOOR], axis=-1).reshape(-1, 3)
-    if not ok.all():
+    checks = (herm <= HERMITICITY_TOL, trace <= TRACE_TOL, min_eig >= EIGENVALUE_FLOOR)
+    if not (checks[0] & checks[1] & checks[2]).all():
+        ok = np.stack(checks, axis=-1).reshape(-1, 3)
         values = np.stack([herm, trace, min_eig], axis=-1).reshape(-1, 3)
         i, j = np.argwhere(~ok)[0]  # the first failing state, its first check
         name = ("Hermiticity error", "trace error", "minimum eigenvalue")[j]

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from belldyn import cli
 from belldyn.cli import main
@@ -671,6 +674,20 @@ def test_import_loads_neither_configparser_nor_json():
             "print([name for name in ('configparser', 'json') if name in sys.modules])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.stdout == "[]\n", out.stderr
+
+
+# st.floats() draws NaN, +-inf, -0.0 and subnormals too
+FLAT_PAYLOADS = st.dictionaries(st.text(), st.one_of(
+    st.floats(), st.none(), st.booleans(), st.text(), st.integers()), max_size=12)
+
+
+@settings(max_examples=300)
+@given(FLAT_PAYLOADS)
+@example({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0,
+          "subnormal": 5e-324, "none": None, "yes": True, "no": False,
+          "text": 'a\n"\u00e9\\', "": 0})
+def test_flat_json_is_json_dumps_with_indent_1(payload):
+    assert cli._flat_json(payload) == json.dumps(payload, indent=1) + "\n"
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

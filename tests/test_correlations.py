@@ -18,6 +18,7 @@ from belldyn.correlations import (
     _coordinate_descent,
     _grid_minima,
     _newton_refine,
+    _reduced_entropy,
     _search_grid,
     _search_operands,
     binary_information,
@@ -428,6 +429,18 @@ class TestBruteForce:
         assert np.array_equal(got_value, value)
         assert np.array_equal(got_basis, basis)
 
+    def test_all_fallbacks_give_the_plain_descent(self, monkeypatch):
+        # every state falls back: its row of the Newton-point call is its grid
+        # point, never kept, so the search is the grid pass and the descent;
+        # S(rho_A) from the spectrum, as the reference takes it
+        rhos, value, basis = descent_reference((THETA_STEPS, PHI_STEPS))
+        monkeypatch.setattr(correlations, "_newton_refine", lambda *args: None)
+        monkeypatch.setattr(correlations, "_reduced_entropy", lambda rho_a: shannon_entropy(
+            np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2))))
+        result = classical_correlation_bruteforce(rhos)
+        assert np.array_equal(result.value, value)
+        assert np.array_equal(result.basis, basis)
+
     def test_only_newton_fallbacks_descend(self, monkeypatch):
         # a converged Newton point ends its state's search: on seeded
         # Bell-diagonal states no descent runs, and only singular models
@@ -549,6 +562,110 @@ class TestBlochKernel:
         for rho in kernel_states():
             low = np.min(reference_conditional_entropies(rho, hemisphere))
             assert abs(low - np.min(reference_conditional_entropies(rho, full))) <= 2e-15
+
+
+def two_outcome_operands(rho):
+    """_search_operands, with the mirrored (N, 4, 4) operand written out as
+    the (N, 8, 4) operand of both outcomes: rows (w+, w-, x+, x-, ..., z-)."""
+    ops, rho_a = _search_operands(rho)
+    if ops.shape[1] == 8:
+        return ops, rho_a
+    flip = np.array([1.0, -1.0, -1.0, -1.0])  # outcome - along n: (1, -n)
+    return np.stack([ops, ops * flip], axis=2).reshape(len(ops), 8, 4), rho_a
+
+
+def mirrored_states():
+    """100 seeded Bell-diagonal states, then the fallback states: the
+    maximally mixed state and the four Bell states."""
+    rng = np.random.default_rng(89)
+    triples = [random_bell_coefficients(rng) for _ in range(100)]
+    triples += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0),
+                (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)]
+    return np.stack([bell_to_density(c) for c in triples])
+
+
+class TestMirroredOperand:
+    def test_bell_diagonal_states_take_the_mirrored_operand(self):
+        ops, _ = _search_operands(mirrored_states())
+        assert ops.shape == (105, 4, 4)
+
+    @pytest.mark.parametrize("qubit", ["A", "B"])
+    def test_a_marginal_takes_the_two_outcome_operand(self, qubit):
+        # epsilon (sigma_z x I) / 4 gives A a Bloch vector, epsilon (I x
+        # sigma_z) / 4 gives B one; so does one such state in a stack of
+        # Bell-diagonal ones
+        z = np.diag([1.0, -1.0])
+        pair = (z, np.eye(2)) if qubit == "A" else (np.eye(2), z)
+        rho = bell_to_density((0.1, 0.16, 0.1)) + 1e-3 * np.kron(*pair) / 4
+        for stack in (rho[None], np.concatenate([mirrored_states()[:3], rho[None]])):
+            ops, _ = _search_operands(stack)
+            assert ops.shape == (len(stack), 8, 4)
+        result = classical_correlation_bruteforce(rho)
+        assert result.value == pytest.approx(C_SUDDEN, abs=1e-5)
+
+    def test_grid_and_model_values_equal_the_two_outcome_operand(self):
+        _, _, grid = _search_grid(THETA_STEPS, PHI_STEPS)
+        rhos = mirrored_states()
+        mirrored, _ = _search_operands(rhos)
+        both, _ = two_outcome_operands(rhos)
+        for one, two in zip(mirrored, both):
+            assert np.array_equal(_conditional_entropies(one, grid),
+                                  _conditional_entropies(two, grid))
+            # the Newton model at three directions (None on both where singular)
+            for theta, phi in [(0.3, 0.2), (1.1, 4.0), (np.pi / 2, 2.5)]:
+                assert (correlations._newton_model(one, theta, phi)
+                        == correlations._newton_model(two, theta, phi))
+
+    def test_search_equals_the_two_outcome_operand(self, monkeypatch):
+        # the stack and each state alone, with the Newton descent on both
+        # operands and the fallback descent on the last five states
+        rhos = mirrored_states()
+        mirrored = [classical_correlation_bruteforce(rhos)]
+        mirrored += [classical_correlation_bruteforce(rho) for rho in rhos[-8:]]
+        monkeypatch.setattr(correlations, "_search_operands", two_outcome_operands)
+        both = [classical_correlation_bruteforce(rhos)]
+        both += [classical_correlation_bruteforce(rho) for rho in rhos[-8:]]
+        for got, expected in zip(mirrored, both):
+            assert np.array_equal(got.value, expected.value)
+            assert np.array_equal(got.basis, expected.basis)
+
+    def test_guarded_candidates_keep_their_neighbours_bits(self):
+        # along z the singlet's outcomes are pure (1 - x = 0) and the product
+        # state with B in |0><0| has an outcome of probability zero; a block
+        # holding them gives every candidate the bits it gets alone, in a
+        # block of its own copies (one column would take another BLAS path)
+        rng = np.random.default_rng(101)
+        theta = np.concatenate([[0.0, np.pi / 2], np.arccos(rng.uniform(-1, 1, 30))])
+        phi = np.concatenate([[0.0, 0.0], rng.uniform(0, 2 * np.pi, 30)])
+        cols = _bloch_columns(theta, phi)
+        rho_a = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
+        for rho in (SINGLET, np.kron(rho_a, np.diag([1.0, 0.0]))):
+            ops, _ = _search_operands(rho[None])
+            block = _conditional_entropies(ops[0], cols)
+            alone = [_conditional_entropies(ops[0], cols[:, [j] * cols.shape[1]])[j]
+                     for j in range(cols.shape[1])]
+            assert np.array_equal(block, alone)
+            stacked = _conditional_entropies(np.repeat(ops, 3, axis=0),
+                                             np.stack([cols] * 3))
+            assert np.array_equal(stacked, np.stack([block] * 3))
+
+    def test_reduced_entropy_matches_the_spectrum(self):
+        # random states of ranks 1 to 4 and pure product states, whose
+        # reduced states are pure: S(rho_A) from the Bloch length against
+        # the entropy of rho_A's eigenvalues
+        rng = np.random.default_rng(103)
+        rhos = []
+        for rank in (1, 2, 3, 4):
+            for _ in range(250):
+                v = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+                rho = v @ v.conj().T
+                rhos.append(rho / np.trace(rho))
+        for _ in range(100):
+            ket = np.kron(*(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+            rhos.append(np.outer(ket, ket.conj()) / np.vdot(ket, ket).real)
+        _, rho_a = _search_operands(np.stack(rhos))
+        spectra = np.clip(np.linalg.eigvalsh(rho_a.reshape(-1, 2, 2)), 0.0, 1.0)
+        assert np.max(np.abs(_reduced_entropy(rho_a) - shannon_entropy(spectra))) <= 2e-15
 
 
 class TestDiscord:

@@ -15,7 +15,7 @@ import pytest
 from belldyn import correlations
 from belldyn.channels import correlation_multipliers
 from belldyn.cli import main
-from belldyn.correlations import _conditional_entropies
+from belldyn.correlations import _conditional_entropies, _newton_refine, _reduced_entropy
 from belldyn.kernel import decay_factor
 from belldyn.states import relative_entropy
 
@@ -46,6 +46,16 @@ def shifted_entropies(ops, cols):
     return _conditional_entropies(ops, cols) + 1e-4
 
 
+def newton_at_start(op, theta, phi):
+    """The Newton descent stops where it starts, at the grid minimum."""
+    return theta, phi
+
+
+def shifted_reduced_entropy(rho_a):
+    """Every S(rho_A) 1e-4 bits high."""
+    return _reduced_entropy(rho_a) + 1e-4
+
+
 def shifted_relative_entropy(rho, sigma):
     """Every relative entropy 1e-6 bits high."""
     return relative_entropy(rho, sigma) + 1e-6
@@ -60,6 +70,9 @@ FAULTS = {
                           {"bruteforce-vs-analytic"}),
     "relative-entropy-plus-1e-6": (relative_entropy, shifted_relative_entropy,
                                    {"relative-entropy-identity"}),
+    "newton-at-start": (_newton_refine, newton_at_start, {"bruteforce-vs-analytic"}),
+    "reduced-entropy-plus-1e-4": (_reduced_entropy, shifted_reduced_entropy,
+                                  {"bruteforce-vs-analytic"}),
 }
 
 
