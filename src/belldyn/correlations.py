@@ -3,7 +3,8 @@
 The closed forms (mutual information, classical correlation and discord, in
 correlation_ledger and discord) operate on Bell-diagonal coefficient
 triples. Two oracles check them by independent paths through density
-matrices: the brute-force classical correlation minimizes the conditional
+matrices: the brute-force classical correlation takes states whose marginals
+vanish, as every Bell-diagonal state's do, and minimizes the conditional
 entropy over a hemisphere grid of Bloch vectors measured on B, then refines
 with Newton steps on the sphere, or with a coordinate descent where Newton
 falls back; the relative-entropy discord finds the nearest of the three axis
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, InvalidStateError
 from .states import (
     EIGENVALUE_FLOOR,
     PAULI,
@@ -43,7 +44,7 @@ PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
 # most candidates one _conditional_entropies call evaluates, in the grid pass,
 # at the Newton points and in the fallback descent's four moves per state:
-# its largest temporary, the (8, K) feature block, is then 128 KiB, small
+# its largest temporary, the (4, K) feature block, is then 64 KiB, small
 # enough for malloc to reuse rather than map and zero fresh pages on every call
 BLOCK_ROWS = 2048
 # trials one state's Newton descent may take before the state falls back to
@@ -107,12 +108,14 @@ def correlation_ledger(c) -> CorrelationLedger:
     """
     c = np.asarray(c, dtype=float)
     total = 2.0 - shannon_entropy(bell_eigenvalues(c))
-    mags = np.abs(c)
-    lam_max = np.max(mags, axis=1)
+    x, y, z = np.abs(c).T
+    xy = np.maximum(x, y)
+    lam_max = np.maximum(xy, z)
     classical = binary_information(lam_max)
-    return CorrelationLedger(
-        total, classical, total - classical, lam_max, np.argmax(mags, axis=1)
-    )
+    # the first maximum, as np.argmax gives it, without a reduction over rows
+    # of three: y only above x, z only above both
+    axis = np.where(z > xy, 2, (y > x).astype(np.intp))
+    return CorrelationLedger(total, classical, total - classical, lam_max, axis)
 
 
 def _ledger_row(c) -> tuple:
@@ -186,70 +189,54 @@ def _search_grid(theta_steps: int, phi_steps: int) -> tuple:
 # I, sigma_x, sigma_y, sigma_z flattened as sigma.T: A.ravel() @ _PAULI_FLAT.T
 # = (Tr A sigma_i)_i for any 2 x 2 matrix A
 _PAULI_FLAT = np.array([s.T.ravel() for s in (np.eye(2), *PAULI.values())])
-_FLIP = np.array([1.0, -1.0, -1.0, -1.0])  # (1, n) -> (1, -n)
 _SIGNS = np.array([1.0, -1.0])  # to 1 + x and 1 - x
 
 
-def _search_operands(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 4, 4) states as the kernel takes them: the real operand and rho_A
-    = Tr_B rho as an (N, 4) row over (a c).
+def _search_operands(rho: np.ndarray) -> np.ndarray:
+    """The (N, 4, 4) operand of (N, 4, 4) states, as the kernel takes it.
 
     With rho[a b, c d] as rows (a c) and columns (b d), T = Re(_PAULI_FLAT @
-    rho_ac @ _PAULI_FLAT.T)[j, i] = Tr[rho (s_j x s_i)]. Outcome +-n on B
-    leaves A in M = Tr_B[(I x (I +- n.sigma) / 2) rho], and (Tr M sigma_j)_j
-    = T @ (1, +-n) / 2. The (N, 8, 4) operand interleaves the rows of T / 2
-    for the two outcomes, so operand @ (1, n) gives rows (w+, w-, x+, x-, ...,
-    z-). Where every state of the stack has exact-zero marginals Tr[rho (I x
-    s_i)] and Tr[rho (s_j x I)], as every Bell-diagonal state has, outcome -
-    along n has the w and -f of outcome +, and the operand is T / 2 itself,
-    (N, 4, 4): operand @ (1, n) gives the rows (w, x, y, z) of outcome +.
+    rho_ac @ _PAULI_FLAT.T)[j, i] = Tr[rho (s_j x s_i)]. Outcome + along n on
+    B leaves A in M = Tr_B[(I x (I + n.sigma) / 2) rho], and (Tr M sigma_j)_j
+    = T @ (1, n) / 2: the operand is T / 2, and operand @ (1, n) gives the
+    rows (w, x, y, z) of outcome +. The search's domain is the states whose
+    marginals Tr[rho (I x s_i)] and Tr[rho (s_j x I)] are exactly zero in T,
+    as every Bell-diagonal state's are: there outcome - along n is outcome +
+    along -n, with the same w = 1/2 and |f|, and rho_A = I/2. Raises
+    InvalidStateError naming the first state of the stack outside it.
     """
     n = len(rho)
     rho_ac = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
     half = np.real(_PAULI_FLAT @ rho_ac @ _PAULI_FLAT.T) / 2
-    rho_a = rho_ac[..., 0] + rho_ac[..., 3]
-    if not (half[:, 0, 1:].any() or half[:, 1:, 0].any()):
-        return half, rho_a
-    ops = np.empty((n, 4, 2, 4))
-    ops[:, :, 0] = half
-    np.multiply(half, _FLIP, out=ops[:, :, 1])
-    return ops.reshape(n, 8, 4), rho_a
-
-
-def _reduced_entropy(rho_a) -> np.ndarray:
-    """S(rho_A) in bits of (N, 4) rows (a c) of rho_A: the binary entropy of
-    its eigenvalues (1 +- r) / 2, r = |(rho_00 - rho_11, 2 |rho_01|)| the
-    length of its Bloch vector."""
-    r = np.hypot(np.real(rho_a[:, 0] - rho_a[:, 3]), 2 * np.abs(rho_a[:, 1]))
-    return 1.0 - binary_information(r)
+    if half[:, 0, 1:].any() or half[:, 1:, 0].any():
+        marginals = np.abs(np.concatenate([half[:, 0, 1:], half[:, 1:, 0]], axis=1))
+        i = np.flatnonzero(marginals.any(axis=1))[0]
+        raise InvalidStateError(
+            f"state at index {i} has a marginal Bloch component "
+            f"{2 * marginals[i].max():.3e}; the measurement search takes only "
+            f"states whose marginals are exactly zero")
+    return half
 
 
 def _conditional_entropies(ops, cols) -> np.ndarray:
     """Conditional entropies for projective bases on B, batched.
 
-    ops @ cols (one real matmul) gives w = Tr M and f = Tr M sigma of each
-    outcome the operand holds, so M / w has eigenvalues (1 +- x) / 2 with
-    x = |f| / w, and the outcome adds its binary entropy times w:
-    w (1 - [(1 + x) log2(1 + x) + (1 - x) log2(1 - x)] / 2). An outcome with
-    w <= 1e-12 adds zero, and so does a (1 - x) term at or below 1e-15; a
-    call where neither occurs skips both guards. A mirrored (4, 4) operand
-    holds outcome +, and outcome - adds the same. One state's operand against
-    (4, K) Bloch columns gives (K,); N states' against (N, 4, K) gives (N, K).
+    ops @ cols (one real matmul) gives w = Tr M and f = Tr M sigma of outcome
+    +, so M / w has eigenvalues (1 +- x) / 2 with x = |f| / w, and the outcome
+    adds its binary entropy times w: w (1 - [(1 + x) log2(1 + x) + (1 - x)
+    log2(1 - x)] / 2). A (1 - x) term at or below 1e-15 adds zero; a call
+    where none occurs skips that guard. Outcome - adds what outcome + adds.
+    One state's operand against (4, K) Bloch columns gives (K,); N states'
+    against (N, 4, K) gives (N, K).
     """
     feats = ops @ cols
-    k = feats.shape[-2] // 4  # outcomes the operand holds
-    w = feats[..., :k, :]
-    sq = feats[..., k:, :]
+    w = feats[..., 0, :]
+    sq = feats[..., 1:, :]
     sq *= sq
-    d = sq[..., :k, :] + sq[..., k:2 * k, :]
-    d += sq[..., 2 * k:, :]
-    np.sqrt(d, out=d)
-    if w.min() > ZERO_PROBABILITY:
-        x, weight = np.divide(d, w, out=d), w
-    else:
-        live = w > ZERO_PROBABILITY
-        x = np.divide(d, w, out=np.zeros_like(d), where=live)
-        weight = np.where(live, w, 0.0)
+    x = sq[..., 0, :] + sq[..., 1, :]
+    x += sq[..., 2, :]
+    np.sqrt(x, out=x)
+    x /= w
     pm = np.multiply.outer(_SIGNS, x)
     pm += 1.0  # 1 + x, 1 - x
     if pm[1].min() > 1e-15:  # and 1 + x >= 1
@@ -260,8 +247,8 @@ def _conditional_entropies(ops, cols) -> np.ndarray:
     h = terms[0] + terms[1]
     h *= -0.5
     h += 1.0
-    h *= weight
-    return h[..., 0, :] + h[..., -1, :]
+    h *= w
+    return h + h
 
 
 def _blocked_entropies(ops, cols) -> np.ndarray:
@@ -331,54 +318,44 @@ def _newton_model(op, theta: float, phi: float):
     the tangent frame (e_theta, e_phi), as scalars (H, H_u, H_v, H_uu, H_uv,
     H_vv); None where a second derivative is singular.
 
-    op @ (1, n), (0, e_theta), (0, e_phi), (0, n) gives each outcome's w and
-    f with their derivatives along u and v: n_uu = n_vv = -n and n_uv = 0 on
-    the geodesics from n. An outcome adds S(w, d) = w log2 w - l+ log2 l+
-    - l- log2 l-, l+- = (w +- d) / 2, d = |f|; with x = d / w, S_w = 1
-    - log2(1 - x^2) / 2, S_d = -atanh(x) / ln 2 and the second partials
-    -k (x, -1) (x, -1)^T, k = 1 / (w (1 - x^2) ln 2). Singular: w at most
-    ZERO_PROBABILITY, or x within ZERO_PROBABILITY of 0 or 1 (d or l- ~ 0).
+    op @ (1, n), (0, e_theta), (0, e_phi), (0, n) gives outcome +'s w and f
+    with the derivatives of f along u and v: n_uu = n_vv = -n and n_uv = 0 on
+    the geodesics from n, and w's derivatives are zero because the marginals
+    are. The outcome adds S(w, d) = w log2 w - l+ log2 l+ - l- log2 l-, l+-
+    = (w +- d) / 2, d = |f|; with x = d / w, S_d = -atanh(x) / ln 2 and S_dd
+    = -k, k = 1 / (w (1 - x^2) ln 2), and outcome - adds the same. Singular:
+    x within ZERO_PROBABILITY of 0 or 1 (d or l- ~ 0).
     """
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     n = (sin_t * cos_p, sin_t * sin_p, cos_t)
-    feats = (op @ np.array([[1.0, 0.0, 0.0, 0.0],
-                            [n[0], cos_t * cos_p, -sin_p, n[0]],
-                            [n[1], cos_t * sin_p, cos_p, n[1]],
-                            [n[2], -sin_t, 0.0, n[2]]])).tolist()
-    outcomes = len(feats) // 4  # 1 for a mirrored operand, else 2
-    value = h_u = h_v = h_uu = h_uv = h_vv = 0.0
-    for outcome in range(outcomes):
-        # rows w, f_x, f_y, f_z; columns the value, d/du, d/dv and -d2/du2
-        (w, w_u, w_v, w_n), (fx, fx_u, fx_v, fx_n), (fy, fy_u, fy_v, fy_n), \
-            (fz, fz_u, fz_v, fz_n) = feats[outcome::outcomes]
-        ff = fx * fx + fy * fy + fz * fz
-        f_u = fx * fx_u + fy * fy_u + fz * fz_u
-        f_v = fx * fx_v + fy * fy_v + fz * fz_v
-        f_n = fx * fx_n + fy * fy_n + fz * fz_n
-        uu = fx_u * fx_u + fy_u * fy_u + fz_u * fz_u
-        uv = fx_u * fx_v + fy_u * fy_v + fz_u * fz_v
-        vv = fx_v * fx_v + fy_v * fy_v + fz_v * fz_v
-        d = math.sqrt(ff)
-        x = d / w if w > ZERO_PROBABILITY else 0.0
-        if not ZERO_PROBABILITY < x < 1.0 - ZERO_PROBABILITY:
-            return None
-        up, down = (w + d) / 2, (w - d) / 2
-        value -= up * math.log2(up / w) + down * math.log2(down / w)
-        s_w = 1.0 - math.log1p(-x * x) / (2 * _LN2)
-        s_d = -math.atanh(x) / _LN2
-        k = 1.0 / (w * (1.0 - x * x) * _LN2)
-        d_u, d_v = f_u / d, f_v / d
-        m_u, m_v = x * w_u - d_u, x * w_v - d_v
-        s_dd = s_d / d  # times d d_ij = f_i . f_j + f . f_ij - d_i d_j
-        h_u += s_w * w_u + s_d * d_u
-        h_v += s_w * w_v + s_d * d_v
-        h_uu += s_dd * (uu - f_n - d_u * d_u) - k * m_u * m_u - s_w * w_n
-        h_uv += s_dd * (uv - d_u * d_v) - k * m_u * m_v
-        h_vv += s_dd * (vv - f_n - d_v * d_v) - k * m_v * m_v - s_w * w_n
-    if outcomes == 1:  # a mirrored operand: outcome - adds what outcome + adds
-        return value * 2, h_u * 2, h_v * 2, h_uu * 2, h_uv * 2, h_vv * 2
-    return value, h_u, h_v, h_uu, h_uv, h_vv
+    # rows w, f_x, f_y, f_z; columns the value, d/du, d/dv and -d2/du2
+    (w, *_), (fx, fx_u, fx_v, fx_n), (fy, fy_u, fy_v, fy_n), \
+        (fz, fz_u, fz_v, fz_n) = (op @ np.array([[1.0, 0.0, 0.0, 0.0],
+                                                 [n[0], cos_t * cos_p, -sin_p, n[0]],
+                                                 [n[1], cos_t * sin_p, cos_p, n[1]],
+                                                 [n[2], -sin_t, 0.0, n[2]]])).tolist()
+    ff = fx * fx + fy * fy + fz * fz
+    f_u = fx * fx_u + fy * fy_u + fz * fz_u
+    f_v = fx * fx_v + fy * fy_v + fz * fz_v
+    f_n = fx * fx_n + fy * fy_n + fz * fz_n
+    uu = fx_u * fx_u + fy_u * fy_u + fz_u * fz_u
+    uv = fx_u * fx_v + fy_u * fy_v + fz_u * fz_v
+    vv = fx_v * fx_v + fy_v * fy_v + fz_v * fz_v
+    d = math.sqrt(ff)
+    x = d / w
+    if not ZERO_PROBABILITY < x < 1.0 - ZERO_PROBABILITY:
+        return None
+    up, down = (w + d) / 2, (w - d) / 2
+    value = -(up * math.log2(up / w) + down * math.log2(down / w))
+    s_d = -math.atanh(x) / _LN2
+    k = 1.0 / (w * (1.0 - x * x) * _LN2)
+    d_u, d_v = f_u / d, f_v / d
+    s_dd = s_d / d  # times d d_ij = f_i . f_j + f . f_ij - d_i d_j
+    h_uu = s_dd * (uu - f_n - d_u * d_u) - k * d_u * d_u
+    h_uv = s_dd * (uv - d_u * d_v) - k * d_u * d_v
+    h_vv = s_dd * (vv - f_n - d_v * d_v) - k * d_v * d_v
+    return value * 2, s_d * d_u * 2, s_d * d_v * 2, h_uu * 2, h_uv * 2, h_vv * 2
 
 
 def _newton_refine(op, theta: float, phi: float):
@@ -436,22 +413,23 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
     descent in scalar floats (_newton_refine) finds the stationary point to
     REFINE_ANGLE_TOL; the kernel then evaluates that point, which is kept
     where it is lower than the grid minimum, and that ends the state's
-    search. Only the states whose Newton model is singular (a zero-probability
-    outcome, a maximally mixed or a pure conditional state) or that do not
-    converge fall back to a coordinate descent (_coordinate_descent) in
-    lockstep from their grid minima, with steps from the grid spacing down to
-    REFINE_ANGLE_TOL.
+    search. Only the states whose Newton model is singular (a maximally mixed
+    or a pure conditional state) or that do not converge fall back to a
+    coordinate descent (_coordinate_descent) in lockstep from their grid
+    minima, with steps from the grid spacing down to REFINE_ANGLE_TOL.
     Every comparison in that descent uses the kernel's own values. Ties on
     the grid resolve to the smallest angles, so results are run-to-run
-    identical.
+    identical. C = S(rho_A) - the minimum, with S(rho_A) = 1 on the search's
+    domain: states whose marginals are exactly zero (_search_operands), as
+    every Bell-diagonal state's are. Any other state raises InvalidStateError
+    naming the index of the first such state in the stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
     stack = require_valid_state(rho.reshape(-1, 4, 4))
-    ops, rho_a = _search_operands(stack)
-    entropy_a = _reduced_entropy(rho_a)
+    ops = _search_operands(stack)
     best_val, theta, phi = _grid_minima(ops)
     starts = list(zip(theta.tolist(), phi.tolist()))
     points = [_newton_refine(op, *start) for op, start in zip(ops, starts)]
@@ -467,7 +445,7 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
     if not converged.all():
         _coordinate_descent(ops, best_val, theta, phi, np.flatnonzero(~converged))
 
-    value = entropy_a - best_val
+    value = 1.0 - best_val
     basis = _bloch_columns(theta, phi)[1:].T
     if rho.ndim == 2:
         return BruteForceClassical(float(value[0]), basis[0])

@@ -15,7 +15,7 @@ import pytest
 from belldyn import correlations
 from belldyn.channels import correlation_multipliers
 from belldyn.cli import main
-from belldyn.correlations import _conditional_entropies, _newton_refine, _reduced_entropy
+from belldyn.correlations import _conditional_entropies, _newton_refine
 from belldyn.kernel import decay_factor
 from belldyn.states import relative_entropy
 
@@ -51,11 +51,6 @@ def newton_at_start(op, theta, phi):
     return theta, phi
 
 
-def shifted_reduced_entropy(rho_a):
-    """Every S(rho_A) 1e-4 bits high."""
-    return _reduced_entropy(rho_a) + 1e-4
-
-
 def shifted_relative_entropy(rho, sigma):
     """Every relative entropy 1e-6 bits high."""
     return relative_entropy(rho, sigma) + 1e-6
@@ -71,8 +66,6 @@ FAULTS = {
     "relative-entropy-plus-1e-6": (relative_entropy, shifted_relative_entropy,
                                    {"relative-entropy-identity"}),
     "newton-at-start": (_newton_refine, newton_at_start, {"bruteforce-vs-analytic"}),
-    "reduced-entropy-plus-1e-4": (_reduced_entropy, shifted_reduced_entropy,
-                                  {"bruteforce-vs-analytic"}),
 }
 
 
