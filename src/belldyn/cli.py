@@ -608,11 +608,18 @@ def _verify_checks(cfg: RunConfig):
             np.abs(via_kraus - direct).ravel(), residual,
             np.where(min_eig < -1e-12, -min_eig - 1e-12, 0.0)])))
 
-    def bruteforce_vs_analytic():
-        states = np.array([random_bell_coefficients(rng) for _ in range(500)])
+    def bruteforce_vs_analytic(states):
         brute = classical_correlation_bruteforce(
             np.stack([bell_to_density(c0) for c0 in states]))
         return float(np.max(np.abs(brute.value - correlation_ledger(states).C)))
+
+    # the search's hard states: ties |c_x| = |c_y|, whose minima form a
+    # circle, and states whose Newton model is singular at the grid start
+    # (Bell states, maximally mixed, proportional); no RNG draw
+    edge_states = np.array([
+        (0.789, -0.789, 0.7296), (0.844, -0.844, 0.8016), (0.4, -0.4, 0.1),
+        (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0),
+        (0.0, 0.0, 0.0), (0.6, 0.6, -1.0), (0.1, 0.1, 0.5)])
 
     def relative_entropy_identity():
         states = np.array([random_bell_coefficients(rng) for _ in range(500)])
@@ -633,7 +640,9 @@ def _verify_checks(cfg: RunConfig):
         ("decay-ode", 1e-6, lambda: decay_vs(decay_factor_ode)),
         ("decay-convolution", 1e-4, lambda: decay_vs(decay_factor_convolution)),
         ("kraus-vs-coefficients", 1e-12, kraus_vs_coefficients),
-        ("bruteforce-vs-analytic", 1e-5, bruteforce_vs_analytic),
+        ("bruteforce-vs-analytic", 1e-5, lambda: bruteforce_vs_analytic(
+            np.array([random_bell_coefficients(rng) for _ in range(500)]))),
+        ("bruteforce-edge-states", 1e-5, lambda: bruteforce_vs_analytic(edge_states)),
         ("relative-entropy-identity", 1e-8, relative_entropy_identity),
         ("tc-root-vs-closed-form", 1e-8, tc_root_vs_closed),
     ]

@@ -6,9 +6,8 @@ triples. Two oracles check them by independent paths through density
 matrices: the brute-force classical correlation takes states whose marginals
 vanish, as every Bell-diagonal state's do, and minimizes the conditional
 entropy over a hemisphere grid of Bloch vectors measured on B, then refines
-with Newton steps on the sphere, or with a coordinate descent where Newton
-falls back; the relative-entropy discord finds the nearest of the three axis
-dephasings.
+with Newton steps on the sphere; the relative-entropy discord finds the
+nearest of the three axis dephasings.
 """
 
 from __future__ import annotations
@@ -37,19 +36,18 @@ AXES = ("x", "y", "z")
 ZERO_PROBABILITY = 1e-12
 IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 
-# the brute-force search's fixed resolution: a 64 x 128 grid, then Newton or,
-# where Newton falls back, coordinate descent steps down to REFINE_ANGLE_TOL
+# the brute-force search's fixed resolution: a 64 x 128 grid, then Newton
+# steps down to REFINE_ANGLE_TOL
 THETA_STEPS = 64
 PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
-# most candidates one _conditional_entropies call evaluates, in the grid pass,
-# at the Newton points and in the fallback descent's four moves per state:
-# its largest temporary, the (4, K) feature block, is then 64 KiB, small
-# enough for malloc to reuse rather than map and zero fresh pages on every call
+# most candidates one _conditional_entropies call evaluates, in the grid pass
+# and at the Newton points: its largest temporary, the (4, K) feature block,
+# is then 64 KiB, small enough for malloc to reuse rather than map and zero
+# fresh pages on every call
 BLOCK_ROWS = 2048
-# trials one state's Newton descent may take before the state falls back to
-# the plain coordinate descent from its grid minimum; a converging state takes
-# ~2, and its converged point ends its search
+# trials one state's Newton descent may take; a converging state takes ~2,
+# and a state that uses them all raises AccuracyError
 NEWTON_STEPS = 32
 _LN2 = math.log(2.0)
 
@@ -266,12 +264,6 @@ def _blocked_entropies(ops, cols) -> np.ndarray:
         for i in range(0, len(cols), group)])
 
 
-def _grid_spacing() -> tuple[float, float]:
-    """The grid's spacing in theta and in phi, pi/THETA_STEPS and
-    2 pi/PHI_STEPS: the first step of both refinements."""
-    return np.pi / THETA_STEPS, 2 * np.pi / PHI_STEPS
-
-
 def _grid_minima(ops) -> tuple:
     """Each state's lowest conditional entropy on the cached hemisphere grid
     and its angles, as three (N,) arrays; ties go to the first grid point."""
@@ -283,34 +275,6 @@ def _grid_minima(ops) -> tuple:
         j = np.argmin(values)
         best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
     return best_val, theta, phi
-
-
-def _coordinate_descent(ops, best_val, theta, phi, live) -> None:
-    """Coordinate descent over the whole sphere from the grid minima of the
-    states in live, all in lockstep, refining best_val, theta and phi in place.
-
-    Each state's step starts at the grid spacing. Each iteration a state tries
-    the four moves at its step, theta and phi up and down, and takes the best
-    one that lowers its value; where none does, it halves its step. A state
-    stops once its step is at most REFINE_ANGLE_TOL. No call evaluates more
-    than BLOCK_ROWS candidates at once.
-    """
-    spacing = _grid_spacing()
-    scale = np.ones(len(ops))  # each state's step over the grid spacing
-    while (live := live[max(spacing) * scale[live] > REFINE_ANGLE_TOL]).size:
-        t, p = theta[live], phi[live]
-        st, sp = spacing[0] * scale[live], spacing[1] * scale[live]
-        cand_t = np.stack([np.minimum(t + st, np.pi), np.maximum(t - st, 0.0), t, t], 1)
-        cand_p = np.stack([p, p, (p + sp) % (2 * np.pi), (p - sp) % (2 * np.pi)], 1)
-        vals = _blocked_entropies(ops[live], _bloch_columns(cand_t, cand_p))
-        rows, pick = np.arange(live.size), np.argmin(vals, axis=1)
-        low = vals[rows, pick]
-        better = low < best_val[live]
-        moved = live[better]
-        best_val[moved] = low[better]
-        theta[moved] = cand_t[rows, pick][better]
-        phi[moved] = cand_p[rows, pick][better]
-        scale[live[~better]] /= 2
 
 
 def _newton_model(op, theta: float, phi: float):
@@ -360,19 +324,24 @@ def _newton_model(op, theta: float, phi: float):
 
 def _newton_refine(op, theta: float, phi: float):
     """Safeguarded Newton descent on the sphere from n(theta, phi), in scalar
-    floats: the final (theta, phi), or None when the model is singular at the
-    start or the descent takes NEWTON_STEPS trials.
+    floats: the final (theta, phi), the start itself where the model is
+    singular there, or None when the descent takes NEWTON_STEPS trials.
 
     Steps are taken in the tangent frame and mapped along the geodesic. Where
-    the Hessian is not positive definite the step is steepest descent. Each
-    step is clipped to the trust radius, which starts at the grid spacing and
-    halves on every step that does not strictly lower the entropy; the
-    descent stops once a step is at most REFINE_ANGLE_TOL.
+    the Hessian is not positive definite, the step is modified Newton
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4): with (mu, q)
+    the Hessian's largest eigenpair, the Newton step along q and steepest
+    descent across it where mu > 0, as on a circle of tied minima, whose
+    tangent has zero curvature; steepest descent where mu <= 0. Each step is
+    clipped to the trust radius, which starts at the larger grid spacing and
+    halves on every step that does not strictly lower the entropy; a
+    steepest step is scaled to it. The descent stops once a step is at most
+    REFINE_ANGLE_TOL.
     """
     model = _newton_model(op, theta, phi)
     if model is None:
-        return None
-    radius = max(_grid_spacing())
+        return theta, phi
+    radius = max(np.pi / THETA_STEPS, 2 * np.pi / PHI_STEPS)
     for _ in range(NEWTON_STEPS):
         value, h_u, h_v, h_uu, h_uv, h_vv = model
         det = h_uu * h_vv - h_uv * h_uv
@@ -380,7 +349,18 @@ def _newton_refine(op, theta: float, phi: float):
         if newton:
             su, sv = (h_uv * h_v - h_vv * h_u) / det, (h_uv * h_u - h_uu * h_v) / det
         else:
+            half = (h_uu - h_vv) / 2
+            spread = math.hypot(half, h_uv)
+            mu = (h_uu + h_vv) / 2 + spread
             su, sv = -h_u, -h_v
+            newton = mu > 0.0
+            if newton:
+                # q, unnormalized, from the better conditioned row of H - mu
+                qu, qv = (half + spread, h_uv) if half >= 0.0 else (h_uv, spread - half)
+                # the gradient along q, g_q, scaled so that the step's part
+                # along q is -g_q / mu in place of steepest descent's -g_q
+                along = (h_u * qu + h_v * qv) * (1.0 - 1.0 / mu) / (qu * qu + qv * qv)
+                su, sv = su + along * qu, sv + along * qv
         length = math.hypot(su, sv)
         if length > radius or (length and not newton):
             su, sv, length = su * radius / length, sv * radius / length, radius
@@ -413,15 +393,17 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
     descent in scalar floats (_newton_refine) finds the stationary point to
     REFINE_ANGLE_TOL; the kernel then evaluates that point, which is kept
     where it is lower than the grid minimum, and that ends the state's
-    search. Only the states whose Newton model is singular (a maximally mixed
-    or a pure conditional state) or that do not converge fall back to a
-    coordinate descent (_coordinate_descent) in lockstep from their grid
-    minima, with steps from the grid spacing down to REFINE_ANGLE_TOL.
-    Every comparison in that descent uses the kernel's own values. Ties on
-    the grid resolve to the smallest angles, so results are run-to-run
-    identical. C = S(rho_A) - the minimum, with S(rho_A) = 1 on the search's
-    domain: states whose marginals are exactly zero (_search_operands), as
-    every Bell-diagonal state's are. Any other state raises InvalidStateError
+    search. A state whose Newton model is singular at its grid start keeps
+    that grid point, which is then optimal: on zero-marginal states such a
+    start has x >= 1 - 1e-12 (x as in _newton_model), whose entropy is
+    within ~2.1e-11 of the global minimum 0, or it has x <= 1e-12 over the
+    whole grid, where the entropy is flat to 1e-24. A state whose descent
+    takes NEWTON_STEPS trials raises AccuracyError naming its index in the
+    stack, so no state silently keeps its grid value. Ties on the grid
+    resolve to the smallest angles, so results are run-to-run identical.
+    C = S(rho_A) - the minimum, with S(rho_A) = 1 on the search's domain:
+    states whose marginals are exactly zero (_search_operands), as every
+    Bell-diagonal state's are. Any other state raises InvalidStateError
     naming the index of the first such state in the stack.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -431,19 +413,16 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
     stack = require_valid_state(rho.reshape(-1, 4, 4))
     ops = _search_operands(stack)
     best_val, theta, phi = _grid_minima(ops)
-    starts = list(zip(theta.tolist(), phi.tolist()))
-    points = [_newton_refine(op, *start) for op, start in zip(ops, starts)]
-    converged = np.array([point is not None for point in points])
-    # every state's Newton point in one call; a fallback state's row is its
-    # grid point, which is never kept
-    at_t, at_p = np.array([point or start
-                           for point, start in zip(points, starts)]).T
+    points = [_newton_refine(*start) for start in zip(ops, theta.tolist(), phi.tolist())]
+    if None in points:
+        raise AccuracyError(f"state at index {points.index(None)}: the Newton "
+                            f"refinement did not converge in {NEWTON_STEPS} steps")
+    # every state's Newton point in one call
+    at_t, at_p = np.array(points).T
     values = _blocked_entropies(ops, _bloch_columns(at_t[:, None], at_p[:, None]))
-    lower = converged & (values[:, 0] < best_val)
+    lower = values[:, 0] < best_val
     best_val = np.where(lower, values[:, 0], best_val)
     theta, phi = np.where(lower, at_t, theta), np.where(lower, at_p, phi)
-    if not converged.all():
-        _coordinate_descent(ops, best_val, theta, phi, np.flatnonzero(~converged))
 
     value = 1.0 - best_val
     basis = _bloch_columns(theta, phi)[1:].T

@@ -50,17 +50,21 @@ def make_family_state(family: InitialFamily) -> BellCoefficients:
     tag, params, sign = family
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if tag not in FAMILY_TAGS:
+        raise ValueError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
+    count = 2 if tag == "sudden_change" else 1
+    if len(params) != count:
+        raise ValueError(f"family {tag} takes {count} parameter{'s' * (count > 1)}, "
+                         f"got {len(params)}")
     if tag == "synchronized":
         (x,) = params
         c = BellCoefficients(x, sign * x * x, -sign * x)
     elif tag == "proportional":
         (x,) = params
         c = BellCoefficients(x, sign * x, -sign * 1.0)
-    elif tag == "sudden_change":
+    else:
         cx, cy = params
         c = BellCoefficients(cx, cy, sign * cx)
-    else:
-        raise ValueError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
     return require_physical(c)
 
 

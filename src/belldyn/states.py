@@ -207,8 +207,16 @@ def random_bell_coefficients(rng: np.random.Generator) -> BellCoefficients:
 
 
 def density_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    if not isinstance(obj, dict):
+        raise ValueError("density matrix JSON must be an object with 're' and 'im' arrays")
+    for key in ("re", "im"):
+        if key not in obj:
+            raise ValueError(f"density matrix JSON has no {key!r} array")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except TypeError as exc:  # a nested object where a number should be
+        raise ValueError(f"density matrix JSON arrays must hold numbers: {exc}") from None
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ValueError("density matrix JSON must carry 4x4 're' and 'im' arrays")
     return re + 1j * im

@@ -126,6 +126,28 @@ class TestCorrelationsCommand:
         out = run_cli("correlations", "--state-file", str(path))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"re": np.eye(4).tolist()}, "density matrix JSON has no 'im' array"),
+        ({"im": np.zeros((4, 4)).tolist()}, "density matrix JSON has no 're' array"),
+        ([np.eye(4).tolist()], "density matrix JSON must be an object"),
+        ({"re": {"a": 1}, "im": np.zeros((4, 4)).tolist()},
+         "density matrix JSON arrays must hold numbers"),
+    ], ids=["no-im", "no-re", "array", "nested-object"])
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        assert main(["correlations", "--state-file", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("synchronized", "0.1,0.2", "family synchronized takes 1 parameter, got 2"),
+        ("proportional", "0.1,0.2", "family proportional takes 1 parameter, got 2"),
+        ("sudden_change", "0.1", "family sudden_change takes 2 parameters, got 1"),
+    ])
+    def test_wrong_family_parameter_count_exits_2(self, capsys, family, params, message):
+        assert main(["correlations", "--family", family, "--family-param", params]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestEvolveCommand:
     def test_initial_row_spectrum(self, tmp_path):
@@ -327,15 +349,16 @@ class TestTcCommand:
 # last bits of the brute-force values, and with them the printed
 # bruteforce-vs-analytic deviation from 9.992e-16 to 5.551e-16. The
 # closed-form root bracket [0, t_hi] moved the bisection's last bits, and the
-# tc-root-vs-closed-form deviation from 1.667e-12 to 1.910e-11 (tol 1e-8)
-VERIFY_STDOUT = "4db54235ea2ea28533cf53d401e76619b4f6b81c63c90178a3014018700e2f42"
+# tc-root-vs-closed-form deviation from 1.667e-12 to 1.910e-11 (tol 1e-8).
+# The bruteforce-edge-states line (max dev 0.000e+00) added a seventh check
+VERIFY_STDOUT = "1c03a73253f360ccc610ec999d0acc1ac002f05ae30b5b1a7ea2dc07e0d6a75f"
 
 
 class TestVerifyCommand:
     def test_default_settings_pass(self):
         out = run_cli("verify")
         assert out.returncode == 0, out.stdout + out.stderr
-        assert out.stdout.count("PASS") == 7  # six checks plus the summary
+        assert out.stdout.count("PASS") == 8  # seven checks plus the summary
         assert "FAIL" not in out.stdout
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == VERIFY_STDOUT
 
@@ -376,7 +399,7 @@ class TestVerifyCommand:
         lines = path.read_text().splitlines()
         kraus = next(line for line in lines if "kraus-vs-coefficients" in line)
         assert "max dev nan" in kraus and kraus.endswith("FAIL")
-        assert lines[-1] == "verify: FAIL (5/6)"
+        assert lines[-1] == "verify: FAIL (6/7)"
 
     @pytest.mark.parametrize("oracle, check, call, poison", [
         # decay-ode calls its oracle once per kernel: poison the second call,
@@ -410,8 +433,8 @@ class TestVerifyCommand:
         path = tmp_path / "verify.txt"
         assert main(["verify", "--a", "1e20", "--out", str(path)]) == 1
         lines = path.read_text().splitlines()
-        assert "tc-root-vs-closed-form" in lines[5] and lines[5].endswith("FAIL")
-        assert lines[-1] == "verify: FAIL (5/6)"
+        assert "tc-root-vs-closed-form" in lines[6] and lines[6].endswith("FAIL")
+        assert lines[-1] == "verify: FAIL (6/7)"
 
     def test_threads_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -778,7 +801,8 @@ GOLDEN_STDOUT = {
     "tc --A 0.49999999 --gamma 0 --format json":
         "10cb8298b11c88150f445ae1b6609bdc432025e88b96a85d14c2c0714f66553b",
     # correlations --oracle on the default state and four others; (0, 0, 0),
-    # (1, -1, 1) and (-1, -1, -1) reach the brute-force search's fallback descent
+    # (1, -1, 1) and (-1, -1, -1) are singular Newton starts, which keep their
+    # grid point
     "correlations --oracle":
         "2efc65c20440a8744bbe5c1b98c73d64a3673fc7f8a070e9e54e787e7e3d2d57",
     "correlations --oracle --format json":

@@ -1,6 +1,6 @@
 import hashlib
+import itertools
 import json
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from belldyn.correlations import (
     THETA_STEPS,
     _bloch_columns,
     _conditional_entropies,
-    _coordinate_descent,
     _grid_minima,
     _newton_refine,
     _search_grid,
@@ -237,29 +236,17 @@ def edge_states():
              (0.999999, 0.2, -0.2)]]
 
 
-@lru_cache(maxsize=2)
-def descent_reference(steps):
-    """50 seeded Bell-diagonal states and the edge states, with the values
-    and bases of one_step_descent on them."""
+def search_states():
+    """50 seeded Bell-diagonal states and the edge states."""
     rng = np.random.default_rng(71)
     rhos = [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
-    rhos = np.stack(rhos + edge_states())
-    return (rhos, *one_step_descent(rhos, *steps))
+    return np.stack(rhos + edge_states())
 
 
 def use_grid(monkeypatch, steps):
     """Run the search on a (THETA_STEPS, PHI_STEPS) = steps grid."""
     monkeypatch.setattr(correlations, "THETA_STEPS", steps[0])
     monkeypatch.setattr(correlations, "PHI_STEPS", steps[1])
-
-
-def descent_from_grid(rhos):
-    """The search's grid pass and coordinate descent at full scale, without
-    the Newton refinement: (values, bases) as one_step_descent gives them."""
-    ops = _search_operands(rhos)
-    best_val, theta, phi = _grid_minima(ops)
-    _coordinate_descent(ops, best_val, theta, phi, np.arange(len(rhos)))
-    return 1.0 - best_val, _bloch_columns(theta, phi)[1:].T
 
 
 def assert_value_gates(rhos, steps, value, basis):
@@ -272,8 +259,8 @@ def assert_value_gates(rhos, steps, value, basis):
 
 
 # (grid, BLOCK_ROWS). Blocks of 1 and 7 rows divide neither grid, and they
-# give the descent one state per call. Both run on the 16 x 32 grid only: on
-# the 64 x 128 grid the many small blocks take 6-33 s per case.
+# give the Newton-point call one state per block. Both run on the 16 x 32
+# grid only: on the 64 x 128 grid the many small blocks take seconds per case.
 BLOCK_CASES = [
     ((16, 32), 1), ((16, 32), 7),
     *((steps, block_rows) for steps in ((THETA_STEPS, PHI_STEPS), (16, 32))
@@ -284,9 +271,11 @@ GRIDS = pytest.mark.parametrize("steps", [(THETA_STEPS, PHI_STEPS), (16, 32)],
 
 
 # sha256 over the search's values and bases on pinned_states(), as one stack
-# and then state by state, hashed before the search's domain was narrowed to
-# zero-marginal states; every later change to the search must keep these bits
-SEARCH_SHA256 = "e0eb62c9120190039a073e4c39b15686e5810d146ba84b55fbb1cfa3b2cf1153"
+# and then state by state. Re-hashed when the modified Newton step replaced
+# steepest descent on non-positive-definite Hessians: only the three exact
+# ties (indices 806, 810 and 811) moved, each value equal to its old one or
+# closer to the ledger. Every later change to the search must keep these bits
+SEARCH_SHA256 = "ce406a4fa407cac941d35ecd88e1f1f128866aa47886786bcea539dafcc45a64"
 
 
 def pinned_states():
@@ -294,7 +283,8 @@ def pinned_states():
     workload's seeds 601, 777 and 778, verify's 500 brute-force states, and
     12 edge states (maximally mixed, the four Bell states, proportional, an
     exact tie, a pole optimum, a Werner state, a classical state, and two
-    ties |c_x| = |c_y| on which Newton runs out of steps)."""
+    ties |c_x| = |c_y| on which a steepest-descent step ran out of Newton
+    steps)."""
     triples = []
     for seed in (601, 777, 778):
         rng = np.random.default_rng(seed)
@@ -323,6 +313,36 @@ def search_digest(rhos):
     return digest.hexdigest()
 
 
+# ties |c_x| = |c_y| with |c_z| a little below, whose minima form a circle:
+# a steepest-descent step where the Hessian is not positive definite, in place
+# of the modified Newton step, runs out of NEWTON_STEPS on each of them
+STEP_OUT_TIES = [(0.789, -0.789, 0.7296), (0.844, -0.844, 0.8016), (0.07, -0.07, 0.0),
+                 (0.43, -0.43, 0.38), (0.45, -0.45, 0.4), (0.58, -0.58, 0.52),
+                 (0.63, -0.63, 0.6), (0.67, -0.67, 0.64), (0.8, -0.8, 0.76),
+                 (0.9, -0.9, 0.86), (0.95, -0.95, 0.92)]
+
+
+def census_triples():
+    """The physical ones among: every sign and axis permutation of
+    STEP_OUT_TIES and of three-way ties (a, a, a), seeded near-ties (u, -u (1
+    - gap), v) with relative gaps 1e-14 to 1e-2, seeded states on a face of
+    the tetrahedron (one Bell eigenvalue zero), the four Bell states, the
+    maximally mixed state and (0.6, 0.6, -1)."""
+    rng = np.random.default_rng(109)
+    u, gap = rng.uniform(0.05, 0.95, 200), 10.0 ** rng.uniform(-14, -2, 200)
+    f = rng.uniform(-1, 1, (100, 2))
+    triples = [tuple(sign * c[i] for sign, i in zip(signs, order))
+               for c in STEP_OUT_TIES + [(a, a, a) for a in np.linspace(0.1, 1, 10)]
+               for order in itertools.permutations(range(3))
+               for signs in itertools.product((1.0, -1.0), repeat=3)]
+    triples = np.concatenate([
+        np.array(sorted(set(triples))), np.stack([u, -u * (1 - gap), u * rng.uniform(0, 1, 200)], 1),
+        np.stack([f[:, 0], f[:, 1], f[:, 0] - f[:, 1] - 1.0], 1),
+        [(-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0),
+         (0.0, 0.0, 0.0), (0.6, 0.6, -1.0)]])
+    return triples[np.min(bell_eigenvalues(triples), axis=1) >= 0.0]
+
+
 class TestBruteForce:
     def test_maximally_mixed(self):
         result = classical_correlation_bruteforce(np.eye(4) / 4)
@@ -346,6 +366,16 @@ class TestBruteForce:
         rhos = pinned_states()
         assert len(rhos) == 812
         assert search_digest(rhos) == SEARCH_SHA256
+
+    def test_census_converges_to_the_ledger(self):
+        # no state runs out of Newton steps; values agree with the ledger to
+        # rounding except at a unit coefficient off the pole, where the
+        # model's singular guard stops the descent short (ROADMAP item 19)
+        triples = census_triples()
+        assert len(triples) == 383
+        brute = classical_correlation_bruteforce(bell_to_density(triples))
+        inner = np.max(np.abs(triples), axis=1) < 1.0
+        assert np.max(np.abs(brute.value - correlation_ledger(triples).C)[inner]) <= 1e-15
 
     def test_stack_rows_equal_single_calls(self):
         rng = np.random.default_rng(61)
@@ -371,7 +401,7 @@ class TestBruteForce:
     @GRIDS
     def test_value_gates_and_stack_rows(self, monkeypatch, steps):
         use_grid(monkeypatch, steps)
-        rhos, _, _ = descent_reference(steps)
+        rhos = search_states()
         stack = classical_correlation_bruteforce(rhos)
         assert_value_gates(rhos, steps, stack.value, stack.basis)
         for rho, value, basis in zip(rhos, stack.value, stack.basis):
@@ -379,57 +409,39 @@ class TestBruteForce:
             assert single.value == value
             assert np.array_equal(single.basis, basis)
 
-    @GRIDS
-    def test_descent_equals_one_step_descent(self, monkeypatch, steps):
-        use_grid(monkeypatch, steps)
-        rhos, value, basis = descent_reference(steps)
-        got_value, got_basis = descent_from_grid(rhos)
-        assert np.array_equal(got_value, value)
-        assert np.array_equal(got_basis, basis)
-
     @pytest.mark.parametrize("steps, block_rows", BLOCK_CASES,
                              ids=[f"{t}x{p}-{b}" for (t, p), b in BLOCK_CASES])
     def test_independent_of_block_size(self, monkeypatch, steps, block_rows):
-        monkeypatch.setattr(correlations, "BLOCK_ROWS", block_rows)
         use_grid(monkeypatch, steps)
-        rhos, value, basis = descent_reference(steps)
-        got_value, got_basis = descent_from_grid(rhos)
+        rhos = search_states()
+        value, basis = classical_correlation_bruteforce(rhos)
+        monkeypatch.setattr(correlations, "BLOCK_ROWS", block_rows)
+        got_value, got_basis = classical_correlation_bruteforce(rhos)
         assert np.array_equal(got_value, value)
         assert np.array_equal(got_basis, basis)
 
-    def test_all_fallbacks_give_the_plain_descent(self, monkeypatch):
-        # every state falls back: its row of the Newton-point call is its grid
-        # point, never kept, so the search is the grid pass and the descent
-        rhos, value, basis = descent_reference((THETA_STEPS, PHI_STEPS))
-        monkeypatch.setattr(correlations, "_newton_refine", lambda *args: None)
-        result = classical_correlation_bruteforce(rhos)
-        assert np.array_equal(result.value, value)
-        assert np.array_equal(result.basis, basis)
-
     def test_only_newton_fallbacks_descend(self, monkeypatch):
-        # a converged Newton point ends its state's search: on seeded
-        # Bell-diagonal states no descent runs, and only singular models
-        # (maximally mixed, Bell and proportional states) descend
-        def no_descent(*args):
-            raise AssertionError("a converged state ran the coordinate descent")
-
-        rng = np.random.default_rng(83)
-        rhos = np.stack([bell_to_density(random_bell_coefficients(rng))
-                         for _ in range(500)])
-        monkeypatch.setattr(correlations, "_coordinate_descent", no_descent)
-        classical_correlation_bruteforce(rhos)
-
+        # a state whose Newton model is singular at its grid start (Bell,
+        # maximally mixed and proportional states) keeps its grid point, and
+        # a state whose descent uses up its trials raises, naming its index
         singular = np.stack([SINGLET] + [bell_to_density(c) for c in
                                          [(1.0, 1.0, -1.0), (0.0, 0.0, 0.0), (0.6, 0.6, -1.0)]])
-        rows = []
+        ops = _search_operands(singular)
+        best_val, theta, phi = _grid_minima(ops)
+        for op, t, p in zip(ops, theta.tolist(), phi.tolist()):
+            assert correlations._newton_model(op, t, p) is None
+        result = classical_correlation_bruteforce(singular)
+        assert np.array_equal(result.value, 1.0 - best_val)
+        assert np.array_equal(result.basis, _bloch_columns(theta, phi)[1:].T)
 
-        def record(ops, best_val, theta, phi, live):
-            rows.append(live.tolist())
-            _coordinate_descent(ops, best_val, theta, phi, live)
-
-        monkeypatch.setattr(correlations, "_coordinate_descent", record)
-        classical_correlation_bruteforce(singular)
-        assert rows == [[0, 1, 2, 3]]
+        # no step is ever at most a zero tolerance, so only the trial count
+        # ends a non-singular state's descent
+        monkeypatch.setattr(correlations, "REFINE_ANGLE_TOL", 0.0)
+        stack = np.concatenate([singular, bell_to_density((0.1, 0.16, 0.1))[None]])
+        with pytest.raises(AccuracyError, match=f"state at index 4: the Newton "
+                                                f"refinement did not converge in "
+                                                f"{NEWTON_STEPS} steps"):
+            classical_correlation_bruteforce(stack)
 
     @pytest.mark.parametrize("angle_tol", [-1.0, 0.0, float("nan")])
     def test_newton_refinement_is_bounded(self, monkeypatch, angle_tol):
@@ -499,7 +511,7 @@ class TestBlochKernel:
 
 
 def mirrored_states():
-    """100 seeded Bell-diagonal states, then the fallback states: the
+    """100 seeded Bell-diagonal states, then the singular Newton starts: the
     maximally mixed state and the four Bell states."""
     rng = np.random.default_rng(89)
     triples = [random_bell_coefficients(rng) for _ in range(100)]

@@ -12,10 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from belldyn import correlations
 from belldyn.channels import correlation_multipliers
 from belldyn.cli import main
-from belldyn.correlations import _conditional_entropies, _newton_refine
+from belldyn.correlations import _conditional_entropies, _newton_model, _newton_refine
 from belldyn.kernel import decay_factor
 from belldyn.states import relative_entropy
 
@@ -51,6 +50,19 @@ def newton_at_start(op, theta, phi):
     return theta, phi
 
 
+def steepest_off_newton(op, theta, phi):
+    """The model's Hessian zeroed wherever it is not positive definite, so
+    the refinement takes a steepest-descent step there, not a modified Newton
+    step, and runs out of steps on ties |c_x| = |c_y|."""
+    model = _newton_model(op, theta, phi)
+    if model is None:
+        return None
+    value, h_u, h_v, h_uu, h_uv, h_vv = model
+    if h_uu > 0.0 and h_uu * h_vv - h_uv * h_uv > 0.0:
+        return model
+    return value, h_u, h_v, 0.0, 0.0, 0.0
+
+
 def shifted_relative_entropy(rho, sigma):
     """Every relative entropy 1e-6 bits high."""
     return relative_entropy(rho, sigma) + 1e-6
@@ -62,10 +74,12 @@ FAULTS = {
     "multiplier-z-1e-3": (correlation_multipliers, scaled_z_multiplier,
                           {"kraus-vs-coefficients"}),
     "entropy-plus-1e-4": (_conditional_entropies, shifted_entropies,
-                          {"bruteforce-vs-analytic"}),
+                          {"bruteforce-vs-analytic", "bruteforce-edge-states"}),
     "relative-entropy-plus-1e-6": (relative_entropy, shifted_relative_entropy,
                                    {"relative-entropy-identity"}),
-    "newton-at-start": (_newton_refine, newton_at_start, {"bruteforce-vs-analytic"}),
+    "newton-at-start": (_newton_refine, newton_at_start,
+                        {"bruteforce-vs-analytic", "bruteforce-edge-states"}),
+    "steepest-off-newton": (_newton_model, steepest_off_newton, {"bruteforce-edge-states"}),
 }
 
 
@@ -77,10 +91,10 @@ def test_verify_fails_exactly_the_named_checks(monkeypatch, capsys, fault):
     code = main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     verdicts = {line.split()[1]: line.split()[-1] for line in lines[:-1]}
-    assert len(verdicts) == 6
+    assert len(verdicts) == 7
     assert {name for name, verdict in verdicts.items() if verdict == "FAIL"} == failing
     assert code == (1 if failing else 0)
-    assert lines[-1] == f"verify: {'FAIL' if failing else 'PASS'} ({6 - len(failing)}/6)"
+    assert lines[-1] == f"verify: {'FAIL' if failing else 'PASS'} ({7 - len(failing)}/7)"
 
 
 
@@ -94,13 +108,3 @@ def test_relative_entropy_fault_trips_the_oracle_identity_check(monkeypatch, cap
     assert "error: relative-entropy discord at index 0 " in line
     assert line.endswith("beyond 1e-08  FAIL")
 
-
-def test_verify_never_reaches_the_fallback_descent(monkeypatch, capsys):
-    # each of verify's brute-force states ends at a converged Newton point, so
-    # a fault in the coordinate descent is one that verify cannot see
-    def no_descent(*args):
-        raise AssertionError("verify ran the coordinate descent")
-
-    monkeypatch.setattr(correlations, "_coordinate_descent", no_descent)
-    assert main(["verify"]) == 0
-    assert capsys.readouterr().out.endswith("verify: PASS (6/6)\n")
