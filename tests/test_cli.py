@@ -823,6 +823,18 @@ GOLDEN_STDOUT = {
         "7d6c811b2985f007bbdd7e334098e031797a70939b60d4d6378b45686b7429b2",
     "correlations --oracle --c -1,-1,-1 --format json":
         "220d2634fa54986899571e2f405ed2e8b0204671184084561cc521031ce6b10f",
+    # panels at other rates and in JSON, and the evolution tables under
+    # --markovian, where the Markovian twin is the run itself
+    "figure 1 b --a 2.5":
+        "92fe126a6d47b06a637a35e0ce8056d100e68598ea9673f8b2b7503e1646a510",
+    "figure 3 c --format json":
+        "1ebcf3dc5794976ae2220ce5a7706e26128b5facee60c2f5961b33badd85faae",
+    "figure 3 b --a 1e-3 --format json":
+        "a198485b4faad584e26108cb415bc8cbe953ba578f0f76ba437ec098d9f8e214",
+    "trajectory --markovian --t-max 3":
+        "eef832fde12ff506c58fbaceae869315cdfdb60aa83ebb25f345ee5600fe02e5",
+    "evolve --markovian --channel-a bitphase":
+        "0cd27ad36529998890450767321070190c2438a7a1189cbe46ad01d2821387a2",
 }
 
 
