@@ -31,7 +31,6 @@ from .scenarios import (
     closed_form_characteristic_time,
     detect_kink,
     evolve,
-    figure_data,
     make_family_state,
 )
 from .states import (

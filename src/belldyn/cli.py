@@ -42,9 +42,9 @@ from .scenarios import (
     _is_equal_kernel,
     branch_switch_ratio,
     characteristic_time,
+    characteristic_time_curve,
     closed_form_characteristic_time,
     evolve,
-    figure_data,
     make_family_state,
 )
 from .states import (
@@ -447,32 +447,37 @@ def _table_text(cfg, command, columns, rows, extra=None) -> str:
     return f"# belldyn {command} {shown}\n{','.join(columns)}\n{body}"
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    c0 = cfg.initial_state()
-    run = evolve(c0, cfg.kernel(), cfg.time_grid(), *cfg.axes(),
-                 markovian=cfg.markovian)
-    rows = np.column_stack([cfg.a * run.t, run.p, run.c, run.spectrum])
-    columns = ("a_t", "p", "c_x", "c_y", "c_z",
-               "lambda_psi_plus", "lambda_phi_plus",
-               "lambda_phi_minus", "lambda_psi_minus")
-    _write_text(cfg.out, _table_text(cfg, "evolve", columns, rows,
-                                     {"c0": ",".join(_fmt(v) for v in c0)}))
-    return 0
+_SPECTRUM = ("lambda_psi_plus", "lambda_phi_plus", "lambda_phi_minus",
+             "lambda_psi_minus")
 
 
-def cmd_trajectory(cfg: RunConfig) -> int:
+def _evolution_table(cfg: RunConfig, command: str, columns, extra=None) -> int:
+    """Evolve cfg's state once and write the named columns of the run. The
+    Markovian twin (C_markov, D_markov) is evolved only when a column names
+    it; under --markovian it is the run itself."""
     c0 = cfg.initial_state()
     k, grid, axes = cfg.kernel(), cfg.time_grid(), cfg.axes()
     run = evolve(c0, k, grid, *axes, markovian=cfg.markovian)
-    # the Markovian twin; under --markovian it is the run itself
-    twin = run if cfg.markovian else evolve(c0, k, grid, *axes, markovian=True)
-    rows = np.column_stack([cfg.a * run.t, run.p, run.c, run.I, run.C, run.D,
-                            run.lambda_max, twin.C, twin.D])
-    columns = ("a_t", "p", "c_x", "c_y", "c_z", "I", "C", "D",
-               "lambda_max", "C_markov", "D_markov")
-    _write_text(cfg.out, _table_text(cfg, "trajectory", columns, rows,
-                                     {"c0": ",".join(_fmt(v) for v in c0)}))
+    cells = dict(zip(("c_x", "c_y", "c_z", *_SPECTRUM), (*run.c.T, *run.spectrum.T)),
+                 a_t=cfg.a * run.t, p=run.p, I=run.I, C=run.C, D=run.D,
+                 lambda_max=run.lambda_max)
+    if {"C_markov", "D_markov"} & set(columns):
+        twin = run if cfg.markovian else evolve(c0, k, grid, *axes, markovian=True)
+        cells.update(C_markov=twin.C, D_markov=twin.D)
+    rows = np.column_stack([cells[name] for name in columns])
+    extra = {**(extra or {}), "c0": ",".join(_fmt(v) for v in c0)}
+    _write_text(cfg.out, _table_text(cfg, command, columns, rows, extra))
     return 0
+
+
+def cmd_evolve(cfg: RunConfig) -> int:
+    return _evolution_table(cfg, "evolve", ("a_t", "p", "c_x", "c_y", "c_z", *_SPECTRUM))
+
+
+def cmd_trajectory(cfg: RunConfig) -> int:
+    return _evolution_table(cfg, "trajectory", (
+        "a_t", "p", "c_x", "c_y", "c_z", "I", "C", "D", "lambda_max",
+        "C_markov", "D_markov"))
 
 
 def cmd_correlations(cfg: RunConfig) -> int:
@@ -553,27 +558,38 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each panel is a trajectory preset at the rate --a: the family each figure
+# plots, and each panel's (A, gamma, t_max): panel a (and 3c) the kernel
+# A = a = gamma over a*t in [0, 10], panel b A = 10a, gamma = a/100 over [0, 3]
+_FIGURE_FAMILIES = {1: ("synchronized", (0.6,)), 2: ("proportional", (0.6,)),
+                    3: ("sudden_change", (0.1, 0.16))}
+_PANEL_KERNELS = {"a": lambda a: (a, a, 10.0), "b": lambda a: (10 * a, a / 100, 3.0),
+                  "c": lambda a: (a, a, 10.0)}
+_PANEL_COLUMNS = ("a_t", "p", "I", "C", "D", "C_markov", "D_markov")
+
+
 def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
-    table = figure_data(figure, panel, cfg.a)
-    # the header reports the panel's own kernel and grid, under the memory
-    # kernel with the paper's channel pair, which is RunConfig's default
-    panel_cfg = RunConfig(format=cfg.format, **{
-        key: table.params[key] for key in ("a", "A", "gamma", "t_max", "t_steps")
-        if key in table.params})
-    extra = {"figure": figure, "panel": panel}
-    if "c0" in table.params:
-        extra["c0"] = ",".join(_fmt(v) for v in table.params["c0"])
+    if panel == "c" and figure != 3:
+        raise ValueError(f"figure {figure} has panels ('a', 'b'), got 'c'")
+    A, gamma, t_max = _PANEL_KERNELS[panel](cfg.a)
+    family, param = _FIGURE_FAMILIES[figure]
+    panel_cfg = RunConfig(a=cfg.a, A=A, gamma=gamma, t_max=t_max, family=family,
+                          family_param=param, out=cfg.out, format=cfg.format)
+    command, extra = f"figure {figure}{panel}", {"figure": figure, "panel": panel}
+    if panel == "c":
+        # a*t_c of the states (cx, cy, -cx) at cx = 0.1, over cy in (0.1, 1]
+        columns, cx, cy = ("c_y", "a_t_c"), 0.1, np.linspace(0.105, 1.0, 180)
+        t_c = characteristic_time_curve(cx, cy, panel_cfg.kernel())
+        extra.update(cx=_fmt(cx), cz=_fmt(-cx))
+        _write_text(cfg.out, _table_text(panel_cfg, command, columns,
+                                         np.column_stack([cy, cfg.a * t_c]), extra))
     else:
-        extra["cx"] = _fmt(table.params["cx"])
-        extra["cz"] = _fmt(table.params["cz"])
-    text = _table_text(panel_cfg, f"figure {figure}{panel}", table.columns,
-                       table.rows, extra)
-    _write_text(cfg.out, text)
+        columns = _PANEL_COLUMNS
+        _evolution_table(panel_cfg, command, columns, extra)
     if cfg.out is not None and cfg.format == "csv":
         stem, _ = os.path.splitext(cfg.out)
         _write_text(stem + ".gp",
-                    _gnuplot_script(figure, panel, os.path.basename(cfg.out),
-                                    table.columns))
+                    _gnuplot_script(figure, panel, os.path.basename(cfg.out), columns))
     return 0
 
 

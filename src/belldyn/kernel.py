@@ -159,12 +159,14 @@ def _check_grid(grid: np.ndarray, max_step: float, a: float) -> float:
 def decay_factor_ode(k: KernelParams, t_grid) -> np.ndarray:
     """RK4 integration of the local second-order form; 4th-order accurate.
 
-    Requires a uniform grid starting at 0 with step h <= 0.01/a.
+    Requires a uniform grid starting at 0 with step h <= 0.01/a. Integrates
+    in units of 1/a, p'' + (2 + gamma/a) p' + 2(A/a) p = 0 in s = a*t, so
+    that at tiny rates the restoring term 2aA does not underflow.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    h = _check_grid(t_grid, ODE_MAX_STEP, k.a)
-    damp = 2 * k.a + k.gamma
-    spring = 2 * k.a * k.A
+    h = _check_grid(t_grid, ODE_MAX_STEP, k.a) * k.a
+    damp = 2 + k.gamma / k.a
+    spring = 2 * (k.A / k.a)
 
     def rhs(p, q):
         return q, -damp * q - spring * p

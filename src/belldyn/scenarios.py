@@ -121,6 +121,16 @@ def _check_closed_form(k: KernelParams, ratio, t) -> None:
                             f"with closed form {float(closed[i])!r}")
 
 
+def characteristic_time_curve(cx: float, cy, k: KernelParams) -> np.ndarray:
+    """characteristic_time of each state (cx, cy, -cx) over the array cy,
+    where every cy > cx > 0, so that |cy| dominates and each state switches:
+    one lockstep root solve of |p| = cx/cy, with the closed-form check."""
+    ratio = cx / np.asarray(cy, dtype=float)
+    t_c = solve_decay_time(k, ratio)
+    _check_closed_form(k, ratio, t_c)
+    return t_c
+
+
 def branch_switch_ratio(c0) -> float | None:
     """max(|cx|, |cz|) / |cy|: the |p| at which the dominant coefficient
     switches branch, or None when no switch occurs (|cy| does not dominate
@@ -188,82 +198,3 @@ def detect_kink(t, C, threshold: float = KINK_THRESHOLD) -> float | None:
             break
     peak = max(cluster, key=lambda i: d2[i])
     return float(t[peak + 1])
-
-
-class FigureTable(NamedTuple):
-    columns: tuple
-    rows: np.ndarray
-    params: dict
-
-
-_PANEL_KERNELS = {
-    "a": lambda a: KernelParams(a, a, a),
-    "b": lambda a: KernelParams(a, 10 * a, a / 100),
-}
-_PANEL_SPANS = {"a": 10.0, "b": 3.0}  # in units of 1/a
-_FIGURE_FAMILIES = {
-    1: InitialFamily("synchronized", (0.6,)),
-    2: InitialFamily("proportional", (0.6,)),
-    3: InitialFamily("sudden_change", (0.1, 0.16)),
-}
-GRID_POINTS = 2000
-
-
-def figure_data(figure: int, panel: str, a: float = 1.0) -> FigureTable:
-    """Data table behind one figure panel.
-
-    Panels a/b emit (a*t, p, I, C, D, C_markov, D_markov) for the captioned
-    state; panel 3c emits (c_y, a*t_c) for cx = cz = 0.1 over cy in (0.1, 1].
-    """
-    if figure not in (1, 2, 3):
-        raise ValueError(f"figure must be 1, 2 or 3, got {figure}")
-    valid_panels = ("a", "b", "c") if figure == 3 else ("a", "b")
-    if panel not in valid_panels:
-        raise ValueError(f"figure {figure} has panels {valid_panels}, got {panel!r}")
-
-    if figure == 3 and panel == "c":
-        k = _PANEL_KERNELS["a"](a)
-        cx = 0.1
-        cy_grid = np.linspace(0.105, 1.0, 180)
-        # cz = -cx branch: physical over all cy <= 1, and t_c only depends
-        # on |cx|/|cy|; every cy > cx, so |cy| dominates and each state
-        # switches. One call solves all 180 ratios, as characteristic_time
-        # would one by one
-        ratio = cx / cy_grid
-        t_c = solve_decay_time(k, ratio)
-        _check_closed_form(k, ratio, t_c)
-        rows = np.column_stack([cy_grid, a * t_c])
-        params = {
-            "figure": figure,
-            "panel": panel,
-            "a": a,
-            "A": k.A,
-            "gamma": k.gamma,
-            "cx": cx,
-            "cz": -cx,
-        }
-        return FigureTable(("c_y", "a_t_c"), rows, params)
-
-    family = _FIGURE_FAMILIES[figure]
-    c0 = make_family_state(family)
-    k = _PANEL_KERNELS[panel](a)
-    span = _PANEL_SPANS[panel]
-    if not span / a < np.inf:
-        raise ValueError(f"grid end {span:g}/a overflows: a = {a} too small")
-    t_grid = np.linspace(0.0, span / a, GRID_POINTS)
-    run = evolve(c0, k, t_grid)
-    twin = evolve(c0, k, t_grid, markovian=True)
-    rows = np.column_stack([a * run.t, run.p, run.I, run.C, run.D, twin.C, twin.D])
-    params = {
-        "figure": figure,
-        "panel": panel,
-        "a": a,
-        "A": k.A,
-        "gamma": k.gamma,
-        "c0": tuple(c0),
-        "t_max": span,
-        "t_steps": GRID_POINTS,
-    }
-    return FigureTable(
-        ("a_t", "p", "I", "C", "D", "C_markov", "D_markov"), rows, params
-    )

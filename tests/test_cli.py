@@ -322,6 +322,36 @@ class TestFigureCommand:
         assert run_cli("figure", "5", "a").returncode == 2
 
 
+# the trajectory flags behind each a/b panel at rate a, written out here as
+# the spec of the paper's figures rather than read from the CLI's presets
+PANEL_KERNELS = {
+    "a": lambda a: ["--A", repr(a), "--gamma", repr(a), "--t-max", "10"],
+    "b": lambda a: ["--A", repr(10 * a), "--gamma", repr(a / 100), "--t-max", "3"],
+}
+FIGURE_STATES = {
+    "1": ["--family", "synchronized", "--family-param", "0.6"],
+    "2": ["--family", "proportional", "--family-param", "0.6"],
+    "3": ["--family", "sudden_change", "--family-param", "0.1,0.16"],
+}
+
+
+class TestFigurePanels:
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    @pytest.mark.parametrize("figure", sorted(FIGURE_STATES))
+    @pytest.mark.parametrize("panel", sorted(PANEL_KERNELS))
+    def test_panel_is_a_trajectory_preset(self, capsys, figure, panel, a):
+        assert main(["figure", figure, panel, "--a", repr(a)]) == 0
+        panel_lines = capsys.readouterr().out.splitlines()
+        assert main(["trajectory", "--a", repr(a), *PANEL_KERNELS[panel](a),
+                     *FIGURE_STATES[figure]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert panel_lines[1] == "a_t,p,I,C,D,C_markov,D_markov"
+        header = lines[1].split(",")
+        keep = [header.index(name) for name in panel_lines[1].split(",")]
+        assert [",".join(line.split(",")[i] for i in keep)
+                for line in lines[2:]] == panel_lines[2:]
+
+
 class TestTcCommand:
     def test_value_and_closed_form(self):
         out = run_cli("tc", "--c", "0.1,0.16,0.1", "--format", "json")
@@ -361,6 +391,12 @@ class TestVerifyCommand:
         assert out.stdout.count("PASS") == 8  # seven checks plus the summary
         assert "FAIL" not in out.stdout
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == VERIFY_STDOUT
+
+    @pytest.mark.parametrize("a", ["1e-300", "1e-160"])
+    def test_tiny_rates_pass(self, capsys, a):
+        # below a ~ 1e-154 the RK4 oracle's restoring term 2aA underflowed
+        assert main(["verify", "--a", a]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_kraus_check_equals_the_one_state_loop(self):
         from belldyn.channels import apply_local_channel, correlation_multipliers

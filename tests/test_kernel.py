@@ -189,6 +189,21 @@ class TestOdeOracle:
         dev = np.max(np.abs(decay_factor_ode(k, grid) - decay_factor(k, grid)))
         assert dev <= 1e-6
 
+    # verify's four kernels at rates where 2aA underflows (a = 1e-300, 1e-160)
+    # or overflows an unscaled step's terms, on verify's default grid
+    @pytest.mark.parametrize("a", [1e-300, 1e-160, 1e-3, 1.0, 3.7, 1e20, 1e150])
+    @pytest.mark.parametrize("shape", [
+        lambda a: KernelParams(a, a, a),
+        lambda a: KernelParams(a, 10 * a, a / 100),
+        lambda a: KernelParams(a, a / 2, 0.0),
+        lambda a: KernelParams(a, a / 2 * (1 - 1e-8), 0.0),
+    ], ids=["A=a=gamma", "A=10a", "critical", "near-critical"])
+    def test_matches_closed_form_at_every_rate(self, shape, a):
+        k = shape(a)
+        grid = np.linspace(0.0, 10.0 / a, 4001)
+        dev = np.max(np.abs(decay_factor_ode(k, grid) - decay_factor(k, grid)))
+        assert dev <= 1e-6
+
     def test_oversized_step_rejected(self):
         with pytest.raises(AccuracyError):
             decay_factor_ode(EQUAL, np.linspace(0, 10, 100))

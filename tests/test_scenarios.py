@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldyn import kernel, scenarios
+from belldyn import cli, kernel, scenarios
 from belldyn.channels import correlation_multipliers
 from belldyn.correlations import AXES, binary_information, discord
 from belldyn.errors import AccuracyError, InvalidStateError
@@ -20,10 +20,10 @@ from belldyn.scenarios import (
     InitialFamily,
     branch_switch_ratio,
     characteristic_time,
+    characteristic_time_curve,
     closed_form_characteristic_time,
     detect_kink,
     evolve,
-    figure_data,
     make_family_state,
 )
 from belldyn.states import bell_eigenvalues
@@ -279,7 +279,8 @@ class TestCharacteristicTime:
         with pytest.raises(AccuracyError, match="disagrees with closed form"):
             characteristic_time((0.1, 0.16, 0.1), KernelParams(a, a, a))
         with pytest.raises(AccuracyError, match="disagrees with closed form"):
-            figure_data(3, "c", a=a)
+            characteristic_time_curve(0.1, np.linspace(0.105, 1.0, 180),
+                                      KernelParams(a, a, a))
 
 
 class TestDetectKink:
@@ -330,56 +331,71 @@ class TestDetectKink:
         assert abs(found - characteristic_time(c0, k)) <= run.t[1]
 
 
+def panel_table(monkeypatch, figure, panel, a=1.0):
+    """(columns, rows) that `figure` writes for a panel, before the %.9g
+    writer rounds them."""
+    seen = {}
+    table_text = cli._table_text
+
+    def capture(cfg, command, columns, rows, extra=None):
+        seen.update(columns=tuple(columns), rows=np.asarray(rows))
+        return table_text(cfg, command, columns, rows, extra)
+
+    monkeypatch.setattr(cli, "_table_text", capture)
+    assert cli.main(["figure", str(figure), panel, "--a", repr(a)]) == 0
+    return seen["columns"], seen["rows"]
+
+
+# The figure panels are presets of the CLI: a and b tabulate a trajectory, 3c
+# the characteristic_time_curve of the cx = 0.1 states
 class TestFigureData:
-    def test_panel_validation(self):
-        with pytest.raises(ValueError):
-            figure_data(4, "a")
-        with pytest.raises(ValueError):
-            figure_data(1, "c")
+    def test_panel_validation(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figure", "4", "a"])
+        assert exc.value.code == 2
+        assert cli.main(["figure", "1", "c"]) == 2
+        assert "figure 1 has panels ('a', 'b'), got 'c'" in capsys.readouterr().err
 
-    def test_figure1a_single_curve(self):
-        table = figure_data(1, "a")
-        assert table.columns == ("a_t", "p", "I", "C", "D", "C_markov", "D_markov")
-        c_col = table.rows[:, 3]
-        d_col = table.rows[:, 4]
-        assert np.max(np.abs(c_col - d_col)) <= 1e-9
+    def test_figure1a_single_curve(self, monkeypatch):
+        columns, rows = panel_table(monkeypatch, 1, "a")
+        assert columns == ("a_t", "p", "I", "C", "D", "C_markov", "D_markov")
+        assert np.max(np.abs(rows[:, 3] - rows[:, 4])) <= 1e-9
 
-    def test_figure2b_oscillates_to_zero_together(self):
-        table = figure_data(2, "b")
-        p_col = table.rows[:, 1]
+    def test_figure2b_oscillates_to_zero_together(self, monkeypatch):
+        _, rows = panel_table(monkeypatch, 2, "b")
+        p_col = rows[:, 1]
         assert int(np.sum(np.diff(np.sign(p_col)) != 0)) >= 3
         # C and D vanish together where p crosses zero
         near_zero = np.abs(p_col) < 2e-3
         assert np.any(near_zero)
-        assert np.max(table.rows[near_zero, 3]) < 1e-5
-        assert np.max(table.rows[near_zero, 4]) < 1e-5
+        assert np.max(rows[near_zero, 3]) < 1e-5
+        assert np.max(rows[near_zero, 4]) < 1e-5
 
-    def test_figure3a_rows_start_at_initial_report(self):
-        table = figure_data(3, "a")
+    def test_figure3a_rows_start_at_initial_report(self, monkeypatch):
+        _, rows = panel_table(monkeypatch, 3, "a")
         report = discord((0.1, 0.16, 0.1))
         np.testing.assert_allclose(
-            table.rows[0], (0, 1, report.I, report.C, report.D, report.C, report.D),
+            rows[0], (0, 1, report.I, report.C, report.D, report.C, report.D),
             atol=1e-12,
         )
 
-    def test_figure3c_curve(self):
-        table = figure_data(3, "c")
-        assert table.columns == ("c_y", "a_t_c")
-        cy = table.rows[:, 0]
-        tc = table.rows[:, 1]
+    def test_figure3c_curve(self, monkeypatch):
+        columns, rows = panel_table(monkeypatch, 3, "c")
+        assert columns == ("c_y", "a_t_c")
+        cy, tc = rows[:, 0], rows[:, 1]
         idx = int(np.argmin(np.abs(cy - 0.16)))
         assert cy[idx] == pytest.approx(0.16, abs=1e-12)
         assert tc[idx] == pytest.approx(T_C, abs=1e-8)
         # the closed form makes t_c increase with c_y at fixed c_x
         assert np.all(np.diff(tc) > 0)
 
-    def test_figure3c_equals_characteristic_time(self):
+    def test_figure3c_equals_characteristic_time(self, monkeypatch):
         a = 2.5
-        table = figure_data(3, "c", a=a)
+        _, rows = panel_table(monkeypatch, 3, "c", a=a)
         k = KernelParams(a, a, a)
         expected = [a * characteristic_time((0.1, cy, -0.1), k)
-                    for cy in table.rows[:, 0].tolist()]
-        assert table.rows[:, 1].tolist() == expected
+                    for cy in rows[:, 0].tolist()]
+        assert rows[:, 1].tolist() == expected
 
     def test_figure3c_decay_factor_calls(self, monkeypatch):
         # one lockstep root solve: the bracketing ladder, then one call per
@@ -392,11 +408,11 @@ class TestFigureData:
             return decay(k, t)
 
         monkeypatch.setattr(kernel, "decay_factor", counted)
-        figure_data(3, "c")
+        assert cli.main(["figure", "3", "c"]) == 0
         assert len(calls) <= 64
 
-    def test_markov_columns_match_at_start(self):
+    def test_markov_columns_match_at_start(self, monkeypatch):
         for figure, panel in ((1, "a"), (2, "a"), (3, "b")):
-            table = figure_data(figure, panel)
-            assert table.rows[0, 3] == pytest.approx(table.rows[0, 5], abs=1e-12)
-            assert table.rows[0, 4] == pytest.approx(table.rows[0, 6], abs=1e-12)
+            _, rows = panel_table(monkeypatch, figure, panel)
+            assert rows[0, 3] == pytest.approx(rows[0, 5], abs=1e-12)
+            assert rows[0, 4] == pytest.approx(rows[0, 6], abs=1e-12)
