@@ -563,15 +563,15 @@ def _gnuplot_script(figure: int, panel: str, csv_name: str, columns) -> str:
 # A = a = gamma over a*t in [0, 10], panel b A = 10a, gamma = a/100 over [0, 3]
 _FIGURE_FAMILIES = {1: ("synchronized", (0.6,)), 2: ("proportional", (0.6,)),
                     3: ("sudden_change", (0.1, 0.16))}
-_PANEL_KERNELS = {"a": lambda a: (a, a, 10.0), "b": lambda a: (10 * a, a / 100, 3.0),
-                  "c": lambda a: (a, a, 10.0)}
+# panel c uses panel a's kernel
+_PANEL_KERNELS = {"a": lambda a: (a, a, 10.0), "b": lambda a: (10 * a, a / 100, 3.0)}
 _PANEL_COLUMNS = ("a_t", "p", "I", "C", "D", "C_markov", "D_markov")
 
 
 def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     if panel == "c" and figure != 3:
         raise ValueError(f"figure {figure} has panels ('a', 'b'), got 'c'")
-    A, gamma, t_max = _PANEL_KERNELS[panel](cfg.a)
+    A, gamma, t_max = _PANEL_KERNELS["a" if panel == "c" else panel](cfg.a)
     family, param = _FIGURE_FAMILIES[figure]
     panel_cfg = RunConfig(a=cfg.a, A=A, gamma=gamma, t_max=t_max, family=family,
                           family_param=param, out=cfg.out, format=cfg.format)

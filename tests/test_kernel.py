@@ -189,8 +189,8 @@ class TestOdeOracle:
         dev = np.max(np.abs(decay_factor_ode(k, grid) - decay_factor(k, grid)))
         assert dev <= 1e-6
 
-    # verify's four kernels at rates where 2aA underflows (a = 1e-300, 1e-160)
-    # or overflows an unscaled step's terms, on verify's default grid
+    # verify's four kernels on verify's default grid: at a = 1e-300 and 1e-160
+    # an unscaled 2aA underflows; the large rates check that the 1/a units hold
     @pytest.mark.parametrize("a", [1e-300, 1e-160, 1e-3, 1.0, 3.7, 1e20, 1e150])
     @pytest.mark.parametrize("shape", [
         lambda a: KernelParams(a, a, a),
