@@ -38,6 +38,7 @@ from .kernel import (
     solve_decay_time,
 )
 from .scenarios import (
+    FAMILY_TAGS,
     InitialFamily,
     _is_equal_kernel,
     branch_switch_ratio,
@@ -111,8 +112,7 @@ class RunConfig:
     channel_b: str = _option("phaseflip", "channels", _EVOLVING, choices=_CHANNELS)
     c: tuple | None = _option(None, "state", _STATE, partial(_parse_floats, count=3),
                               "raw coefficient triple", metavar="CX,CY,CZ")
-    family: str = _option("sudden_change", "state", _STATE, choices=(
-        "synchronized", "proportional", "sudden_change"))
+    family: str = _option("sudden_change", "state", _STATE, choices=FAMILY_TAGS)
     family_param: tuple = _option((0.1, 0.16), "state", _STATE, _parse_floats,
                                   metavar="X[,Y]")
     family_sign: int = _option(1, "state", _STATE, int, choices=(1, -1))
@@ -517,7 +517,7 @@ def cmd_tc(cfg: RunConfig) -> int:
             "closed_form": closed,
         })
     elif t_c is None:
-        text = "a*t_c = none (no branch switch: |c_y| does not dominate)\n"
+        text = "a*t_c = none (no branch switch: needs |c_y| > max(|c_x|, |c_z|) > 0)\n"
     else:
         text = f"a*t_c = {_fmt(k.a * t_c)}\n"
         if closed is not None:
@@ -625,8 +625,7 @@ def _verify_checks(cfg: RunConfig):
             np.where(min_eig < -1e-12, -min_eig - 1e-12, 0.0)])))
 
     def bruteforce_vs_analytic(states):
-        brute = classical_correlation_bruteforce(
-            np.stack([bell_to_density(c0) for c0 in states]))
+        brute = classical_correlation_bruteforce(bell_to_density(states))
         return float(np.max(np.abs(brute.value - correlation_ledger(states).C)))
 
     # the search's hard states: ties |c_x| = |c_y|, whose minima form a

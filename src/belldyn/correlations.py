@@ -41,11 +41,9 @@ IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 THETA_STEPS = 64
 PHI_STEPS = 128
 REFINE_ANGLE_TOL = 1e-8
-# most candidates one _conditional_entropies call evaluates, in the grid pass
-# and at the Newton points: its largest temporary, the (4, K) feature block,
-# is then 64 KiB, small enough for malloc to reuse rather than map and zero
-# fresh pages on every call
-BLOCK_ROWS = 2048
+# one _conditional_entropies call takes a state's whole grid: the grid is fixed
+# at 3 969 candidates, so a call's largest temporary, the (4, 3 969) feature
+# block, is 124 KiB
 # trials one state's Newton descent may take; a converging state takes ~2,
 # and a state that uses them all raises AccuracyError
 NEWTON_STEPS = 32
@@ -249,21 +247,6 @@ def _conditional_entropies(ops, cols) -> np.ndarray:
     return h + h
 
 
-def _blocked_entropies(ops, cols) -> np.ndarray:
-    """_conditional_entropies with at most BLOCK_ROWS candidates per call:
-    (4, K) columns against one state in slices, (N, 4, K) against N states in
-    groups of whole states. Candidates are independent, so the values equal
-    those of one unblocked call bit for bit."""
-    if cols.ndim == 2:
-        return np.concatenate([
-            _conditional_entropies(ops, cols[:, i:i + BLOCK_ROWS])
-            for i in range(0, cols.shape[1], BLOCK_ROWS)])
-    group = max(1, BLOCK_ROWS // cols.shape[2])
-    return np.concatenate([
-        _conditional_entropies(ops[i:i + group], cols[i:i + group])
-        for i in range(0, len(cols), group)])
-
-
 def _grid_minima(ops) -> tuple:
     """Each state's lowest conditional entropy on the cached hemisphere grid
     and its angles, as three (N,) arrays; ties go to the first grid point."""
@@ -271,7 +254,7 @@ def _grid_minima(ops) -> tuple:
     n = len(ops)
     best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
-        values = _blocked_entropies(ops[i], grid)
+        values = _conditional_entropies(ops[i], grid)
         j = np.argmin(values)
         best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
     return best_val, theta, phi
@@ -419,7 +402,7 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
                             f"refinement did not converge in {NEWTON_STEPS} steps")
     # every state's Newton point in one call
     at_t, at_p = np.array(points).T
-    values = _blocked_entropies(ops, _bloch_columns(at_t[:, None], at_p[:, None]))
+    values = _conditional_entropies(ops, _bloch_columns(at_t[:, None], at_p[:, None]))
     lower = values[:, 0] < best_val
     best_val = np.where(lower, values[:, 0], best_val)
     theta, phi = np.where(lower, at_t, theta), np.where(lower, at_p, phi)

@@ -133,11 +133,11 @@ def characteristic_time_curve(cx: float, cy, k: KernelParams) -> np.ndarray:
 
 def branch_switch_ratio(c0) -> float | None:
     """max(|cx|, |cz|) / |cy|: the |p| at which the dominant coefficient
-    switches branch, or None when no switch occurs (|cy| does not dominate
-    at t = 0)."""
+    switches branch, or None when no switch occurs: a switch needs |cy| >
+    max(|cx|, |cz|) > 0 at t = 0."""
     cx, cy, cz = c0
     ratio_num = max(abs(cx), abs(cz))
-    if ratio_num < 1e-15 or abs(cy) <= ratio_num:
+    if ratio_num == 0.0 or abs(cy) <= ratio_num:
         return None
     return ratio_num / abs(cy)
 
@@ -145,9 +145,9 @@ def branch_switch_ratio(c0) -> float | None:
 def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float | None:
     """First time where the dominant-coefficient branch switches.
 
-    Solves |p(t)| = branch_switch_ratio(c0); None when that is None. For
-    the A = a = gamma kernel a*t is cross-checked against the closed form
-    to 1e-8.
+    Solves |p(t)| = branch_switch_ratio(c0); None when that is None, which
+    is unless |cy| > max(|cx|, |cz|) > 0. For the A = a = gamma kernel a*t
+    is cross-checked against the closed form to 1e-8.
     """
     ratio = branch_switch_ratio(require_physical(c0))
     if ratio is None:
@@ -158,12 +158,12 @@ def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float |
     return t
 
 
-def detect_kink(t, C, threshold: float = KINK_THRESHOLD) -> float | None:
+def detect_kink(t, C) -> float | None:
     """Time of the first sudden slope change in C(t), or None if C is smooth.
 
     t and C are the time grid and classical correlation of an Evolution,
     as in `detect_kink(run.t, run.C)`. A kink shows as a localized spike in
-    the second differences of C: the candidate must exceed `threshold` times
+    the second differences of C: the candidate must exceed KINK_THRESHOLD times
     both the global and a windowed local median of |d2C| (plus an eps-scale
     floor), so smoothly varying curvature never triggers. With several kinks
     (oscillatory kernels) the first cluster wins. Resolution is one grid
@@ -176,17 +176,17 @@ def detect_kink(t, C, threshold: float = KINK_THRESHOLD) -> float | None:
     d2 = np.abs(c_vals[2:] - 2 * c_vals[1:-1] + c_vals[:-2])
     n = d2.size
     global_median = float(np.median(d2))
-    if float(np.max(d2)) <= threshold * global_median:
+    if float(np.max(d2)) <= KINK_THRESHOLD * global_median:
         return None
     floor = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(c_vals))))
     half = max(4, n // 150)
     candidates = []
-    for i in np.nonzero((d2 > threshold * global_median) & (d2 > floor))[0]:
+    for i in np.nonzero((d2 > KINK_THRESHOLD * global_median) & (d2 > floor))[0]:
         lo, hi = max(0, i - half), min(n, i + half + 1)
         window = np.concatenate([d2[lo : max(lo, i - 1)], d2[min(hi, i + 2) : hi]])
         if window.size < 4:
             continue
-        if d2[i] > threshold * max(float(np.median(window)), floor):
+        if d2[i] > KINK_THRESHOLD * max(float(np.median(window)), floor):
             candidates.append(int(i))
     if not candidates:
         return None

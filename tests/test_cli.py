@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -18,6 +20,19 @@ RUN = [sys.executable, "-m", "belldyn.cli"]
 
 
 def run_cli(*args):
+    """`python -m belldyn.cli *args` run by main in this process: the exit
+    code, with argparse's SystemExit turned into it, and the output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_fresh(*args):
+    """`python -m belldyn.cli *args` in a fresh process."""
     return subprocess.run(RUN + list(args), capture_output=True, text=True)
 
 
@@ -363,6 +378,21 @@ class TestTcCommand:
         out = run_cli("tc", "--c", "0.5,0.2,-0.5")
         assert out.returncode == 0
         assert "none" in out.stdout
+
+    def test_tiny_off_axis_coefficient_switches(self):
+        # a switch needs only max(|c_x|, |c_z|) > 0: |p| = 2e-16 has a root
+        out = run_cli("tc", "--c", "1e-16,0.5,0")
+        assert out.stdout == "a*t_c = 36.8413615\nclosed_form = 36.8413615\n"
+        payload = json.loads(run_cli("tc", "--c", "1e-16,0.5,0", "--format", "json").stdout)
+        assert payload["a_tc"] == pytest.approx(36.8413615, abs=1e-7)
+        assert payload["closed_form"] == pytest.approx(payload["a_tc"], abs=1e-8)
+
+    def test_none_names_the_switch_condition(self):
+        out = run_cli("tc", "--c", "0,0.5,0")
+        assert out.stdout == ("a*t_c = none (no branch switch: "
+                              "needs |c_y| > max(|c_x|, |c_z|) > 0)\n")
+        payload = json.loads(run_cli("tc", "--c", "0,0.5,0", "--format", "json").stdout)
+        assert payload == {"a_tc": None, "closed_form": None}
 
     def test_closed_form_within_equal_kernel_tolerance(self, tmp_path):
         # A within 1e-12 relative of a: the root is checked against the
@@ -766,7 +796,7 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
         except SystemExit as exc:  # argparse rejects its arguments this way
             code = exc.code
         captured = capsys.readouterr()
-        fresh = run_cli(*argv)
+        fresh = run_fresh(*argv)
         assert (code, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr), argv
 

@@ -258,14 +258,6 @@ def assert_value_gates(rhos, steps, value, basis):
         assert got >= ref - 1e-15
 
 
-# (grid, BLOCK_ROWS). Blocks of 1 and 7 rows divide neither grid, and they
-# give the Newton-point call one state per block. Both run on the 16 x 32
-# grid only: on the 64 x 128 grid the many small blocks take seconds per case.
-BLOCK_CASES = [
-    ((16, 32), 1), ((16, 32), 7),
-    *((steps, block_rows) for steps in ((THETA_STEPS, PHI_STEPS), (16, 32))
-      for block_rows in (1024, 8192)),
-]
 GRIDS = pytest.mark.parametrize("steps", [(THETA_STEPS, PHI_STEPS), (16, 32)],
                                 ids=["64x128", "16x32"])
 
@@ -391,6 +383,18 @@ class TestBruteForce:
             assert single.value == value
             assert np.array_equal(single.basis, basis)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_one_kernel_call_per_state(self, monkeypatch, n):
+        # one call per state's grid, one for all Newton points
+        calls = []
+        kernel = correlations._conditional_entropies
+        monkeypatch.setattr(correlations, "_conditional_entropies",
+                            lambda *args: calls.append(args) or kernel(*args))
+        rng = np.random.default_rng(73)
+        rhos = bell_to_density(np.array([random_bell_coefficients(rng) for _ in range(n)]))
+        classical_correlation_bruteforce(rhos[0] if n == 1 else rhos)
+        assert len(calls) == n + 1
+
     def test_agrees_with_closed_form_to_rounding(self):
         rng = np.random.default_rng(67)
         states = np.array([random_bell_coefficients(rng) for _ in range(100)])
@@ -408,17 +412,6 @@ class TestBruteForce:
             single = classical_correlation_bruteforce(rho)
             assert single.value == value
             assert np.array_equal(single.basis, basis)
-
-    @pytest.mark.parametrize("steps, block_rows", BLOCK_CASES,
-                             ids=[f"{t}x{p}-{b}" for (t, p), b in BLOCK_CASES])
-    def test_independent_of_block_size(self, monkeypatch, steps, block_rows):
-        use_grid(monkeypatch, steps)
-        rhos = search_states()
-        value, basis = classical_correlation_bruteforce(rhos)
-        monkeypatch.setattr(correlations, "BLOCK_ROWS", block_rows)
-        got_value, got_basis = classical_correlation_bruteforce(rhos)
-        assert np.array_equal(got_value, value)
-        assert np.array_equal(got_basis, basis)
 
     def test_only_newton_fallbacks_descend(self, monkeypatch):
         # a state whose Newton model is singular at its grid start (Bell,

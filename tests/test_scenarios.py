@@ -255,6 +255,12 @@ class TestCharacteristicTime:
         assert branch_switch_ratio((0.2, 0.1, -0.2)) is None
         assert branch_switch_ratio((0.0, -0.5, 0.0)) is None
 
+    def test_tiny_off_axis_coefficient_switches(self):
+        # a switch needs only max(|cx|, |cz|) > 0, however small
+        assert branch_switch_ratio((1e-16, 0.5, 0.0)) == 2e-16
+        t_c = characteristic_time((1e-16, 0.5, 0.0), EQUAL)
+        assert t_c == pytest.approx(closed_form_characteristic_time(2e-16), rel=1e-9)
+
     def test_markovian_mode(self):
         t_c = characteristic_time((0.1, 0.16, 0.1), EQUAL, markovian=True)
         assert t_c == pytest.approx(-np.log(0.625) / 2, abs=1e-12)
