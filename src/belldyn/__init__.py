@@ -29,9 +29,9 @@ from .scenarios import (
     InitialFamily,
     characteristic_time,
     closed_form_characteristic_time,
-    detect_kink,
     evolve,
     make_family_state,
+    switch_brackets,
 )
 from .states import (
     BellCoefficients,

@@ -31,6 +31,7 @@ from .correlations import (
 )
 from .errors import AccuracyError, InvalidStateError, NonCPTPError
 from .kernel import (
+    CONVOLUTION_MAX_STEP,
     KernelParams,
     decay_factor,
     decay_factor_convolution,
@@ -603,6 +604,14 @@ def _verify_checks(cfg: RunConfig):
         ("near-critical", KernelParams(a, a / 2 * (1 - 1e-8), 0.0)),
     ]
     grid = cfg.time_grid()
+    # a grid too coarse for the convolution oracle is a usage error (exit
+    # 2), found before any check runs, not a defect found (exit 1)
+    step = cfg.t_max / (cfg.t_steps - 1)
+    if step > CONVOLUTION_MAX_STEP * (1 + 1e-9):
+        raise ValueError(
+            f"verify needs a grid step --t-max/(--t-steps - 1) of at most "
+            f"{CONVOLUTION_MAX_STEP} (a time step of {CONVOLUTION_MAX_STEP}/a), "
+            f"got {step:.3g}: raise --t-steps or lower --t-max")
     rng = np.random.default_rng(VERIFY_SEED)
 
     # each check folds its deviations with np.max, which propagates a NaN so

@@ -255,6 +255,16 @@ def _bisect_abs_crossings(k: KernelParams, targets, hi) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _log_quotient(num, den):
+    """np.log(num / den), den > 0, bit for bit where the quotient is finite;
+    log(num) - log(den) where only it overflows, as for a subnormal den. A
+    scalar goes there only then, so a scalar root pays one comparison."""
+    out = np.log(num / den)
+    if out.shape or not out < np.inf:
+        out = np.where(out < np.inf, out, np.log(num) - np.log(den))
+    return out
+
+
 def _bracket_end(k: KernelParams, targets: np.ndarray) -> np.ndarray:
     """A time t_hi with |p| falling to each target in (0, t_hi], from p's
     closed form; the same numpy expression for a 0-d or an n-d array, so
@@ -266,14 +276,15 @@ def _bracket_end(k: KernelParams, targets: np.ndarray) -> np.ndarray:
     the time that puts that bound at target/2, which stays finite where z0
     overflows. Overdamped: p stays below its slow exponential
     (1 + b/omega0)/2 * exp(-s t), s = 2aA/(b + omega0); and at critical
-    damping below 2 exp(-b t/2). t_hi puts those bounds at target/2. An
-    overflowing t_hi is inf, without a warning."""
+    damping below 2 exp(-b t/2). t_hi puts those bounds at target/2, finite
+    also for a subnormal target. An overflowing t_hi is inf, without a
+    warning."""
     b = (2 * k.a + k.gamma) / 2
     tag, _, w = k._regime
     with np.errstate(over="ignore", divide="ignore"):
         if tag == "overdamped":
-            return np.log((1 + b / w) / targets) / (2 * k.A * (k.a / (b + w)))
-        ends = (2 / b) * np.log(4 / targets)
+            return _log_quotient(1 + b / w, targets) / (2 * k.A * (k.a / (b + w)))
+        ends = (2 / b) * _log_quotient(4, targets)
         if tag == "oscillatory":
             return np.minimum((np.pi - np.arctan(w / b)) / w, ends)
         return ends

@@ -9,13 +9,11 @@ import numpy as np
 from .channels import correlation_multipliers
 from .correlations import correlation_ledger
 from .errors import AccuracyError
-from .kernel import KernelParams, decay_factor, markovian_decay_factor, solve_decay_time
+from .kernel import (KernelParams, _log_quotient, decay_factor, markovian_decay_factor,
+                     solve_decay_time)
 from .states import BellCoefficients, bell_eigenvalues, require_physical
 
 FAMILY_TAGS = ("synchronized", "proportional", "sudden_change")
-
-KINK_THRESHOLD = 5.0  # spike vs. median second-difference magnitude
-MIN_KINK_POINTS = 100
 
 
 class InitialFamily(NamedTuple):
@@ -37,7 +35,9 @@ class Evolution(NamedTuple):
     C: np.ndarray
     D: np.ndarray
     lambda_max: np.ndarray
-    axis: np.ndarray  # index into correlations.AXES
+    # index into correlations.AXES; a sudden change lies between two rows
+    # whose axes differ in exponent group (switch_brackets)
+    axis: np.ndarray
 
 
 def make_family_state(family: InitialFamily) -> BellCoefficients:
@@ -99,7 +99,8 @@ def closed_form_characteristic_time(ratio, a: float = 1.0):
     r = np.asarray(ratio, dtype=float)
     if not np.all((0.0 < r) & (r < 1.0)):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    out = np.log((1 + np.sqrt(1 - r)) / r) / a
+    with np.errstate(over="ignore"):  # a subnormal r overflows the quotient
+        out = _log_quotient(1 + np.sqrt(1 - r), r) / a
     return float(out) if np.ndim(ratio) == 0 else out
 
 
@@ -158,43 +159,14 @@ def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float |
     return t
 
 
-def detect_kink(t, C) -> float | None:
-    """Time of the first sudden slope change in C(t), or None if C is smooth.
-
-    t and C are the time grid and classical correlation of an Evolution,
-    as in `detect_kink(run.t, run.C)`. A kink shows as a localized spike in
-    the second differences of C: the candidate must exceed KINK_THRESHOLD times
-    both the global and a windowed local median of |d2C| (plus an eps-scale
-    floor), so smoothly varying curvature never triggers. With several kinks
-    (oscillatory kernels) the first cluster wins. Resolution is one grid
-    step; small kinks need a dense grid since the spike scales with the step
-    while the smooth background scales with its square.
+def switch_brackets(run: Evolution, axis_a: str = "x", axis_b: str = "z") -> np.ndarray:
+    """(K, 2) times (t_i, t_j), one row per sudden change of an `evolve` run
+    over channels on (axis_a, axis_b): consecutive rows with lambda_max > 0
+    whose dominant axes differ in exponent group k = [alpha != axis_a] +
+    [alpha != axis_b], as c_alpha scales as p^k (the multiplier at p = 1/2 is
+    2^-k). A tie within a group, or p underflowing every c to 0, is no switch.
     """
-    c_vals = np.asarray(C, dtype=float)
-    if c_vals.size < MIN_KINK_POINTS:
-        raise ValueError(f"need at least {MIN_KINK_POINTS} trajectory points")
-    d2 = np.abs(c_vals[2:] - 2 * c_vals[1:-1] + c_vals[:-2])
-    n = d2.size
-    global_median = float(np.median(d2))
-    if float(np.max(d2)) <= KINK_THRESHOLD * global_median:
-        return None
-    floor = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(c_vals))))
-    half = max(4, n // 150)
-    candidates = []
-    for i in np.nonzero((d2 > KINK_THRESHOLD * global_median) & (d2 > floor))[0]:
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        window = np.concatenate([d2[lo : max(lo, i - 1)], d2[min(hi, i + 2) : hi]])
-        if window.size < 4:
-            continue
-        if d2[i] > KINK_THRESHOLD * max(float(np.median(window)), floor):
-            candidates.append(int(i))
-    if not candidates:
-        return None
-    cluster = [candidates[0]]
-    for i in candidates[1:]:
-        if i - cluster[-1] <= 2:
-            cluster.append(i)
-        else:
-            break
-    peak = max(cluster, key=lambda i: d2[i])
-    return float(t[peak + 1])
+    group = np.array(correlation_multipliers(axis_a, axis_b, 0.5))[run.axis]
+    kept = np.flatnonzero(run.lambda_max > 0)
+    at = np.flatnonzero(np.diff(group[kept]))
+    return np.column_stack([run.t[kept[at]], run.t[kept[at + 1]]])

@@ -387,6 +387,21 @@ class TestTcCommand:
         assert payload["a_tc"] == pytest.approx(36.8413615, abs=1e-7)
         assert payload["closed_form"] == pytest.approx(payload["a_tc"], abs=1e-8)
 
+    def test_subnormal_switch_level(self):
+        # |p| = 2e-310: log(4/target) in the bracket end and the closed
+        # form's log((1 + sqrt(1 - r))/r) overflowed on their quotients
+        out = run_cli("tc", "--c", "1e-310,0.5,0")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "a*t_c = 713.801379\nclosed_form = 713.801379\n"
+
+    def test_deep_subnormal_switch_level_ends_in_a_root_or_a_typed_error(self):
+        # p holds ~12 significant bits at |p| = 2e-320, too few for the
+        # closed-form check's 1e-8; the search itself no longer overflows
+        out = run_cli("tc", "--c", "1e-320,0.5,0")
+        assert "overflows" not in out.stderr
+        assert out.returncode == 0 or (
+            out.returncode == 2 and "disagrees with closed form" in out.stderr)
+
     def test_none_names_the_switch_condition(self):
         out = run_cli("tc", "--c", "0,0.5,0")
         assert out.stdout == ("a*t_c = none (no branch switch: "
@@ -447,11 +462,20 @@ class TestVerifyCommand:
                      max(-min_eig - 1e-12, 0.0)]
         assert run["kraus-vs-coefficients"]() == max(devs)
 
-    def test_oversized_step_fails(self):
-        out = run_cli("verify", "--t-steps", "500")
-        assert out.returncode == 1
-        assert "decay-ode" in out.stdout
-        assert "FAIL" in out.stdout
+    @pytest.mark.parametrize("t_steps", ["500", "1001"])
+    def test_oversized_step_rejected(self, t_steps):
+        # a grid the convolution oracle cannot run is invalid input (exit 2),
+        # rejected before any check prints
+        out = run_cli("verify", "--t-steps", t_steps)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "--t-steps" in out.stderr and "--t-max" in out.stderr
+        assert "0.005/a" in out.stderr
+
+    def test_step_at_the_convolution_bound_runs(self):
+        out = run_cli("verify", "--t-steps", "2001")  # step 0.005 exactly
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert out.stdout.endswith("verify: PASS (7/7)\n")
 
     def test_nan_deviation_fails(self, tmp_path, monkeypatch):
         def nan_on_fifth_case(rho):

@@ -489,3 +489,30 @@ def test_bracket_and_root_properties(k, target):
     assert _hex(roots[::2]) == _hex([root, root])
     expected = _high_precision_root(k, target)
     assert abs(root - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+def test_subnormal_target_has_a_finite_root(shape):
+    # 4/target and (1 + b/omega)/target overflow to inf for a subnormal
+    # target, which made the bracket end overflow for a finite root
+    k = _shaped_kernel(BENCH_SHAPES[shape], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        root = solve_decay_time(k, 1e-310)
+        roots = solve_decay_time(k, np.array([0.5, 1e-310]))
+    expected = _high_precision_root(k, 1e-310)
+    assert abs(root - expected) <= 1e-9 * expected
+    assert _hex(roots[1:]) == _hex([root])
+
+
+def test_log_quotient_keeps_every_finite_quotient():
+    den = np.array([0.5, 1e-300, 3e-308, 1e-310, 5e-324])
+    with np.errstate(over="ignore"):
+        out = kernel._log_quotient(4.0, den)
+        direct = np.log(4.0 / den)
+        scalars = [kernel._log_quotient(4.0, np.asarray(x)) for x in den]
+    finite = direct < np.inf
+    assert finite.tolist() == [True, True, True, False, False]
+    assert _hex(out[finite]) == _hex(direct[finite])
+    assert _hex(out[~finite]) == _hex(np.log(4.0) - np.log(den[~finite]))
+    assert _hex(scalars) == _hex(out)

@@ -22,9 +22,9 @@ from belldyn.scenarios import (
     characteristic_time,
     characteristic_time_curve,
     closed_form_characteristic_time,
-    detect_kink,
     evolve,
     make_family_state,
+    switch_brackets,
 )
 from belldyn.states import bell_eigenvalues
 
@@ -289,41 +289,52 @@ class TestCharacteristicTime:
                                       KernelParams(a, a, a))
 
 
+def contains(bracket, t) -> bool:
+    return bool(bracket[0] <= t <= bracket[1])
+
+
+def crossing_count(k: KernelParams, r: float) -> int:
+    """Crossings of |p| = r by an oscillatory p: one before its first zero,
+    then two around each extremum |p(k pi/omega)| = exp(-b k pi/omega) > r."""
+    b, w = (2 * k.a + k.gamma) / 2, np.sqrt(damping_regime(k)[1])
+    extrema = np.exp(-b * np.arange(1, 100) * np.pi / w)
+    return 1 + 2 * int(np.count_nonzero(extrema > r))
+
+
 class TestDetectKink:
+    """The kink in C(t), the sudden change, read off an evolve run as the
+    switch brackets of its dominant axis: each case asserts that its root
+    lies in a bracket, which holds on any grid."""
+
     def test_sudden_change_trajectory(self):
         run = evolve((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 2000))
-        found = detect_kink(run.t, run.C)
-        step = run.t[1] - run.t[0]
-        assert found is not None
-        assert abs(found - T_C) <= step
+        (bracket,) = switch_brackets(run)
+        assert contains(bracket, T_C)
 
     def test_smooth_families_give_none(self):
         grid = np.linspace(0, 10, 2000)
         sync = evolve((0.6, 0.36, -0.6), EQUAL, grid)
-        assert detect_kink(sync.t, sync.C) is None
+        assert switch_brackets(sync).shape == (0, 2)
         prop = evolve((0.6, 0.6, -1.0), EQUAL, grid)
-        assert detect_kink(prop.t, prop.C) is None
+        assert switch_brackets(prop).shape == (0, 2)
 
     def test_oscillatory_kernel_returns_first_of_many(self):
         grid = np.linspace(0, 3, 8000)
         run = evolve((0.05, 0.8, 0.05), WIDE, grid)
-        found = detect_kink(run.t, run.C)
         crossing = solve_decay_time(WIDE, 0.05 / 0.8)
         assert crossing == pytest.approx(T_CROSS_WIDE_SMALL, abs=1e-9)
-        assert found is not None
-        assert abs(found - crossing) <= grid[1]
+        assert contains(switch_brackets(run)[0], crossing)
 
     def test_oscillatory_sudden_change_state(self):
         grid = np.linspace(0, 3, 2000)
         run = evolve((0.1, 0.16, 0.1), WIDE, grid)
-        found = detect_kink(run.t, run.C)
-        assert found is not None
-        assert abs(found - T_CROSS_WIDE) <= grid[1]
+        assert contains(switch_brackets(run)[0], T_CROSS_WIDE)
 
-    def test_short_trajectory_rejected(self):
+    def test_short_trajectory_brackets_the_switch(self):
         run = evolve((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 50))
-        with pytest.raises(ValueError):
-            detect_kink(run.t, run.C)
+        (bracket,) = switch_brackets(run)
+        assert bracket == pytest.approx([40 / 49, 50 / 49])  # [0.816, 1.020]
+        assert contains(bracket, T_C)
 
     @pytest.mark.parametrize("cz", [0.1, -0.1])
     @pytest.mark.parametrize("shape", sorted(PAPER_KERNELS))
@@ -332,9 +343,47 @@ class TestDetectKink:
         k = PAPER_KERNELS[shape](a)
         c0 = (0.1, 0.16, cz)
         run = evolve(c0, k, np.linspace(0.0, 10.0 / a, 2000))
-        found = detect_kink(run.t, run.C)
-        assert found is not None
-        assert abs(found - characteristic_time(c0, k)) <= run.t[1]
+        assert contains(switch_brackets(run)[0], characteristic_time(c0, k))
+
+    @pytest.mark.parametrize("c0, count", [((0.1, 0.5, 0.1), 5), ((0.1, 0.3, 0.1), 3)])
+    def test_every_crossing_is_bracketed(self, c0, count):
+        # the default grid, where a second-difference spike detector found
+        # the third (0.1, 0.5, 0.1) and the second (0.1, 0.3, 0.1) switch
+        run = evolve(c0, WIDE, np.linspace(0, 10, 2000))
+        brackets = switch_brackets(run)
+        r = branch_switch_ratio(c0)
+        assert len(brackets) == crossing_count(WIDE, r) == count
+        assert contains(brackets[0], characteristic_time(c0, WIDE))
+        ends = np.abs(decay_factor(WIDE, brackets)) - r
+        assert np.all(ends[:, 0] * ends[:, 1] <= 0)  # |p| crosses r in each
+
+    def test_axis_tie_within_a_group_is_no_switch(self):
+        # |c_x| and |c_z| scale alike, so the argmax flips on their 1-ulp tie
+        run = evolve((0.3, 0.1, 0.30000000000000004), EQUAL, np.linspace(0, 10, 2000))
+        assert np.any(np.diff(run.axis))
+        assert switch_brackets(run).shape == (0, 2)
+
+    def test_underflowed_rows_are_no_switch(self):
+        # p^2 underflows near a*t = 186: c_y = 0 and the argmax falls back to x
+        run = evolve((0.0, 0.5, 0.0), EQUAL, np.linspace(0, 400, 2000), markovian=True)
+        assert np.any(np.diff(run.axis)) and run.lambda_max[-1] == 0.0
+        assert switch_brackets(run).shape == (0, 2)
+
+    @pytest.mark.parametrize("markovian", [True, False])
+    def test_equal_axis_pair(self, markovian):
+        # phase flip on both qubits: exponent groups {2, 2, 0}, and the
+        # frozen-discord state of Mazzola, Piilo & Maniscalco, PRL 104,
+        # 200401 (2010), which switches at |p| = sqrt(0.6)
+        run = evolve((1.0, -0.6, 0.6), EQUAL, np.linspace(0, 10, 2000), "z", "z",
+                     markovian=markovian)
+        root = -np.log(0.6) / 4 if markovian else solve_decay_time(EQUAL, np.sqrt(0.6))
+        (bracket,) = switch_brackets(run, "z", "z")
+        assert contains(bracket, root)
+
+    def test_unknown_axis_rejected(self):
+        run = evolve((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 50))
+        with pytest.raises(ValueError, match="channel axis"):
+            switch_brackets(run, "w", "z")
 
 
 def panel_table(monkeypatch, figure, panel, a=1.0):
