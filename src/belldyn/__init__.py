@@ -1,6 +1,6 @@
 """Bell-diagonal two-qubit dynamics under local non-Markovian Pauli noise."""
 
-from .channels import apply_local_channel, correlation_multipliers
+from .channels import apply_local_channel, correlation_exponents, correlation_multipliers
 from .correlations import (
     CorrelationLedger,
     CorrelationReport,

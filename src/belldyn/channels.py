@@ -6,9 +6,9 @@ k component and multiplies the two orthogonal components by p; the mixture
 is completely positive for |p| <= 1, including negative p (needed when the
 memory kernel makes p(t) oscillate through zero).
 
-correlation_multipliers is the one channel model: the per-axis factors that
-scale a coefficient triple. apply_local_channel is its independent oracle,
-the Kraus map on density matrices, one state or a stack at a time.
+correlation_exponents is the one channel model, the power of p that scales
+each coefficient; apply_local_channel is its independent oracle, the Kraus
+map on density matrices, one state or a stack at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _require_retention(p):
     worst = float(np.max(np.abs(p), initial=0.0))
     if not worst <= 1 + 1e-12:  # a NaN fails too
         raise NonCPTPError(f"retention parameter |p| <= 1 required, got |p| = {worst}")
-    return p if np.ndim(p) else float(p)
+    return np.asarray(p) if np.ndim(p) else float(p)
 
 
 def apply_local_channel(rho: np.ndarray, qubit: str, axis: str, p) -> np.ndarray:
@@ -54,21 +54,19 @@ def apply_local_channel(rho: np.ndarray, qubit: str, axis: str, p) -> np.ndarray
     return ((1 + p) / 2) * rho + ((1 - p) / 2) * (op @ rho @ op)
 
 
-def correlation_multipliers(axis_a: str, axis_b: str, p) -> tuple:
-    """Per-axis multipliers (mx, my, mz) with c_alpha(t) = m_alpha * c_alpha.
-
-    Each local channel leaves its own axis fixed and scales the other two by
-    its retention parameter p, the same for both qubits; the correlation
-    multiplier is the product of the per-qubit factors. A float p gives three
-    floats, and an array of retention parameters three arrays of its shape,
-    an axis both channels keep included, so the three stack as they are.
-    """
+def correlation_exponents(axis_a: str, axis_b: str) -> tuple:
+    """(kx, ky, kz) with c_alpha(t) = p**k_alpha * c_alpha under channels on
+    (axis_a, axis_b): each keeps its own axis and scales the other two by p."""
     _require_axis(axis_a)
     _require_axis(axis_b)
-    p = _require_retention(p)
-    one = np.ones(np.shape(p)) if np.ndim(p) else 1.0
-    return tuple(
-        (one if ax == axis_a else p) * (one if ax == axis_b else p)
-        for ax in CHANNEL_AXES
-    )
+    return tuple((ax != axis_a) + (ax != axis_b) for ax in CHANNEL_AXES)
 
+
+def correlation_multipliers(axis_a: str, axis_b: str, p) -> tuple:
+    """Per-axis multipliers p**k_alpha, k from correlation_exponents: three
+    floats for a float p, and for an array p three arrays of its shape, an axis
+    both channels keep included, so the three stack as they are."""
+    exponents = correlation_exponents(axis_a, axis_b)
+    p = _require_retention(p)
+    powers = (np.ones(np.shape(p)) if np.ndim(p) else 1.0, p, p * p)
+    return tuple(powers[k] for k in exponents)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channels import apply_local_channel, correlation_multipliers
 from .correlations import (
+    AXES,
     classical_correlation_bruteforce,
     correlation_ledger,
     discord,
@@ -48,6 +49,7 @@ from .scenarios import (
     closed_form_characteristic_time,
     evolve,
     make_family_state,
+    switch_groups,
 )
 from .states import (
     BellCoefficients,
@@ -86,6 +88,7 @@ def _parse_bool(text: str) -> bool:
 
 _ALL = ("evolve", "correlations", "trajectory", "figure", "tc", "verify")
 _EVOLVING = ("evolve", "trajectory")
+_DYNAMICS = (*_EVOLVING, "tc")  # the commands that read the kernel and channels
 _STATE = (*_EVOLVING, "correlations", "tc")
 _CHANNELS = tuple(sorted(CHANNEL_NAMES))
 
@@ -104,13 +107,10 @@ class RunConfig:
     a: float = _option(1.0, "kernel", (*_EVOLVING, "figure", "tc", "verify"), float,
                        "Markovian decay rate (default 1)")
     # each figure panel fixes its own kernel shape, grid, channels and state
-    A: float = _option(1.0, "kernel", (*_EVOLVING, "tc"), float,
-                       "kernel amplitude (default 1)")
-    gamma: float = _option(1.0, "kernel", (*_EVOLVING, "tc"), float,
-                           "kernel width (default 1)")
-    # characteristic_time assumes the bit-flip(A)/phase-flip(B) channel pair
-    channel_a: str = _option("bitflip", "channels", _EVOLVING, choices=_CHANNELS)
-    channel_b: str = _option("phaseflip", "channels", _EVOLVING, choices=_CHANNELS)
+    A: float = _option(1.0, "kernel", _DYNAMICS, float, "kernel amplitude (default 1)")
+    gamma: float = _option(1.0, "kernel", _DYNAMICS, float, "kernel width (default 1)")
+    channel_a: str = _option("bitflip", "channels", _DYNAMICS, choices=_CHANNELS)
+    channel_b: str = _option("phaseflip", "channels", _DYNAMICS, choices=_CHANNELS)
     c: tuple | None = _option(None, "state", _STATE, partial(_parse_floats, count=3),
                               "raw coefficient triple", metavar="CX,CY,CZ")
     family: str = _option("sudden_change", "state", _STATE, choices=FAMILY_TAGS)
@@ -122,7 +122,7 @@ class RunConfig:
     t_max: float = _option(10.0, "grid", (*_EVOLVING, "verify"), float,
                            "grid end, in units of a*t")
     t_steps: int = _option(2000, "grid", (*_EVOLVING, "verify"), int, "grid points")
-    markovian: bool = _option(False, "output", (*_EVOLVING, "tc"), None)
+    markovian: bool = _option(False, "output", _DYNAMICS, None)
     oracle: bool = _option(False, "output", ("correlations",), None,
                            "add brute-force cross-checks where available")
     out: str | None = _option(None, "output", _ALL, str,
@@ -506,19 +506,20 @@ def cmd_correlations(cfg: RunConfig) -> int:
 
 
 def cmd_tc(cfg: RunConfig) -> int:
-    c = cfg.initial_state()
-    k = cfg.kernel()
-    t_c = characteristic_time(c, k, markovian=cfg.markovian)
+    c, k, axes = cfg.initial_state(), cfg.kernel(), cfg.axes()
+    t_c = characteristic_time(c, k, cfg.markovian, *axes)
     closed = None
     if t_c is not None and not cfg.markovian and _is_equal_kernel(k):
-        closed = k.a * closed_form_characteristic_time(branch_switch_ratio(c), k.a)
+        closed = k.a * closed_form_characteristic_time(branch_switch_ratio(c, *axes), k.a)
     if cfg.format == "json":
         text = _flat_json({
             "a_tc": None if t_c is None else k.a * t_c,
             "closed_form": closed,
         })
     elif t_c is None:
-        text = "a*t_c = none (no branch switch: needs |c_y| > max(|c_x|, |c_z|) > 0)\n"
+        top, level = (f"|c_{AXES[g[0]]}|" if len(g) == 1 else "max(%s)" % ", ".join(
+            f"|c_{AXES[i]}|" for i in g) for g in switch_groups(*axes)[:2])
+        text = f"a*t_c = none (no branch switch: needs {top} > {level} > 0)\n"
     else:
         text = f"a*t_c = {_fmt(k.a * t_c)}\n"
         if closed is not None:

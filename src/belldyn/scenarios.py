@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import correlation_multipliers
+from .channels import correlation_exponents, correlation_multipliers
 from .correlations import correlation_ledger
 from .errors import AccuracyError
 from .kernel import (KernelParams, _log_quotient, decay_factor, markovian_decay_factor,
@@ -35,9 +36,7 @@ class Evolution(NamedTuple):
     C: np.ndarray
     D: np.ndarray
     lambda_max: np.ndarray
-    # index into correlations.AXES; a sudden change lies between two rows
-    # whose axes differ in exponent group (switch_brackets)
-    axis: np.ndarray
+    axis: np.ndarray  # index into correlations.AXES
 
 
 def make_family_state(family: InitialFamily) -> BellCoefficients:
@@ -124,33 +123,42 @@ def _check_closed_form(k: KernelParams, ratio, t) -> None:
 
 def characteristic_time_curve(cx: float, cy, k: KernelParams) -> np.ndarray:
     """characteristic_time of each state (cx, cy, -cx) over the array cy,
-    where every cy > cx > 0, so that |cy| dominates and each state switches:
-    one lockstep root solve of |p| = cx/cy, with the closed-form check."""
-    ratio = cx / np.asarray(cy, dtype=float)
+    where every cy > cx > 0, so that each state switches: one lockstep root
+    solve of |p| = branch_switch_ratio, with the closed-form check."""
+    ratio = np.array([branch_switch_ratio((cx, y, -cx))
+                      for y in np.asarray(cy, dtype=float).tolist()], dtype=float)
     t_c = solve_decay_time(k, ratio)
     _check_closed_form(k, ratio, t_c)
     return t_c
 
 
-def branch_switch_ratio(c0) -> float | None:
-    """max(|cx|, |cz|) / |cy|: the |p| at which the dominant coefficient
-    switches branch, or None when no switch occurs: a switch needs |cy| >
-    max(|cx|, |cz|) > 0 at t = 0."""
-    cx, cy, cz = c0
-    ratio_num = max(abs(cx), abs(cz))
-    if ratio_num == 0.0 or abs(cy) <= ratio_num:
+@cache
+def switch_groups(axis_a: str, axis_b: str) -> tuple:
+    """(H, L, dk): the axes of the larger and of the smaller exponent of
+    correlation_exponents, and their difference (2 if the channels share an axis)."""
+    k = correlation_exponents(axis_a, axis_b)
+    high = tuple(i for i in range(3) if k[i] == max(k))
+    return high, tuple(i for i in range(3) if i not in high), max(k) - min(k)
+
+
+def branch_switch_ratio(c0, axis_a: str = "x", axis_b: str = "z") -> float | None:
+    """(max_L |c| / max_H |c|)**(1/dk) over the switch_groups: the |p| at which
+    the dominant coefficient switches from group H to L, as c_alpha scales as
+    p**k_alpha; None unless max_H |c| > max_L |c| > 0 at t = 0."""
+    high, low, dk = switch_groups(axis_a, axis_b)
+    top, level = max(abs(c0[i]) for i in high), max(abs(c0[i]) for i in low)
+    if level == 0.0 or top <= level:
         return None
-    return ratio_num / abs(cy)
+    return level / top if dk == 1 else np.sqrt(level / top)
 
 
-def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float | None:
-    """First time where the dominant-coefficient branch switches.
-
-    Solves |p(t)| = branch_switch_ratio(c0); None when that is None, which
-    is unless |cy| > max(|cx|, |cz|) > 0. For the A = a = gamma kernel a*t
-    is cross-checked against the closed form to 1e-8.
-    """
-    ratio = branch_switch_ratio(require_physical(c0))
+def characteristic_time(c0, k: KernelParams, markovian: bool = False,
+                        axis_a: str = "x", axis_b: str = "z") -> float | None:
+    """First time where the dominant-coefficient branch switches under channels
+    on (axis_a, axis_b): the root of |p(t)| = branch_switch_ratio, or None when
+    that is None. For the A = a = gamma kernel a*t is cross-checked against the
+    closed form to 1e-8."""
+    ratio = branch_switch_ratio(require_physical(c0), axis_a, axis_b)
     if ratio is None:
         return None
     t = solve_decay_time(k, ratio, markovian=markovian)
@@ -162,11 +170,13 @@ def characteristic_time(c0, k: KernelParams, markovian: bool = False) -> float |
 def switch_brackets(run: Evolution, axis_a: str = "x", axis_b: str = "z") -> np.ndarray:
     """(K, 2) times (t_i, t_j), one row per sudden change of an `evolve` run
     over channels on (axis_a, axis_b): consecutive rows with lambda_max > 0
-    whose dominant axes differ in exponent group k = [alpha != axis_a] +
-    [alpha != axis_b], as c_alpha scales as p^k (the multiplier at p = 1/2 is
-    2^-k). A tie within a group, or p underflowing every c to 0, is no switch.
+    whose largest |c| lies in different switch_groups, H where max_H |c| >
+    max_L |c| and L otherwise, as in branch_switch_ratio. A tie within a
+    group, or p underflowing every c to 0, is no switch.
     """
-    group = np.array(correlation_multipliers(axis_a, axis_b, 0.5))[run.axis]
+    high, low, _ = switch_groups(axis_a, axis_b)
+    mags = np.abs(run.c)
+    group = mags[:, high].max(axis=1) > mags[:, low].max(axis=1)
     kept = np.flatnonzero(run.lambda_max > 0)
     at = np.flatnonzero(np.diff(group[kept]))
     return np.column_stack([run.t[kept[at]], run.t[kept[at + 1]]])

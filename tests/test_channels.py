@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from belldyn.channels import apply_local_channel, correlation_multipliers
+from belldyn.channels import (apply_local_channel, correlation_exponents,
+                              correlation_multipliers)
 from belldyn.errors import InvalidStateError, NonCPTPError
 from belldyn.states import (
     ID2,
@@ -239,3 +240,16 @@ class TestCorrelationMultipliers:
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
             correlation_multipliers("x", "w", 0.5)
+
+    def test_multipliers_are_powers_of_the_exponents(self):
+        # the exponent table that switch_brackets and branch_switch_ratio read
+        # is the channel model: m_alpha = p**k_alpha on every pair
+        for a in "xyz":
+            for b in "xyz":
+                k = correlation_exponents(a, b)
+                assert k == tuple(int(ax != a) + int(ax != b) for ax in "xyz")
+                assert correlation_multipliers(a, b, 0.5) == tuple(0.5 ** n for n in k)
+
+    def test_exponents_reject_bad_axis(self):
+        with pytest.raises(ValueError, match="channel axis"):
+            correlation_exponents("w", "z")

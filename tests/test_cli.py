@@ -409,6 +409,35 @@ class TestTcCommand:
         payload = json.loads(run_cli("tc", "--c", "0,0.5,0", "--format", "json").stdout)
         assert payload == {"a_tc": None, "closed_form": None}
 
+    @pytest.mark.parametrize("pair, condition", [
+        (("bitphase", "phaseflip"), "|c_x| > max(|c_y|, |c_z|)"),
+        (("phaseflip", "phaseflip"), "max(|c_x|, |c_y|) > |c_z|"),
+        (("bitflip", "bitflip"), "max(|c_y|, |c_z|) > |c_x|"),
+        (("bitflip", "bitphase"), "|c_z| > max(|c_x|, |c_y|)"),
+    ], ids=lambda value: "-".join(value) if isinstance(value, tuple) else None)
+    def test_none_names_the_groups_of_the_pair(self, pair, condition):
+        argv = ["tc", "--channel-a", pair[0], "--channel-b", pair[1], "--c", "0,0,0"]
+        out = run_cli(*argv)
+        assert out.stdout == f"a*t_c = none (no branch switch: needs {condition} > 0)\n"
+        payload = json.loads(run_cli(*argv, "--format", "json").stdout)
+        assert payload == {"a_tc": None, "closed_form": None}
+
+    def test_bit_phase_flip_on_a(self):
+        # c_x scales as p^2 and c_y, c_z as p: (0.16, 0.1, 0.1) switches at
+        # |p| = 0.625, as (0.1, 0.16, 0.1) does under the default pair
+        out = run_cli("tc", "--channel-a", "bitphase", "--c", "0.16,0.1,0.1")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "a*t_c = 0.947710286\nclosed_form = 0.947710286\n"
+        out = run_cli("tc", "--channel-a", "bitphase", "--c", "0.1,0.16,0.1")
+        assert out.stdout == ("a*t_c = none (no branch switch: "
+                              "needs |c_x| > max(|c_y|, |c_z|) > 0)\n")
+
+    def test_frozen_discord_pair(self):
+        # phase flip on both qubits switches at |p| = sqrt(0.6)
+        argv = ["tc", "--channel-a", "phaseflip", "--c", "1,-0.6,0.6"]
+        assert run_cli(*argv).stdout == "a*t_c = 0.643912556\nclosed_form = 0.643912556\n"
+        assert run_cli(*argv, "--markovian").stdout == "a*t_c = 0.127706406\n"
+
     def test_closed_form_within_equal_kernel_tolerance(self, tmp_path):
         # A within 1e-12 relative of a: the root is checked against the
         # closed form, so the closed form is reported too
@@ -581,6 +610,16 @@ class TestConfigHandling:
         text = out_path.read_text()
         assert "A=1 " in text.splitlines()[0]
 
+    def test_tc_round_trip_keeps_the_channel_pair(self, tmp_path):
+        argv = ["tc", "--channel-a", "bitphase", "--channel-b", "bitflip",
+                "--c", "0.1,0.1,0.16"]
+        cfg, first, second = tmp_path / "tc.ini", tmp_path / "a.txt", tmp_path / "b.txt"
+        assert main([*argv, "--dump-config", str(cfg), "--out", str(first)]) == 0
+        assert "[channels]\nchannel_a = bitphase\nchannel_b = bitflip\n" in cfg.read_text()
+        assert main(["tc", "--config", str(cfg), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text() == "a*t_c = 0.947710286\nclosed_form = 0.947710286\n"
+
     def test_kernel_keys_case_sensitive(self, tmp_path):
         cfg = tmp_path / "run.ini"
         main(["tc", "--a", "2", "--A", "8", "--gamma", "0.25",
@@ -647,8 +686,7 @@ STATE = ("--c", "0.1,0.16,0.1")
 # each command with every common flag it does not read
 UNREAD_FLAGS = [
     *((("tc", *STATE), flag) for flag in [
-        ("--channel-a", "bitphase"), ("--channel-b", "bitflip"), ("--t-max", "3"),
-        ("--t-steps", "100"), ("--oracle",)]),
+        ("--t-max", "3"), ("--t-steps", "100"), ("--oracle",)]),
     *((("verify",), flag) for flag in [
         ("--A", "2"), ("--gamma", "0.5"), ("--channel-a", "bitphase"),
         ("--channel-b", "bitflip"), STATE, ("--family", "proportional"),

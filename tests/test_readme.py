@@ -24,7 +24,7 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     commands = [shlex.split(line, comments=True)
                 for block in code_blocks(section, "sh") for line in block.splitlines()]
-    assert len(commands) == 8  # six commands and the --dump-config pair
+    assert len(commands) == 9  # seven commands and the --dump-config pair
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert argv[0] == "belldyn"

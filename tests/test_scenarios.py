@@ -68,6 +68,14 @@ def _branch_kernels(draw):
     return branch, KernelParams(a, a * A, a * gamma)
 
 
+def physical_triple(weights) -> tuple:
+    """The triple of the Bell spectrum proportional to weights + 1e-3."""
+    lam = np.array(weights) + 1e-3
+    lam /= lam.sum()
+    return (2 * (lam[0] + lam[1]) - 1, 2 * (lam[0] + lam[2]) - 1,
+            2 * (lam[1] + lam[2]) - 1)
+
+
 T_C = 0.9477102861581741  # -ln(1 - sqrt(0.375)), independently verified
 T_CROSS_WIDE = 0.21563509959783556  # first |p| = 0.625 crossing, wide kernel
 T_CROSS_WIDE_SMALL = 0.3917278228382476  # first |p| = 0.0625 crossing
@@ -217,10 +225,7 @@ class TestEvolve:
         # 0 <= D and C <= I, over a*t in [0, 20]
         branch, k = kernel_draw
         assert damping_regime(k)[0] == branch.replace("near_critical", "overdamped")
-        lam = np.array(weights) + 1e-3
-        lam /= lam.sum()  # the Bell spectrum of c0
-        c0 = (2 * (lam[0] + lam[1]) - 1, 2 * (lam[0] + lam[2]) - 1,
-              2 * (lam[1] + lam[2]) - 1)
+        c0 = physical_triple(weights)
         run = evolve(c0, k, np.linspace(0.0, 20.0 / k.a, 101), *pair,
                      markovian=markovian)
         assert np.all(np.abs(run.p) <= 1 + 1e-12)
@@ -261,6 +266,20 @@ class TestCharacteristicTime:
         t_c = characteristic_time((1e-16, 0.5, 0.0), EQUAL)
         assert t_c == pytest.approx(closed_form_characteristic_time(2e-16), rel=1e-9)
 
+    def test_bit_phase_flip_on_a(self):
+        # bit-phase flip on A, phase flip on B: c_x scales as p^2 and c_y, c_z
+        # as p, so the switch needs |c_x| > max(|c_y|, |c_z|) > 0
+        assert branch_switch_ratio((0.16, 0.1, 0.1), "y", "z") == 0.1 / 0.16
+        t_c = characteristic_time((0.16, 0.1, 0.1), EQUAL, axis_a="y", axis_b="z")
+        assert t_c == pytest.approx(0.94771029, abs=1e-8)
+        assert t_c == characteristic_time((0.1, 0.16, 0.1), EQUAL)
+        assert branch_switch_ratio((0.1, 0.16, 0.1), "y", "z") is None
+        assert characteristic_time((0.1, 0.16, 0.1), EQUAL, axis_a="y", axis_b="z") is None
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="channel axis"):
+            characteristic_time((0.1, 0.16, 0.1), EQUAL, axis_a="w")
+
     def test_markovian_mode(self):
         t_c = characteristic_time((0.1, 0.16, 0.1), EQUAL, markovian=True)
         assert t_c == pytest.approx(-np.log(0.625) / 2, abs=1e-12)
@@ -287,6 +306,38 @@ class TestCharacteristicTime:
         with pytest.raises(AccuracyError, match="disagrees with closed form"):
             characteristic_time_curve(0.1, np.linspace(0.105, 1.0, 180),
                                       KernelParams(a, a, a))
+
+
+# phase flip on both qubits: the frozen-discord state of Mazzola, Piilo &
+# Maniscalco, PRL 104, 200401 (2010). c_x and c_y scale as p^2 and c_z stays,
+# so the switch level is |p| = sqrt(0.6)
+FROZEN = (1.0, -0.6, 0.6)
+
+
+class TestFrozenDiscord:
+    def test_switch_level_is_a_square_root(self):
+        assert branch_switch_ratio(FROZEN, "z", "z") == np.sqrt(0.6)
+        assert branch_switch_ratio((0.5, 0.2, 0.6), "z", "z") is None
+
+    def test_characteristic_time(self):
+        t_c = characteristic_time(FROZEN, EQUAL, axis_a="z", axis_b="z")
+        assert t_c == solve_decay_time(EQUAL, np.sqrt(0.6))
+        assert t_c == pytest.approx(0.6439126, abs=1e-7)
+
+    def test_markovian_characteristic_time(self):
+        t_c = characteristic_time(FROZEN, EQUAL, markovian=True, axis_a="z", axis_b="z")
+        assert t_c == pytest.approx(-np.log(0.6) / 4, rel=1e-15)  # 0.1277064
+
+    @pytest.mark.parametrize("markovian", [False, True])
+    def test_discord_frozen_then_classical_frozen(self, markovian):
+        t_c = characteristic_time(FROZEN, EQUAL, markovian, "z", "z")
+        run = evolve(FROZEN, EQUAL, np.linspace(0, 10, 2000), "z", "z",
+                     markovian=markovian)
+        before, after = run.t < t_c, run.t > t_c
+        assert np.count_nonzero(before) > 20 and np.count_nonzero(after) > 20
+        assert np.max(np.abs(run.D[before] - run.D[0])) <= 1e-15
+        assert np.all(run.C[after] == run.C[after][0])
+        assert np.all(np.diff(run.C[before]) < 0)  # C decays until t_c
 
 
 def contains(bracket, t) -> bool:
@@ -379,6 +430,36 @@ class TestDetectKink:
         root = -np.log(0.6) / 4 if markovian else solve_decay_time(EQUAL, np.sqrt(0.6))
         (bracket,) = switch_brackets(run, "z", "z")
         assert contains(bracket, root)
+
+    @pytest.mark.parametrize("markovian", [False, True])
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("pair", AXIS_PAIRS, ids="".join)
+    def test_root_lies_in_the_first_bracket_on_every_pair(self, pair, branch,
+                                                          markovian):
+        # 40 random physical states: the root of branch_switch_ratio's level
+        # on a grid to 3 t_c, which holds no grid point at it; no switch
+        # level, no bracket
+        k = BRANCHES[branch]
+        rng = np.random.default_rng(
+            [AXIS_PAIRS.index(pair), sorted(BRANCHES).index(branch), markovian])
+        for lam in rng.dirichlet(np.ones(4), size=40):
+            c0 = (2 * (lam[0] + lam[1]) - 1, 2 * (lam[0] + lam[2]) - 1,
+                  2 * (lam[1] + lam[2]) - 1)
+            t_c = characteristic_time(c0, k, markovian, *pair)
+            grid = np.linspace(0.0, 20.0 / k.a if t_c is None else 3 * t_c, 2000)
+            brackets = switch_brackets(evolve(c0, k, grid, *pair, markovian=markovian),
+                                       *pair)
+            if t_c is None:
+                assert brackets.shape == (0, 2), c0
+            else:
+                assert len(brackets) and contains(brackets[0], t_c), c0
+
+    def test_tie_between_groups_is_no_switch(self):
+        # |c_y| = |c_z| at t = 0: the ledger's argmax picks y, but c_z
+        # dominates at every t > 0, and branch_switch_ratio has no level
+        run = evolve((0.1, 0.3, 0.3), EQUAL, np.linspace(0, 10, 2000))
+        assert run.axis[0] == 1 and branch_switch_ratio((0.1, 0.3, 0.3)) is None
+        assert switch_brackets(run).shape == (0, 2)
 
     def test_unknown_axis_rejected(self):
         run = evolve((0.1, 0.16, 0.1), EQUAL, np.linspace(0, 10, 50))
