@@ -16,14 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonCPTPError
-from .states import ID2, PAULI, require_valid_state
-
-CHANNEL_AXES = ("x", "y", "z")  # bit flip, bit-phase flip, phase flip
+from .states import AXES, ID2, PAULI, require_valid_state
 
 
 def _require_axis(axis: str) -> str:
-    if axis not in CHANNEL_AXES:
-        raise ValueError(f"channel axis must be one of {CHANNEL_AXES}, got {axis!r}")
+    if axis not in AXES:
+        raise ValueError(f"channel axis must be one of {AXES}, got {axis!r}")
     return axis
 
 
@@ -59,7 +57,7 @@ def correlation_exponents(axis_a: str, axis_b: str) -> tuple:
     (axis_a, axis_b): each keeps its own axis and scales the other two by p."""
     _require_axis(axis_a)
     _require_axis(axis_b)
-    return tuple((ax != axis_a) + (ax != axis_b) for ax in CHANNEL_AXES)
+    return tuple((ax != axis_a) + (ax != axis_b) for ax in AXES)
 
 
 def correlation_multipliers(axis_a: str, axis_b: str, p) -> tuple:

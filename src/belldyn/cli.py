@@ -22,23 +22,11 @@ from functools import cache, partial
 
 import numpy as np
 
-from .channels import apply_local_channel, correlation_multipliers
-from .correlations import (
-    AXES,
-    classical_correlation_bruteforce,
-    correlation_ledger,
-    discord,
-    relative_entropy_discord,
-)
-from .errors import AccuracyError, InvalidStateError, NonCPTPError
-from .kernel import (
-    CONVOLUTION_MAX_STEP,
-    KernelParams,
-    decay_factor,
-    decay_factor_convolution,
-    decay_factor_ode,
-    solve_decay_time,
-)
+from . import verify
+from .correlations import (classical_correlation_bruteforce, discord,
+                           relative_entropy_discord)
+from .errors import InvalidStateError
+from .kernel import KernelParams
 from .scenarios import (
     FAMILY_TAGS,
     InitialFamily,
@@ -52,17 +40,15 @@ from .scenarios import (
     switch_groups,
 )
 from .states import (
+    AXES,
     BellCoefficients,
-    bell_eigenvalues,
     bell_to_density,
     density_from_json,
     density_to_bell,
-    random_bell_coefficients,
     require_physical,
 )
 
 CHANNEL_NAMES = {"bitflip": "x", "bitphase": "y", "phaseflip": "z"}
-VERIFY_SEED = 20111
 
 # verify needs a grid fine enough for the convolution oracle precondition
 _VERIFY_DEFAULTS = {"t_steps": 4001}
@@ -246,10 +232,12 @@ def dump_config_file(cfg: RunConfig, path: str, command: str) -> None:
     """Write the options `command` reads, so the file loads back into it."""
     import configparser
 
+    family_state = cfg.c is None and cfg.state_file is None  # else no family* key
     layout = {}
     for option in _OPTIONS.values():
         value = getattr(cfg, option.name)
-        if value is not None and command in option.metadata["reads"]:
+        in_use = family_state or not option.name.startswith("family")
+        if value is not None and in_use and command in option.metadata["reads"]:
             text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             layout.setdefault(option.metadata["section"], {})[option.name] = text
     cp = configparser.ConfigParser(interpolation=None)
@@ -260,8 +248,9 @@ def dump_config_file(cfg: RunConfig, path: str, command: str) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig's defaults, then verify's, the config file and the flags.
-    An option the command does not read exits 2, whichever source set it."""
+    """RunConfig's defaults, then verify's, the config file and the flags. An
+    option the command does not read exits 2, whichever source set it, and so
+    does an initial state set by two of --state-file, --c and the --family* options."""
     given = load_config_file(args.config) if args.config else {}
     for name, option in _OPTIONS.items():
         text, flag = getattr(args, name), _flag(option)
@@ -271,6 +260,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
               if args.command not in _OPTIONS[name].metadata["reads"]]
     if unread:
         raise ValueError(f"{args.command} does not read {', '.join(unread)}")
+    states = {name.split("_")[0]: source for name, (_, source) in given.items()
+              if _OPTIONS[name].metadata["section"] == "state"}  # c, state, family
+    if len(states) > 1:
+        first, second = list(states.values())[:2]
+        raise ValueError(f"{first} and {second} both set the initial state")
     merged = dict(_VERIFY_DEFAULTS) if args.command == "verify" else {}
     merged.update((name, value) for name, (value, _) in given.items())
     return RunConfig(**merged)
@@ -595,104 +589,20 @@ def cmd_figure(cfg: RunConfig, figure: int, panel: str) -> int:
     return 0
 
 
-def _verify_checks(cfg: RunConfig):
-    a = cfg.a
-    kernels = [
-        ("A=a=gamma", KernelParams(a, a, a)),
-        ("A=10a", KernelParams(a, 10 * a, a / 100)),
-        ("critical", KernelParams(a, a / 2, 0.0)),
-        # omega < 1e-3 b: decay_factor's near-critical hyperbolic branch
-        ("near-critical", KernelParams(a, a / 2 * (1 - 1e-8), 0.0)),
-    ]
-    grid = cfg.time_grid()
-    # a grid too coarse for the convolution oracle is a usage error (exit
-    # 2), found before any check runs, not a defect found (exit 1)
-    step = cfg.t_max / (cfg.t_steps - 1)
-    if step > CONVOLUTION_MAX_STEP * (1 + 1e-9):
-        raise ValueError(
-            f"verify needs a grid step --t-max/(--t-steps - 1) of at most "
-            f"{CONVOLUTION_MAX_STEP} (a time step of {CONVOLUTION_MAX_STEP}/a), "
-            f"got {step:.3g}: raise --t-steps or lower --t-max")
-    rng = np.random.default_rng(VERIFY_SEED)
-
-    # each check folds its deviations with np.max, which propagates a NaN so
-    # the check fails; Python's max(0.0, nan) returns 0.0
-    def decay_vs(oracle):
-        return float(np.max([np.abs(oracle(k, grid) - decay_factor(k, grid))
-                             for _, k in kernels]))
-
-    def kraus_vs_coefficients():
-        # drawn case by case, state then p, as the later checks expect
-        cases = [(random_bell_coefficients(rng), rng.uniform(-1, 1)) for _ in range(1000)]
-        c0 = np.array([c for c, _ in cases])
-        p = np.array([p for _, p in cases])
-        rho = apply_local_channel(bell_to_density(c0), "A", "x", p)
-        via_kraus, residual = density_to_bell(apply_local_channel(rho, "B", "z", p))
-        direct = np.stack(correlation_multipliers("x", "z", p), -1) * c0
-        min_eig = np.min(bell_eigenvalues(direct), axis=1)
-        return float(np.max(np.concatenate([
-            np.abs(via_kraus - direct).ravel(), residual,
-            np.where(min_eig < -1e-12, -min_eig - 1e-12, 0.0)])))
-
-    def bruteforce_vs_analytic(states):
-        brute = classical_correlation_bruteforce(bell_to_density(states))
-        return float(np.max(np.abs(brute.value - correlation_ledger(states).C)))
-
-    # the search's hard states: ties |c_x| = |c_y|, whose minima form a
-    # circle, and states whose Newton model is singular at the grid start
-    # (Bell states, maximally mixed, proportional); no RNG draw
-    edge_states = np.array([
-        (0.789, -0.789, 0.7296), (0.844, -0.844, 0.8016), (0.4, -0.4, 0.1),
-        (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0),
-        (0.0, 0.0, 0.0), (0.6, 0.6, -1.0), (0.1, 0.1, 0.5)])
-
-    def relative_entropy_identity():
-        states = np.array([random_bell_coefficients(rng) for _ in range(500)])
-        red, ledger = relative_entropy_discord(states), correlation_ledger(states)
-        mags = np.sort(np.abs(states), axis=1)
-        # an axis mismatch where the max is strict counts as a deviation of 1
-        mismatch = (mags[:, 2] - mags[:, 1] >= 1e-3) & (red.axis != ledger.axis)
-        return float(np.max(np.maximum(np.abs(red.value - ledger.D), mismatch)))
-
-    def tc_root_vs_closed():
-        k = KernelParams(a, a, a)
-        ratio = 0.625
-        # in units of a*t, as characteristic_time reports it
-        return abs(a * solve_decay_time(k, ratio)
-                   - a * closed_form_characteristic_time(ratio, a))
-
-    return [
-        ("decay-ode", 1e-6, lambda: decay_vs(decay_factor_ode)),
-        ("decay-convolution", 1e-4, lambda: decay_vs(decay_factor_convolution)),
-        ("kraus-vs-coefficients", 1e-12, kraus_vs_coefficients),
-        ("bruteforce-vs-analytic", 1e-5, lambda: bruteforce_vs_analytic(
-            np.array([random_bell_coefficients(rng) for _ in range(500)]))),
-        ("bruteforce-edge-states", 1e-5, lambda: bruteforce_vs_analytic(edge_states)),
-        ("relative-entropy-identity", 1e-8, relative_entropy_identity),
-        ("tc-root-vs-closed-form", 1e-8, tc_root_vs_closed),
-    ]
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    failures = 0
-    lines = []
-    for name, tol, run in _verify_checks(cfg):
+    lines, failures = [], 0
+    for name, tol, run in verify.checks(cfg):
         try:
             dev = run()
-            passed = dev <= tol
-            note = f"max dev {dev:.3e}  tol {tol:.1e}"
-        except (AccuracyError, InvalidStateError, ValueError) as exc:
-            passed = False
-            note = f"error: {exc}"
-        failures += 0 if passed else 1
+            passed, note = dev <= tol, f"max dev {dev:.3e}  tol {tol:.1e}"
+        except ValueError as exc:
+            passed, note = False, f"error: {exc}"
+        failures += not passed
         lines.append(f"check {name:<28s} {note}  {'PASS' if passed else 'FAIL'}")
     total = len(lines)
-    lines.append(
-        f"verify: {'PASS' if failures == 0 else 'FAIL'} "
-        f"({total - failures}/{total})"
-    )
+    lines.append(f"verify: {'FAIL' if failures else 'PASS'} ({total - failures}/{total})")
     _write_text(cfg.out, "\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+    return 1 if failures else 0
 
 
 # the flags whose value is a comma-separated list, which may start with '-'
@@ -730,8 +640,7 @@ def main(argv=None) -> int:
             dump_config_file(cfg, args.dump_config, args.command)
         panel = (args.figure_id, args.panel) if args.command == "figure" else ()
         return _COMMANDS[args.command][0](cfg, *panel)
-    except (InvalidStateError, NonCPTPError, AccuracyError, ValueError,
-            MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

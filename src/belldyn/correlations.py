@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import AccuracyError, InvalidStateError
 from .states import (
+    AXES,
     EIGENVALUE_FLOOR,
     PAULI,
     _spectrum,
@@ -32,7 +33,6 @@ from .states import (
     shannon_entropy,
 )
 
-AXES = ("x", "y", "z")
 ZERO_PROBABILITY = 1e-12
 IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 

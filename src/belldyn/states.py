@@ -27,7 +27,8 @@ ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+AXES = ("x", "y", "z")  # the PAULI keys, in the order of every (x, y, z) triple
+PAULI = dict(zip(AXES, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 # X@X, Y@Y and Z@Z, built once; read-only because every caller shares them
 PAULI_PAIRS = {ax: np.kron(s, s) for ax, s in PAULI.items()}
 for _pair in PAULI_PAIRS.values():

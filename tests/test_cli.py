@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from belldyn import cli
+from belldyn import cli, verify
 from belldyn.cli import main
-from belldyn.states import density_to_bell
+from belldyn.states import bell_to_density, density_to_bell
 
 RUN = [sys.executable, "-m", "belldyn.cli"]
 
@@ -65,6 +65,13 @@ def given_as(source, flag, tmp_path):
     path = tmp_path / "given.ini"
     path.write_text(f"[{SECTIONS[key]}]\n{key} = {value}\n")
     return ["--config", str(path)], f"config key {key!r}"
+
+
+def write_state(path, c):
+    """Write the density matrix of the triple c as a --state-file JSON."""
+    rho = bell_to_density(c)
+    path.write_text(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
+    return path
 
 
 def from_both_sources(cases, case_id):
@@ -125,11 +132,7 @@ class TestCorrelationsCommand:
         assert captured.out == ""
 
     def test_state_file_input(self, tmp_path):
-        from belldyn.states import bell_to_density
-
-        rho = bell_to_density((-1, -1, -1))
-        path = tmp_path / "singlet.json"
-        path.write_text(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
+        path = write_state(tmp_path / "singlet.json", (-1, -1, -1))
         out = run_cli("correlations", "--state-file", str(path), "--format", "json")
         assert json.loads(out.stdout)["I"] == 2.0
 
@@ -474,15 +477,13 @@ class TestVerifyCommand:
 
     def test_kraus_check_equals_the_one_state_loop(self):
         from belldyn.channels import apply_local_channel, correlation_multipliers
-        from belldyn.states import (bell_eigenvalues, bell_to_density,
-                                    random_bell_coefficients)
+        from belldyn.states import bell_eigenvalues, bell_to_density
 
         cfg = cli.resolve_config(cli.build_parser().parse_args(["verify"]))
-        run = {name: run for name, _, run in cli._verify_checks(cfg)}
-        # no check before this one draws from the shared generator
-        rng, devs = np.random.default_rng(cli.VERIFY_SEED), []
-        for _ in range(1000):
-            c0, p = random_bell_coefficients(rng), rng.uniform(-1, 1)
+        run = {name: run for name, _, run in verify.checks(cfg)}
+        states, ps, _, _ = verify.draw_inputs()
+        devs = []
+        for c0, p in zip(states.tolist(), ps.tolist()):
             rho = apply_local_channel(bell_to_density(c0), "A", "x", p)
             via_kraus, residual = density_to_bell(apply_local_channel(rho, "B", "z", p))
             direct = np.multiply(correlation_multipliers("x", "z", p), c0)
@@ -512,7 +513,7 @@ class TestVerifyCommand:
             residual[4] = np.nan
             return c, residual
 
-        monkeypatch.setattr(cli, "density_to_bell", nan_on_fifth_case)
+        monkeypatch.setattr(verify, "density_to_bell", nan_on_fifth_case)
         path = tmp_path / "verify.txt"
         assert main(["verify", "--out", str(path)]) == 1
         lines = path.read_text().splitlines()
@@ -531,23 +532,23 @@ class TestVerifyCommand:
                                                  np.nan, out.value))),
     ], ids=["decay-ode", "decay-ode-near-critical", "relative-entropy-identity"])
     def test_nan_deviation_propagates(self, monkeypatch, oracle, check, call, poison):
-        real, calls = getattr(cli, oracle), []
+        real, calls = getattr(verify, oracle), []
 
         def nan_on_second_call(*args):
             calls.append(None)
             out = real(*args)
             return poison(out) if len(calls) == call else out
 
-        monkeypatch.setattr(cli, oracle, nan_on_second_call)
+        monkeypatch.setattr(verify, oracle, nan_on_second_call)
         cfg = cli.resolve_config(cli.build_parser().parse_args(["verify"]))
-        run = {name: run for name, _, run in cli._verify_checks(cfg)}[check]
+        run = {name: run for name, _, run in verify.checks(cfg)}[check]
         assert np.isnan(run())
 
     def test_tc_root_is_compared_in_units_of_a_t(self, tmp_path, monkeypatch):
         # at a = 1e20 the root is ~1e-20 in t, where an absolute comparison
         # in t passes a root that is 1e-3 relative off
-        real = cli.solve_decay_time
-        monkeypatch.setattr(cli, "solve_decay_time",
+        real = verify.solve_decay_time
+        monkeypatch.setattr(verify, "solve_decay_time",
                             lambda k, target: real(k, target) * (1 + 1e-3))
         path = tmp_path / "verify.txt"
         assert main(["verify", "--a", "1e20", "--out", str(path)]) == 1
@@ -619,6 +620,44 @@ class TestConfigHandling:
         assert main(["tc", "--config", str(cfg), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text() == "a*t_c = 0.947710286\nclosed_form = 0.947710286\n"
+
+    # a second source of the initial state, as a flag or a config key, next
+    # to a --c or --state-file flag, exits 2 before any output: neither is dropped
+    @pytest.mark.parametrize("first, second, source", from_both_sources([
+        (("--c", "0.1,0.16,0.1"), ("--state-file", "state.json")),
+        (("--c", "0.1,0.16,0.1"), ("--family", "proportional")),
+        (("--c", "0.1,0.16,0.1"), ("--family-param", "0.5")),
+        (("--c", "0.1,0.16,0.1"), ("--family-sign", "-1")),
+        (("--state-file", "state.json"), ("--c", "0.1,0.16,0.1")),
+        (("--state-file", "state.json"), ("--family", "proportional")),
+    ], lambda first, second: first[0][2:] + second[0]))
+    def test_two_state_sources_exit_2(self, tmp_path, monkeypatch, capsys, first,
+                                      second, source):
+        monkeypatch.chdir(tmp_path)
+        write_state(tmp_path / "state.json", (-1, -1, -1))
+        argv, name = given_as(source, second, tmp_path)
+        assert main(["correlations", *first, *argv, "--out", "o.txt"]) == 2
+        err = capsys.readouterr().err
+        assert first[0] in err and name in err and "initial state" in err
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_dump_holding_c_and_family_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[state]\nc = 0.1,0.16,0.1\nfamily = sudden_change\n")
+        assert main(["correlations", "--config", str(cfg)]) == 2
+        assert "config key 'c' in [state] and config key 'family'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--c", "--state-file"])
+    def test_dump_writes_only_the_state_source_in_use(self, tmp_path, flag):
+        state = write_state(tmp_path / "state.json", (0.1, 0.16, 0.1))
+        value = "0.1,0.16,0.1" if flag == "--c" else str(state)
+        cfg, first, second = tmp_path / "run.ini", tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["trajectory", flag, value, "--t-steps", "50"]
+        assert main([*argv, "--dump-config", str(cfg), "--out", str(first)]) == 0
+        assert "family" not in cfg.read_text()
+        assert f"{flag[2:].replace('-', '_')} = {value}" in cfg.read_text()
+        assert main(["trajectory", "--config", str(cfg), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_kernel_keys_case_sensitive(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from belldyn import correlations
-from belldyn.cli import VERIFY_SEED, main
+from belldyn import correlations, verify
+from belldyn.cli import main
 from belldyn.correlations import (
     AXES,
     NEWTON_STEPS,
@@ -281,11 +281,7 @@ def pinned_states():
     for seed in (601, 777, 778):
         rng = np.random.default_rng(seed)
         triples += [random_bell_coefficients(rng) for _ in range(100)]
-    rng = np.random.default_rng(VERIFY_SEED)
-    for _ in range(1000):  # verify's Kraus check draws first: a state, then p
-        random_bell_coefficients(rng)
-        rng.uniform(-1, 1)
-    triples += [random_bell_coefficients(rng) for _ in range(500)]
+    triples += list(verify.draw_inputs()[2])
     triples += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0),
                 (-1.0, 1.0, 1.0), (0.6, 0.6, -1.0), (0.4, -0.4, 0.1), (0.1, 0.1, 0.5),
                 (0.3, 0.3, 0.3), (0.5, 0.0, 0.0), (0.789, -0.789, 0.7296),
