@@ -5,9 +5,9 @@ correlation_ledger and discord) operate on Bell-diagonal coefficient
 triples. Two oracles check them by independent paths through density
 matrices: the brute-force classical correlation takes states whose marginals
 vanish, as every Bell-diagonal state's do, and minimizes the conditional
-entropy over a hemisphere grid of Bloch vectors measured on B, then refines
-with Newton steps on the sphere; the relative-entropy discord finds the
-nearest of the three axis dephasings.
+entropy over a hemisphere grid of Bloch vectors measured on B, then tries
+the top eigenvector of the state's T^T T; the relative-entropy discord finds
+the nearest of the three axis dephasings.
 """
 
 from __future__ import annotations
@@ -33,21 +33,15 @@ from .states import (
     shannon_entropy,
 )
 
-ZERO_PROBABILITY = 1e-12
 IDENTITY_TOL = 1e-8  # discord vs relative-entropy discord
 
-# the brute-force search's fixed resolution: a 64 x 128 grid, then Newton
-# steps down to REFINE_ANGLE_TOL
+# the brute-force search's fixed resolution: a 64 x 128 grid, then one
+# proposed direction per state
 THETA_STEPS = 64
 PHI_STEPS = 128
-REFINE_ANGLE_TOL = 1e-8
 # one _conditional_entropies call takes a state's whole grid: the grid is fixed
 # at 3 969 candidates, so a call's largest temporary, the (4, 3 969) feature
 # block, is 124 KiB
-# trials one state's Newton descent may take; a converging state takes ~2,
-# and a state that uses them all raises AccuracyError
-NEWTON_STEPS = 32
-_LN2 = math.log(2.0)
 
 
 class CorrelationReport(NamedTuple):
@@ -249,145 +243,49 @@ def _conditional_entropies(ops, cols) -> np.ndarray:
 
 def _grid_minima(ops) -> tuple:
     """Each state's lowest conditional entropy on the cached hemisphere grid
-    and its angles, as three (N,) arrays; ties go to the first grid point."""
-    tg, pg, grid = _search_grid(THETA_STEPS, PHI_STEPS)
+    and its Bloch vector, as (N,) and (N, 3) arrays; ties go to the first
+    grid point."""
+    grid = _search_grid(THETA_STEPS, PHI_STEPS)[2]
     n = len(ops)
-    best_val, theta, phi = np.empty(n), np.empty(n), np.empty(n)
+    best_val, basis = np.empty(n), np.empty((n, 3))
     for i in range(n):
         values = _conditional_entropies(ops[i], grid)
         j = np.argmin(values)
-        best_val[i], theta[i], phi[i] = values[j], tg[j], pg[j]
-    return best_val, theta, phi
+        best_val[i], basis[i] = values[j], grid[1:, j]
+    return best_val, basis
 
 
-def _newton_model(op, theta: float, phi: float):
-    """Conditional entropy at n(theta, phi) with its gradient and Hessian in
-    the tangent frame (e_theta, e_phi), as scalars (H, H_u, H_v, H_uu, H_uv,
-    H_vv); None where a second derivative is singular.
+def _top_axes(ops) -> np.ndarray:
+    """Each state's top eigenvector of T^T T, with T / 2 the operand's 3 x 3
+    block, as an (N, 3) array signed onto the grid's hemisphere (z >= 0).
 
-    op @ (1, n), (0, e_theta), (0, e_phi), (0, n) gives outcome +'s w and f
-    with the derivatives of f along u and v: n_uu = n_vv = -n and n_uv = 0 on
-    the geodesics from n, and w's derivatives are zero because the marginals
-    are. The outcome adds S(w, d) = w log2 w - l+ log2 l+ - l- log2 l-, l+-
-    = (w +- d) / 2, d = |f|; with x = d / w, S_d = -atanh(x) / ln 2 and S_dd
-    = -k, k = 1 / (w (1 - x^2) ln 2), and outcome - adds the same. Singular:
-    x within ZERO_PROBABILITY of 0 or 1 (d or l- ~ 0).
+    Outcome + along n has w = 1/2 for every n on the search's domain and f =
+    T n / 2, and its entropy falls as |f| grows, so the direction that
+    maximizes |T n|, this eigenvector, minimizes the conditional entropy.
     """
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    sin_p, cos_p = math.sin(phi), math.cos(phi)
-    n = (sin_t * cos_p, sin_t * sin_p, cos_t)
-    # rows w, f_x, f_y, f_z; columns the value, d/du, d/dv and -d2/du2
-    (w, *_), (fx, fx_u, fx_v, fx_n), (fy, fy_u, fy_v, fy_n), \
-        (fz, fz_u, fz_v, fz_n) = (op @ np.array([[1.0, 0.0, 0.0, 0.0],
-                                                 [n[0], cos_t * cos_p, -sin_p, n[0]],
-                                                 [n[1], cos_t * sin_p, cos_p, n[1]],
-                                                 [n[2], -sin_t, 0.0, n[2]]])).tolist()
-    ff = fx * fx + fy * fy + fz * fz
-    f_u = fx * fx_u + fy * fy_u + fz * fz_u
-    f_v = fx * fx_v + fy * fy_v + fz * fz_v
-    f_n = fx * fx_n + fy * fy_n + fz * fz_n
-    uu = fx_u * fx_u + fy_u * fy_u + fz_u * fz_u
-    uv = fx_u * fx_v + fy_u * fy_v + fz_u * fz_v
-    vv = fx_v * fx_v + fy_v * fy_v + fz_v * fz_v
-    d = math.sqrt(ff)
-    x = d / w
-    if not ZERO_PROBABILITY < x < 1.0 - ZERO_PROBABILITY:
-        return None
-    up, down = (w + d) / 2, (w - d) / 2
-    value = -(up * math.log2(up / w) + down * math.log2(down / w))
-    s_d = -math.atanh(x) / _LN2
-    k = 1.0 / (w * (1.0 - x * x) * _LN2)
-    d_u, d_v = f_u / d, f_v / d
-    s_dd = s_d / d  # times d d_ij = f_i . f_j + f . f_ij - d_i d_j
-    h_uu = s_dd * (uu - f_n - d_u * d_u) - k * d_u * d_u
-    h_uv = s_dd * (uv - d_u * d_v) - k * d_u * d_v
-    h_vv = s_dd * (vv - f_n - d_v * d_v) - k * d_v * d_v
-    return value * 2, s_d * d_u * 2, s_d * d_v * 2, h_uu * 2, h_uv * 2, h_vv * 2
-
-
-def _newton_refine(op, theta: float, phi: float):
-    """Safeguarded Newton descent on the sphere from n(theta, phi), in scalar
-    floats: the final (theta, phi), the start itself where the model is
-    singular there, or None when the descent takes NEWTON_STEPS trials.
-
-    Steps are taken in the tangent frame and mapped along the geodesic. Where
-    the Hessian is not positive definite, the step is modified Newton
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4): with (mu, q)
-    the Hessian's largest eigenpair, the Newton step along q and steepest
-    descent across it where mu > 0, as on a circle of tied minima, whose
-    tangent has zero curvature; steepest descent where mu <= 0. Each step is
-    clipped to the trust radius, which starts at the larger grid spacing and
-    halves on every step that does not strictly lower the entropy; a
-    steepest step is scaled to it. The descent stops once a step is at most
-    REFINE_ANGLE_TOL.
-    """
-    model = _newton_model(op, theta, phi)
-    if model is None:
-        return theta, phi
-    radius = max(np.pi / THETA_STEPS, 2 * np.pi / PHI_STEPS)
-    for _ in range(NEWTON_STEPS):
-        value, h_u, h_v, h_uu, h_uv, h_vv = model
-        det = h_uu * h_vv - h_uv * h_uv
-        newton = h_uu > 0.0 and det > 0.0
-        if newton:
-            su, sv = (h_uv * h_v - h_vv * h_u) / det, (h_uv * h_u - h_uu * h_v) / det
-        else:
-            half = (h_uu - h_vv) / 2
-            spread = math.hypot(half, h_uv)
-            mu = (h_uu + h_vv) / 2 + spread
-            su, sv = -h_u, -h_v
-            newton = mu > 0.0
-            if newton:
-                # q, unnormalized, from the better conditioned row of H - mu
-                qu, qv = (half + spread, h_uv) if half >= 0.0 else (h_uv, spread - half)
-                # the gradient along q, g_q, scaled so that the step's part
-                # along q is -g_q / mu in place of steepest descent's -g_q
-                along = (h_u * qu + h_v * qv) * (1.0 - 1.0 / mu) / (qu * qu + qv * qv)
-                su, sv = su + along * qu, sv + along * qv
-        length = math.hypot(su, sv)
-        if length > radius or (length and not newton):
-            su, sv, length = su * radius / length, sv * radius / length, radius
-        if length <= REFINE_ANGLE_TOL:
-            return theta, phi
-        # n cos|s| + (su e_theta + sv e_phi) sin|s| / |s|
-        sin_t, cos_t = math.sin(theta), math.cos(theta)
-        sin_p, cos_p = math.sin(phi), math.cos(phi)
-        along, across = math.cos(length), math.sin(length) / length
-        lift = sin_t * along + cos_t * su * across
-        m = (lift * cos_p - sin_p * sv * across, lift * sin_p + cos_p * sv * across,
-             cos_t * along - sin_t * su * across)
-        trial_t = math.atan2(math.hypot(m[0], m[1]), m[2])
-        trial_p = math.atan2(m[1], m[0]) % (2 * math.pi)
-        trial = _newton_model(op, trial_t, trial_p)
-        if trial and trial[0] < value:
-            theta, phi, model = trial_t, trial_p, trial
-        else:
-            radius = length / 2
-    return None
+    t = ops[:, 1:, 1:]
+    top = np.linalg.eigh(np.matmul(t.transpose(0, 2, 1), t))[1][:, :, -1]
+    return np.where(top[:, 2:] < 0.0, -top, top)
 
 
 def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
-    """Grid search over measurement bases plus local refinement.
+    """Grid search over measurement bases plus one proposed direction.
 
     Takes one (4, 4) density matrix or an (N, 4, 4) stack; a stack returns
     values (N,) and bases (N, 3), each row equal to the single-state call.
     Scans the cached upper hemisphere of the THETA_STEPS x PHI_STEPS grid one
-    state at a time. From each state's grid minimum a safeguarded Newton
-    descent in scalar floats (_newton_refine) finds the stationary point to
-    REFINE_ANGLE_TOL; the kernel then evaluates that point, which is kept
-    where it is lower than the grid minimum, and that ends the state's
-    search. A state whose Newton model is singular at its grid start keeps
-    that grid point, which is then optimal: on zero-marginal states such a
-    start has x >= 1 - 1e-12 (x as in _newton_model), whose entropy is
-    within ~2.1e-11 of the global minimum 0, or it has x <= 1e-12 over the
-    whole grid, where the entropy is flat to 1e-24. A state whose descent
-    takes NEWTON_STEPS trials raises AccuracyError naming its index in the
-    stack, so no state silently keeps its grid value. Ties on the grid
-    resolve to the smallest angles, so results are run-to-run identical.
-    C = S(rho_A) - the minimum, with S(rho_A) = 1 on the search's domain:
-    states whose marginals are exactly zero (_search_operands), as every
-    Bell-diagonal state's are. Any other state raises InvalidStateError
-    naming the index of the first such state in the stack.
+    state at a time. Each state's top eigenvector of T^T T (_top_axes), read
+    off its operand alone, is then evaluated by the kernel, every state's in
+    one call, and kept where it is lower than the grid minimum. Every value
+    is thus a kernel evaluation of a real measurement: a wrong proposal can
+    only leave a state at its grid value, never above the optimum. Where the
+    proposal ties the grid minimum (a Bell or maximally mixed state, whose
+    minimum is on the theta = 0 pole) the grid point is kept. Ties on the
+    grid resolve to the smallest angles, so results are run-to-run
+    identical. C = S(rho_A) - the minimum, with S(rho_A) = 1 on the search's
+    domain: states whose marginals are exactly zero (_search_operands), as
+    every Bell-diagonal state's are. Any other state raises
+    InvalidStateError naming the index of the first such state in the stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
@@ -395,20 +293,14 @@ def classical_correlation_bruteforce(rho: np.ndarray) -> BruteForceClassical:
             f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
     stack = require_valid_state(rho.reshape(-1, 4, 4))
     ops = _search_operands(stack)
-    best_val, theta, phi = _grid_minima(ops)
-    points = [_newton_refine(*start) for start in zip(ops, theta.tolist(), phi.tolist())]
-    if None in points:
-        raise AccuracyError(f"state at index {points.index(None)}: the Newton "
-                            f"refinement did not converge in {NEWTON_STEPS} steps")
-    # every state's Newton point in one call
-    at_t, at_p = np.array(points).T
-    values = _conditional_entropies(ops, _bloch_columns(at_t[:, None], at_p[:, None]))
-    lower = values[:, 0] < best_val
-    best_val = np.where(lower, values[:, 0], best_val)
-    theta, phi = np.where(lower, at_t, theta), np.where(lower, at_p, phi)
-
-    value = 1.0 - best_val
-    basis = _bloch_columns(theta, phi)[1:].T
+    best_val, basis = _grid_minima(ops)
+    top = _top_axes(ops)
+    cols = np.ones((len(ops), 4, 1))
+    cols[:, 1:, 0] = top
+    values = _conditional_entropies(ops, cols)[:, 0]
+    lower = values < best_val
+    value = 1.0 - np.where(lower, values, best_val)
+    basis = np.where(lower[:, None], top, basis)
     if rho.ndim == 2:
         return BruteForceClassical(float(value[0]), basis[0])
     return BruteForceClassical(value, basis)

@@ -21,12 +21,14 @@ from .states import (bell_eigenvalues, bell_to_density, density_to_bell,
 VERIFY_SEED = 20111
 
 # the search's hard states: ties |c_x| = |c_y|, whose minima form a circle,
-# and states whose Newton model is singular at the grid start (Bell states,
-# maximally mixed, proportional); no draw
+# optima on the grid's theta = 0 pole (Bell states, maximally mixed,
+# proportional), and unit coefficients off the pole, whose optimal outcomes
+# are pure; no draw
 EDGE_STATES = np.array([
     (0.789, -0.789, 0.7296), (0.844, -0.844, 0.8016), (0.4, -0.4, 0.1),
     (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0),
-    (0.0, 0.0, 0.0), (0.6, 0.6, -1.0), (0.1, 0.1, 0.5)])
+    (0.0, 0.0, 0.0), (0.6, 0.6, -1.0), (0.1, 0.1, 0.5),
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, 1.0, -0.6)])
 
 
 def draw_inputs() -> tuple:

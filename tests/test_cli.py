@@ -968,8 +968,7 @@ GOLDEN_STDOUT = {
     "tc --A 0.49999999 --gamma 0 --format json":
         "10cb8298b11c88150f445ae1b6609bdc432025e88b96a85d14c2c0714f66553b",
     # correlations --oracle on the default state and four others; (0, 0, 0),
-    # (1, -1, 1) and (-1, -1, -1) are singular Newton starts, which keep their
-    # grid point
+    # (1, -1, 1) and (-1, -1, -1) keep their grid point, the theta = 0 pole
     "correlations --oracle":
         "2efc65c20440a8744bbe5c1b98c73d64a3673fc7f8a070e9e54e787e7e3d2d57",
     "correlations --oracle --format json":

@@ -9,14 +9,11 @@ from belldyn import correlations, verify
 from belldyn.cli import main
 from belldyn.correlations import (
     AXES,
-    NEWTON_STEPS,
     PHI_STEPS,
-    REFINE_ANGLE_TOL,
     THETA_STEPS,
     _bloch_columns,
     _conditional_entropies,
     _grid_minima,
-    _newton_refine,
     _search_grid,
     _search_operands,
     binary_information,
@@ -28,6 +25,7 @@ from belldyn.correlations import (
 from belldyn.errors import AccuracyError, InvalidStateError
 from belldyn.states import (
     BELL_KETS,
+    PAULI,
     bell_eigenvalues,
     bell_to_density,
     random_bell_coefficients,
@@ -113,8 +111,7 @@ def conditional_entropy(rho, bloch):
     return float(_conditional_entropies(ops[0], np.array([[1.0, *bloch]]).T)[0])
 
 
-def one_step_descent(rho, theta_steps=THETA_STEPS, phi_steps=PHI_STEPS,
-                     angle_tol=REFINE_ANGLE_TOL):
+def one_step_descent(rho, theta_steps=THETA_STEPS, phi_steps=PHI_STEPS, angle_tol=1e-8):
     """Reference search: its own hemisphere grid, then coordinate descent
     that tries one step per iteration and halves it after a failed try;
     S(rho_A) = 1 on the search's zero-marginal states."""
@@ -236,11 +233,22 @@ def edge_states():
              (0.999999, 0.2, -0.2)]]
 
 
+def full_block_states(blocks):
+    """(I + sum_ij T_ij s_i x s_j) / 4 for (N, 3, 3) correlation blocks T: no
+    marginals, and correlation axes off the coordinate axes. Entries of at
+    most 0.15 keep the state positive: T's singular values sum to below 1."""
+    pauli = list(PAULI.values())
+    terms = np.stack([np.kron(pauli[i], pauli[j]) for i in range(3) for j in range(3)])
+    return (np.eye(4) + np.einsum("nk,kab->nab", blocks.reshape(-1, 9), terms)) / 4
+
+
 def search_states():
-    """50 seeded Bell-diagonal states and the edge states."""
+    """50 seeded Bell-diagonal states, the edge states and 10 seeded states
+    with a full correlation block."""
     rng = np.random.default_rng(71)
     rhos = [bell_to_density(random_bell_coefficients(rng)) for _ in range(50)]
-    return np.stack(rhos + edge_states())
+    return np.concatenate([rhos, edge_states(),
+                           full_block_states(rng.uniform(-0.15, 0.15, (10, 3, 3)))])
 
 
 def use_grid(monkeypatch, steps):
@@ -263,11 +271,12 @@ GRIDS = pytest.mark.parametrize("steps", [(THETA_STEPS, PHI_STEPS), (16, 32)],
 
 
 # sha256 over the search's values and bases on pinned_states(), as one stack
-# and then state by state. Re-hashed when the modified Newton step replaced
-# steepest descent on non-positive-definite Hessians: only the three exact
-# ties (indices 806, 810 and 811) moved, each value equal to its old one or
-# closer to the ledger. Every later change to the search must keep these bits
-SEARCH_SHA256 = "ce406a4fa407cac941d35ecd88e1f1f128866aa47886786bcea539dafcc45a64"
+# and then state by state. Re-hashed when the top eigenvector of T^T T
+# replaced the Newton descent: no value moved; bases on a unique optimum
+# moved by at most 1.9e-11 rad, onto the exact axis, and of the tied or flat
+# states only the ties 806 (by 0.049 rad), 810 and 811 (1.8e-14 rad) moved,
+# each within its circle of optima
+SEARCH_SHA256 = "79ca3f4df9dab54b8ae303c0e2128ad133dc641d0b754be0263a1c8603628a5f"
 # sha256 over the search's values alone on pinned_states(), as one stack and
 # then state by state; hashed before the refinement was replaced, so a change
 # that moves only a basis within a set of optima keeps it
@@ -279,8 +288,7 @@ def pinned_states():
     workload's seeds 601, 777 and 778, verify's 500 brute-force states, and
     12 edge states (maximally mixed, the four Bell states, proportional, an
     exact tie, a pole optimum, a Werner state, a classical state, and two
-    ties |c_x| = |c_y| on which a steepest-descent step ran out of Newton
-    steps)."""
+    ties |c_x| = |c_y| whose optima form a circle)."""
     triples = []
     for seed in (601, 777, 778):
         rng = np.random.default_rng(seed)
@@ -307,18 +315,16 @@ def search_digest(rhos, bases=True):
     return digest.hexdigest()
 
 
-# ties |c_x| = |c_y| with |c_z| a little below, whose minima form a circle:
-# a steepest-descent step where the Hessian is not positive definite, in place
-# of the modified Newton step, runs out of NEWTON_STEPS on each of them
-STEP_OUT_TIES = [(0.789, -0.789, 0.7296), (0.844, -0.844, 0.8016), (0.07, -0.07, 0.0),
-                 (0.43, -0.43, 0.38), (0.45, -0.45, 0.4), (0.58, -0.58, 0.52),
-                 (0.63, -0.63, 0.6), (0.67, -0.67, 0.64), (0.8, -0.8, 0.76),
-                 (0.9, -0.9, 0.86), (0.95, -0.95, 0.92)]
+# ties |c_x| = |c_y| with |c_z| a little below, whose minima form a circle
+CIRCLE_TIES = [(0.789, -0.789, 0.7296), (0.844, -0.844, 0.8016), (0.07, -0.07, 0.0),
+               (0.43, -0.43, 0.38), (0.45, -0.45, 0.4), (0.58, -0.58, 0.52),
+               (0.63, -0.63, 0.6), (0.67, -0.67, 0.64), (0.8, -0.8, 0.76),
+               (0.9, -0.9, 0.86), (0.95, -0.95, 0.92)]
 
 
 def census_triples():
     """The physical ones among: every sign and axis permutation of
-    STEP_OUT_TIES and of three-way ties (a, a, a), seeded near-ties (u, -u (1
+    CIRCLE_TIES and of three-way ties (a, a, a), seeded near-ties (u, -u (1
     - gap), v) with relative gaps 1e-14 to 1e-2, seeded states on a face of
     the tetrahedron (one Bell eigenvalue zero), the four Bell states, the
     maximally mixed state and (0.6, 0.6, -1)."""
@@ -326,7 +332,7 @@ def census_triples():
     u, gap = rng.uniform(0.05, 0.95, 200), 10.0 ** rng.uniform(-14, -2, 200)
     f = rng.uniform(-1, 1, (100, 2))
     triples = [tuple(sign * c[i] for sign, i in zip(signs, order))
-               for c in STEP_OUT_TIES + [(a, a, a) for a in np.linspace(0.1, 1, 10)]
+               for c in CIRCLE_TIES + [(a, a, a) for a in np.linspace(0.1, 1, 10)]
                for order in itertools.permutations(range(3))
                for signs in itertools.product((1.0, -1.0), repeat=3)]
     triples = np.concatenate([
@@ -365,24 +371,28 @@ class TestBruteForce:
         assert search_digest(pinned_states(), bases=False) == SEARCH_VALUES_SHA256
 
     def test_census_converges_to_the_ledger(self):
-        # no state runs out of Newton steps; values agree with the ledger to
-        # rounding except at a unit coefficient off the pole, where the
-        # model's singular guard stops the descent short (ROADMAP item 19)
+        # every state, those with a unit coefficient included, agrees with
+        # the ledger to rounding
         triples = census_triples()
         assert len(triples) == 383
         brute = classical_correlation_bruteforce(bell_to_density(triples))
-        inner = np.max(np.abs(triples), axis=1) < 1.0
-        assert np.max(np.abs(brute.value - correlation_ledger(triples).C)[inner]) <= 1e-15
+        assert np.max(np.abs(brute.value - correlation_ledger(triples).C)) <= 1e-15
 
     def test_stack_rows_equal_single_calls(self):
         rng = np.random.default_rng(61)
         states = [random_bell_coefficients(rng) for _ in range(30)]
-        # maximally mixed, singlet, and an exact tie |c_x| = |c_y|
+        # maximally mixed, singlet, an exact tie |c_x| = |c_y|, the census's
+        # ties, and states with a full 3 x 3 correlation block, whose top
+        # eigenvectors eigh signs either way; every basis lies on the grid's
+        # hemisphere z >= 0
         states += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (0.4, -0.4, 0.1)]
-        rhos = np.stack([bell_to_density(c) for c in states])
+        states = np.concatenate([states, census_triples()])
+        rhos = np.concatenate([bell_to_density(states),
+                               full_block_states(rng.uniform(-0.15, 0.15, (20, 3, 3)))])
         stack = classical_correlation_bruteforce(rhos)
-        assert stack.value.shape == (len(states),)
-        assert stack.basis.shape == (len(states), 3)
+        assert stack.value.shape == (len(rhos),)
+        assert stack.basis.shape == (len(rhos), 3)
+        assert np.all(stack.basis[:, 2] >= 0.0)
         for rho, value, basis in zip(rhos, stack.value, stack.basis):
             single = classical_correlation_bruteforce(rho)
             assert single.value == value
@@ -390,7 +400,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_one_kernel_call_per_state(self, monkeypatch, n):
-        # one call per state's grid, one for all Newton points
+        # one call per state's grid, one for all proposed directions
         calls = []
         kernel = correlations._conditional_entropies
         monkeypatch.setattr(correlations, "_conditional_entropies",
@@ -418,40 +428,49 @@ class TestBruteForce:
             assert single.value == value
             assert np.array_equal(single.basis, basis)
 
-    def test_only_newton_fallbacks_descend(self, monkeypatch):
-        # a state whose Newton model is singular at its grid start (Bell,
-        # maximally mixed and proportional states) keeps its grid point, and
-        # a state whose descent uses up its trials raises, naming its index
-        singular = np.stack([SINGLET] + [bell_to_density(c) for c in
-                                         [(1.0, 1.0, -1.0), (0.0, 0.0, 0.0), (0.6, 0.6, -1.0)]])
-        ops = _search_operands(singular)
-        best_val, theta, phi = _grid_minima(ops)
-        for op, t, p in zip(ops, theta.tolist(), phi.tolist()):
-            assert correlations._newton_model(op, t, p) is None
-        result = classical_correlation_bruteforce(singular)
+    def test_a_wrong_proposal_leaves_the_grid_value(self, monkeypatch):
+        # the proposal patched to the y axis, the weakest axis of every state
+        # here: each state keeps its grid-only value, which is a real
+        # measurement's and so never above the ledger's C, up to the rounding
+        # (1.1e-16 here) of a grid point on an optimum, the theta = 0 pole
+        rng = np.random.default_rng(83)
+        triples = np.array([random_bell_coefficients(rng) for _ in range(200)])
+        mags = np.abs(triples)
+        triples = triples[mags[:, 1] < np.minimum(mags[:, 0], mags[:, 2]) - 0.05]
+        assert len(triples) >= 20
+        rhos = bell_to_density(triples)
+        best_val, basis = _grid_minima(_search_operands(rhos))
+        monkeypatch.setattr(correlations, "_top_axes",
+                            lambda ops: np.tile([0.0, 1.0, 0.0], (len(ops), 1)))
+        result = classical_correlation_bruteforce(rhos)
         assert np.array_equal(result.value, 1.0 - best_val)
-        assert np.array_equal(result.basis, _bloch_columns(theta, phi)[1:].T)
+        assert np.array_equal(result.basis, basis)
+        assert np.all(result.value <= correlation_ledger(triples).C + 1e-15)
 
-        # no step is ever at most a zero tolerance, so only the trial count
-        # ends a non-singular state's descent
-        monkeypatch.setattr(correlations, "REFINE_ANGLE_TOL", 0.0)
-        stack = np.concatenate([singular, bell_to_density((0.1, 0.16, 0.1))[None]])
-        with pytest.raises(AccuracyError, match=f"state at index 4: the Newton "
-                                                f"refinement did not converge in "
-                                                f"{NEWTON_STEPS} steps"):
-            classical_correlation_bruteforce(stack)
+    def test_pure_optimal_outcomes_equal_the_ledger(self):
+        # optima whose outcomes are pure, x = 1: on the theta = 0 pole (the
+        # singlet, the four Bell states and (0.6, 0.6, -1)), where the
+        # proposal ties the grid point, which is kept, and off it, where the
+        # proposal is the dominant axis
+        triples = np.array([(-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0),
+                            (-1.0, 1.0, 1.0), (0.6, 0.6, -1.0),
+                            (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, 1.0, -0.6)])
+        rhos = np.concatenate([SINGLET[None], bell_to_density(triples)])
+        result = classical_correlation_bruteforce(rhos)
+        assert np.array_equal(result.value, [1.0] * 9)
+        assert np.array_equal(result.value[1:], correlation_ledger(triples).C)
+        assert np.array_equal(result.basis, [[0.0, 0.0, 1.0]] * 6 + [[1.0, 0.0, 0.0]]
+                              + [[0.0, 1.0, 0.0]] * 2)
 
-    @pytest.mark.parametrize("angle_tol", [-1.0, 0.0, float("nan")])
-    def test_newton_refinement_is_bounded(self, monkeypatch, angle_tol):
-        # no step is ever at most such a tolerance: the trial count ends it
-        calls = []
-        monkeypatch.setattr(correlations, "REFINE_ANGLE_TOL", angle_tol)
-        model = correlations._newton_model
-        monkeypatch.setattr(correlations, "_newton_model",
-                            lambda *args: calls.append(args) or model(*args))
-        ops = _search_operands(bell_to_density((0.1, 0.16, 0.1))[None])
-        assert _newton_refine(ops[0], 1.0, 1.0) is None
-        assert len(calls) == NEWTON_STEPS + 1
+    def test_zero_correlation_keeps_its_grid_point(self):
+        # the maximally mixed state: T = 0, the entropy is flat, and the
+        # first grid point, the pole, stays
+        ops = _search_operands((np.eye(4) / 4)[None])
+        best_val, basis = _grid_minima(ops)
+        result = classical_correlation_bruteforce(np.eye(4) / 4)
+        assert result.value == 1.0 - best_val[0] == 0.0
+        assert np.array_equal(result.basis, basis[0])
+        assert np.array_equal(basis[0], [0.0, 0.0, 1.0])
 
     def test_cached_grid_is_read_only(self):
         # the upper hemisphere: T/2 rows of theta, the pole once
@@ -509,8 +528,8 @@ class TestBlochKernel:
 
 
 def mirrored_states():
-    """100 seeded Bell-diagonal states, then the singular Newton starts: the
-    maximally mixed state and the four Bell states."""
+    """100 seeded Bell-diagonal states, then the maximally mixed state and the
+    four Bell states."""
     rng = np.random.default_rng(89)
     triples = [random_bell_coefficients(rng) for _ in range(100)]
     triples += [(0.0, 0.0, 0.0), (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0),

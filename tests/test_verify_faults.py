@@ -14,7 +14,7 @@ import pytest
 
 from belldyn.channels import correlation_multipliers
 from belldyn.cli import main
-from belldyn.correlations import _conditional_entropies, _newton_model, _newton_refine
+from belldyn.correlations import _conditional_entropies, _grid_minima, _top_axes
 from belldyn.kernel import decay_factor
 from belldyn.states import relative_entropy
 
@@ -45,22 +45,10 @@ def shifted_entropies(ops, cols):
     return _conditional_entropies(ops, cols) + 1e-4
 
 
-def newton_at_start(op, theta, phi):
-    """The Newton descent stops where it starts, at the grid minimum."""
-    return theta, phi
-
-
-def steepest_off_newton(op, theta, phi):
-    """The model's Hessian zeroed wherever it is not positive definite, so
-    the refinement takes a steepest-descent step there, not a modified Newton
-    step, and runs out of steps on ties |c_x| = |c_y|."""
-    model = _newton_model(op, theta, phi)
-    if model is None:
-        return None
-    value, h_u, h_v, h_uu, h_uv, h_vv = model
-    if h_uu > 0.0 and h_uu * h_vv - h_uv * h_uv > 0.0:
-        return model
-    return value, h_u, h_v, 0.0, 0.0, 0.0
+def proposal_at_grid_minimum(ops):
+    """Each state's proposed direction is its grid minimum's own, so no
+    state gets past its grid value."""
+    return _grid_minima(ops)[1]
 
 
 def shifted_relative_entropy(rho, sigma):
@@ -77,9 +65,8 @@ FAULTS = {
                           {"bruteforce-vs-analytic", "bruteforce-edge-states"}),
     "relative-entropy-plus-1e-6": (relative_entropy, shifted_relative_entropy,
                                    {"relative-entropy-identity"}),
-    "newton-at-start": (_newton_refine, newton_at_start,
-                        {"bruteforce-vs-analytic", "bruteforce-edge-states"}),
-    "steepest-off-newton": (_newton_model, steepest_off_newton, {"bruteforce-edge-states"}),
+    "proposal-at-grid-minimum": (_top_axes, proposal_at_grid_minimum,
+                                 {"bruteforce-vs-analytic", "bruteforce-edge-states"}),
 }
 
 
