@@ -242,6 +242,13 @@ def full_block_states(blocks):
     return (np.eye(4) + np.einsum("nk,kab->nab", blocks.reshape(-1, 9), terms)) / 4
 
 
+def rotations(rng, n):
+    """n seeded rotation matrices (N, 3, 3), orthogonal with determinant 1."""
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q * np.sign(np.linalg.det(q))[:, None, None]
+
+
 def search_states():
     """50 seeded Bell-diagonal states, the edge states and 10 seeded states
     with a full correlation block."""
@@ -461,6 +468,24 @@ class TestBruteForce:
         assert np.array_equal(result.value[1:], correlation_ledger(triples).C)
         assert np.array_equal(result.basis, [[0.0, 0.0, 1.0]] * 6 + [[1.0, 0.0, 0.0]]
                               + [[0.0, 1.0, 0.0]] * 2)
+
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    def test_locally_rotated_states_equal_the_ledger(self, side):
+        # T = R_A diag(c) R_B^T: a local rotation of a Bell-diagonal state,
+        # which keeps C and moves the optimal axis off the coordinate axes
+        # to R_B's column of the dominant coefficient, where the proposal
+        # must follow it
+        rng = np.random.default_rng(97)
+        triples = np.array([random_bell_coefficients(rng) for _ in range(50)])
+        eye = np.tile(np.eye(3), (len(triples), 1, 1))
+        r_a = rotations(rng, len(triples)) if side != "b" else eye
+        r_b = rotations(rng, len(triples)) if side != "a" else eye
+        blocks = r_a @ (triples[:, :, None] * eye) @ r_b.transpose(0, 2, 1)
+        result = classical_correlation_bruteforce(full_block_states(blocks))
+        assert np.max(np.abs(result.value - correlation_ledger(triples).C)) <= 1e-15
+        axis = r_b[np.arange(len(triples)), :, np.argmax(np.abs(triples), axis=1)]
+        assert np.allclose(np.abs(np.sum(result.basis * axis, axis=1)), 1.0,
+                           rtol=0.0, atol=1e-12)
 
     def test_zero_correlation_keeps_its_grid_point(self):
         # the maximally mixed state: T = 0, the entropy is flat, and the
